@@ -25,10 +25,9 @@ int main() {
     // Throughput: pipeline metric, single-threaded stages (see Fig 9).
     {
       auto spec = base_spec(ChainMode::kFtc, ch_n(5, 1), /*threads=*/1, f);
-      ChainRuntime chain(spec);
       tgen::Workload w;
       w.num_flows = 256;
-      tputs[i] = measure_pipeline_tput(chain, w, 60'000.0).pipeline_mpps;
+      tputs[i] = measure_pipeline_tput(spec, w, 60'000.0).pipeline_mpps;
     }
     // Latency: single-threaded at a sustainable load.
     {

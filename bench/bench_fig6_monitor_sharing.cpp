@@ -31,10 +31,9 @@ int main() {
     for (std::size_t si = 0; si < 4; ++si) {
       auto spec = base_spec(modes[mi], {monitor(sharing_levels[si])},
                             /*threads=*/8);
-      ChainRuntime chain(spec);
       tgen::Workload w;
       w.num_flows = 256;
-      const auto r = measure_pipeline_tput(chain, w);
+      const auto r = measure_pipeline_tput(spec, w);
       results[mi][si] = r.pipeline_mpps;
       const obs::Labels point{{"system", mode_name(modes[mi])},
                               {"sharing", std::to_string(sharing_levels[si])}};

@@ -29,10 +29,9 @@ int main() {
     std::printf("%-14s", mode_name(modes[mi]));
     for (std::size_t ti = 0; ti < 4; ++ti) {
       auto spec = base_spec(modes[mi], {mazu_nat()}, thread_counts[ti]);
-      ChainRuntime chain(spec);
       tgen::Workload w;
       w.num_flows = 512;  // Mostly fast-path (read-only) after warmup.
-      const auto r = measure_pipeline_tput(chain, w);
+      const auto r = measure_pipeline_tput(spec, w);
       results[mi][ti] = r.pipeline_mpps;
       const obs::Labels point{{"system", mode_name(modes[mi])},
                               {"threads", std::to_string(thread_counts[ti])}};

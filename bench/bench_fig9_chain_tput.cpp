@@ -46,10 +46,9 @@ int main() {
     std::printf("%-16s", mode_name(modes[mi]));
     for (std::size_t li = 0; li < 4; ++li) {
       auto spec = base_spec(modes[mi], ch_n(lengths[li], 1), threads);
-      ChainRuntime chain(spec);
       tgen::Workload w;
       w.num_flows = 256;
-      const auto r = measure_pipeline_tput(chain, w, 60'000.0);
+      const auto r = measure_pipeline_tput(spec, w, 60'000.0);
       results[mi][li] = r.pipeline_mpps;
       const obs::Labels point{{"system", mode_name(modes[mi])},
                               {"chain_len", std::to_string(lengths[li])}};
@@ -79,11 +78,10 @@ int main() {
   for (std::size_t bi = 0; bi < 4; ++bi) {
     auto spec = base_spec(ChainMode::kFtc, ch_n(3, 1), threads);
     spec.cfg.burst_size = bursts[bi];
-    ChainRuntime chain(spec);
     tgen::Workload w;
     w.num_flows = 256;
     w.burst = bursts[bi];
-    const auto r = measure_pipeline_tput(chain, w, 200'000.0);
+    const auto r = measure_pipeline_tput(spec, w, 200'000.0);
     burst_mpps[bi] = r.pipeline_mpps;
     const obs::Labels point{{"system", "FTC"},
                             {"chain_len", "3"},

@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
   obs::Report report("micro_ops");
-  report.meta("schema_version", std::uint64_t{2});  // = bench::kBenchSchemaVersion
+  report.meta("schema_version", std::uint64_t{3});  // = bench::kBenchSchemaVersion
   report.meta("harness", "google-benchmark");
   report.meta("burst", std::to_string(g_burst));
   for (const auto& [name, real_time_ns] : reporter.captured()) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,8 +32,9 @@ using ftc::FtcNode;
 
 /// Version of the BENCH_*.json layout. Bump when metric names or meta
 /// keys change shape; CI validators key on it. v2 added schema_version
-/// itself, ns_per_packet/ns_per_op companions, and the budget.* rows.
-inline constexpr std::uint64_t kBenchSchemaVersion = 2;
+/// itself, ns_per_packet/ns_per_op companions, and the budget.* rows; v3
+/// dropped the node.busy_cycles registry histogram.
+inline constexpr std::uint64_t kBenchSchemaVersion = 3;
 
 /// ns/packet companion of a rate in Mpps (0 when the rate is 0).
 inline double mpps_to_ns(double mpps) { return mpps > 0 ? 1e3 / mpps : 0.0; }
@@ -144,16 +146,6 @@ inline tgen::RunResult measure_latency(ChainRuntime& chain,
 
 inline const char* mode_name(ChainMode m) { return ftc::to_string(m); }
 
-/// Enables per-stage busy-cycle accounting on every server of the chain.
-inline void enable_accounting(ChainRuntime& chain) {
-  for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
-    if (auto* n = chain.ftc_node(pos)) n->enable_cycle_accounting(true);
-    if (auto* n = chain.nf_node(pos)) n->enable_cycle_accounting(true);
-    if (auto* n = chain.ftmb_master(pos)) n->enable_cycle_accounting(true);
-    if (auto* n = chain.ftmb_logger(pos)) n->enable_cycle_accounting(true);
-  }
-}
-
 /// Pipeline throughput (Mpps): the rate a real one-server-per-stage
 /// deployment of this chain would sustain, i.e. 1 / (busy time of the
 /// slowest stage). This is the faithful throughput metric on a host that
@@ -161,39 +153,54 @@ inline void enable_accounting(ChainRuntime& chain) {
 /// measures the SUM of all stages' work, which no real chain deployment
 /// pays on one machine (each middlebox has its own server in the paper's
 /// testbed).
-inline double pipeline_mpps(ChainRuntime& chain) {
-  double max_cycles = 0;
-  for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
-    if (auto* n = chain.ftc_node(pos)) {
-      max_cycles = std::max(max_cycles, n->busy_cycles_per_packet());
-    }
-    if (auto* n = chain.nf_node(pos)) {
-      max_cycles = std::max(max_cycles, n->busy_cycles_per_packet());
-    }
-    if (auto* n = chain.ftmb_master(pos)) {
-      max_cycles = std::max(max_cycles, n->busy_cycles_per_packet());
-    }
-    if (auto* n = chain.ftmb_logger(pos)) {
-      max_cycles = std::max(max_cycles, n->busy_cycles_per_packet());
-    }
+///
+/// A server's cost per packet comes from the budget profiler: the median
+/// of its workers' merged per-burst cost distributions (slots are named
+/// "<server>-t<worker>"), poll included and send_blocking retries
+/// excluded. The median is per polled op; scaling by ops per data packet
+/// charges an FTMB logger for the PALs it absorbs (1 for every other
+/// server).
+inline double pipeline_mpps(const obs::BudgetReport& budget) {
+  struct Server {
+    rt::Histogram cost;
+    std::uint64_t ops{0};
+    std::uint64_t packets{0};
+  };
+  std::map<std::string, Server> servers;
+  for (const auto& w : budget.workers) {
+    if (w.bursts == 0) continue;
+    Server& s = servers[w.worker.substr(0, w.worker.rfind("-t"))];
+    s.cost.merge(w.cost);
+    s.ops += w.stages[static_cast<std::size_t>(obs::ProfStage::kPoll)].ops;
+    s.packets += w.packets;
   }
-  if (max_cycles <= 0) return 0;
-  const double ns_per_packet = max_cycles / (rt::tsc_hz() * 1e-9);
+  double max_cycles = 0;
+  for (const auto& [name, s] : servers) {
+    if (s.packets == 0) continue;
+    max_cycles = std::max(max_cycles, static_cast<double>(s.cost.p50()) *
+                                          static_cast<double>(s.ops) /
+                                          static_cast<double>(s.packets));
+  }
+  if (max_cycles <= 0 || budget.tsc_hz <= 0) return 0;
+  const double ns_per_packet = max_cycles * 1e9 / budget.tsc_hz;
   return 1e3 / ns_per_packet;  // 1e9 / ns * 1e-6.
 }
 
-/// Runs a chain at a moderate fixed rate to collect clean per-stage busy
-/// costs (saturation would pollute cycle samples with preemption), then
-/// reports pipeline throughput alongside the timeshared delivered rate.
+/// Builds the chain with the budget profiler on and runs it at a moderate
+/// fixed rate to collect clean per-server costs (saturation would pollute
+/// cycle samples with preemption), then reports pipeline throughput
+/// alongside the timeshared delivered rate.
 struct TputResult {
   double pipeline_mpps{0};
   double timeshared_mpps{0};
 };
 
-inline TputResult measure_pipeline_tput(ChainRuntime& chain,
+inline TputResult measure_pipeline_tput(ChainRuntime::Spec spec,
                                         const tgen::Workload& workload,
                                         double probe_rate_pps = 100'000.0) {
-  enable_accounting(chain);
+  spec.cfg.profile = true;
+  ChainRuntime chain(std::move(spec));
+  obs::HotProfiler* prof = chain.profiler();
   chain.start();
   TputResult out;
   const std::uint64_t t0 = rt::now_ns();
@@ -201,11 +208,10 @@ inline TputResult measure_pipeline_tput(ChainRuntime& chain,
   for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
     if (auto* m = chain.ftmb_master(pos)) stall0 += m->stall_ns_total();
   }
-  const auto probe = tgen::run_load(chain.pool(), chain.ingress(),
-                                    chain.egress(), workload, probe_rate_pps,
-                                    point_seconds(), warmup_seconds());
-  (void)probe;
-  out.pipeline_mpps = pipeline_mpps(chain);
+  (void)tgen::run_load(chain.pool(), chain.ingress(), chain.egress(),
+                       workload, probe_rate_pps, point_seconds(),
+                       warmup_seconds(), nullptr, [prof] { prof->reset(); });
+  out.pipeline_mpps = pipeline_mpps(prof->report());
   // Snapshot stalls halt the whole pipeline while any master checkpoints
   // (paper §7.4: per-middlebox snapshots pipeline-stall the chain, and
   // more snapshots are taken in a longer chain).
@@ -217,6 +223,8 @@ inline TputResult measure_pipeline_tput(ChainRuntime& chain,
   const double availability =
       std::max(0.05, 1.0 - static_cast<double>(stall1 - stall0) / elapsed);
   out.pipeline_mpps *= availability;
+  // The saturated run is not profiled.
+  obs::uninstall_hot_profiler(prof);
   out.timeshared_mpps =
       measure_tput(chain, workload).delivered_mpps;  // Saturated run.
   chain.stop();

@@ -270,6 +270,16 @@ FtcNode* ChainRuntime::spawn_replacement(std::uint32_t position) {
   return raw;
 }
 
+bool ChainRuntime::successor_caught_up(std::uint32_t position) {
+  const std::uint32_t succ = (position + 1) % ring_size_;
+  FtcNode* node = ftc_node(succ);
+  if (node == nullptr || node->has_failed()) return true;
+  const bool path_drained = succ != 0 ? links_[succ]->drained()
+                                      : feedback_->pending_approx() == 0;
+  return path_drained && node->bursts_in_flight() == 0 &&
+         !node->handoff_pending();
+}
+
 std::vector<std::pair<MboxId, net::NodeId>> ChainRuntime::recovery_sources(
     std::uint32_t position) const {
   // Paper §5.2: the failed head's state comes from the immediate successor
@@ -278,8 +288,11 @@ std::vector<std::pair<MboxId, net::NodeId>> ChainRuntime::recovery_sources(
   // the orchestrator then re-initializes with "the new set of alive
   // replicas" — modeled here by falling back to the nearest alive member
   // of the same replication group (safe: every member's state is a
-  // prefix-or-equal of the head's by the log propagation invariant, and
-  // stale in-flight logs are recognized as duplicates).
+  // prefix-or-equal of the head's by the log propagation invariant). Logs
+  // still in flight would NOT be recognized as duplicates: they carry the
+  // sequence numbers the recovered head continues from. The orchestrator
+  // waits for successor_caught_up() first so none are in flight to the
+  // immediate successor.
   const auto alive = [&](std::uint32_t pos) -> FtcNode* {
     FtcNode* node = ftc_at_[pos].load(std::memory_order_acquire);
     return node != nullptr && !node->has_failed() ? node : nullptr;

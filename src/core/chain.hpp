@@ -121,6 +121,18 @@ class ChainRuntime : rt::NonCopyable {
   std::vector<std::pair<MboxId, net::NodeId>> recovery_sources(
       std::uint32_t position) const;
 
+  /// True once everything the node at @p position has sent reached its
+  /// ring successor's state: the segment into the successor is drained and
+  /// the successor holds no unapplied burst or handoff portion. From the
+  /// last position the path runs through the egress buffer's feedback
+  /// channel into the head's forwarder. A failed successor counts as
+  /// caught up: nothing more reaches it. The orchestrator waits for this
+  /// before a replacement fetches the failed head's store from the
+  /// successor, so the failed head's in-flight logs are in the fetched
+  /// state rather than arriving after it with the sequence numbers the
+  /// recovered head will reuse.
+  bool successor_caught_up(std::uint32_t position);
+
   /// Attaches the recovered replica to the chain links and starts its data
   /// path — the orchestrator's "steer traffic" step.
   void wire_replacement(std::uint32_t position, FtcNode* node);

@@ -34,21 +34,12 @@ bool NfNode::worker_body(std::uint32_t thread_id) {
   net::Port* in = in_link_.load(std::memory_order_acquire);
   if (in == nullptr) return false;
   pkt::Packet* rx[kMaxBurst];
-  // Budget profiler gate (obs/prof): one load + branch when disabled.
-  obs::ProfSlot* slot = nullptr;
-  if (obs::HotProfiler* hp = obs::hot_profiler(); SFC_UNLIKELY(hp != nullptr)) {
-    slot = hp->maybe_slot();
-    if (slot == nullptr) {
-      slot = hp->thread_slot("nf-node-" + std::to_string(position_) + "-t" +
-                             std::to_string(thread_id));
-    }
-  }
-  const std::uint64_t pp0 = slot != nullptr ? rt::rdtsc() : 0;
+  // Budget stage marks (obs/prof): one branch each when disabled.
+  obs::ProfBurst prof;
+  prof.open();
   const std::size_t got = in->poll_burst(rx, burst_size_);
   if (got == 0) return false;
-  const std::uint64_t poll_end = slot != nullptr ? rt::rdtsc() : 0;
-  if (slot != nullptr) slot->add(obs::ProfStage::kPoll, poll_end - pp0, got);
-  const std::uint64_t b0 = account_cycles_ ? rt::rdtsc() : 0;
+  prof.mark(obs::ProfStage::kPoll);
 
   // Forwarded packets are staged and flushed with one send_burst; meter
   // updates coalesce to one add per burst.
@@ -66,31 +57,22 @@ bool NfNode::worker_body(std::uint32_t thread_id) {
   }
   if (dropped != 0) drops_.fetch_add(dropped, std::memory_order_relaxed);
   if (n_tx != 0) meter_.add(n_tx, fwd_bytes);
-  if (account_cycles_) {
-    // Account productive work only (per-packet average; downstream
-    // backpressure in the flush below is excluded).
-    record_busy((rt::rdtsc() - b0) / got, got);
-  }
-  const std::uint64_t proc_end = slot != nullptr ? rt::rdtsc() : 0;
-  if (slot != nullptr) {
-    slot->add(obs::ProfStage::kProcess, proc_end - poll_end, got);
-  }
+  prof.mark(obs::ProfStage::kProcess);
   net::Port* out = out_link_.load(std::memory_order_acquire);
   if (out != nullptr) {
     const std::size_t sent = out->send_burst({tx, n_tx});
-    for (std::size_t i = sent; i < n_tx; ++i) {
-      if (!out->send_blocking(tx[i])) pool_.free_raw(tx[i]);
+    if (sent < n_tx) {
+      const std::uint64_t w0 = prof.stamp();
+      for (std::size_t i = sent; i < n_tx; ++i) {
+        if (!out->send_blocking(tx[i])) pool_.free_raw(tx[i]);
+      }
+      prof.blocked(w0);
     }
   } else {
     for (std::size_t i = 0; i < n_tx; ++i) pool_.free_raw(tx[i]);
   }
-  if (slot != nullptr) {
-    const std::uint64_t end = rt::rdtsc();
-    slot->add(obs::ProfStage::kEgressFlush, end - proc_end, got);
-    slot->packets.fetch_add(got, std::memory_order_relaxed);
-    slot->bursts.fetch_add(1, std::memory_order_relaxed);
-    slot->wall_cycles.fetch_add(end - pp0, std::memory_order_relaxed);
-  }
+  prof.mark(obs::ProfStage::kEgressFlush);
+  prof.finish(got);
   return true;
 }
 

@@ -10,13 +10,11 @@
 #include <memory>
 #include <vector>
 
-#include "base/mutex.hpp"
 #include "core/config.hpp"
 #include "mbox/middlebox.hpp"
 #include "net/link.hpp"
 #include "obs/span.hpp"
 #include "packet/packet_pool.hpp"
-#include "runtime/histogram.hpp"
 #include "runtime/meter.hpp"
 #include "runtime/worker.hpp"
 
@@ -64,23 +62,6 @@ class NfNode : rt::NonCopyable {
 
   const rt::Meter& meter() const noexcept { return meter_; }
 
-  void enable_cycle_accounting(bool on) noexcept { account_cycles_ = on; }
-  /// Productive cycles per packet (excludes downstream backpressure).
-  double busy_cycles_per_packet() const {
-    LockGuard lock(busy_mutex_);
-    // Median: per-sample rdtsc spans include preemption by the other
-    // simulated servers timesharing this host; outliers of milliseconds
-    // would swamp a mean of sub-microsecond sections.
-    return busy_hist_.count() ? static_cast<double>(busy_hist_.p50()) : 0.0;
-  }
-
-  /// @param weight Packets covered by the (per-packet averaged) sample,
-  ///               keeping the median packet-weighted under bursting.
-  void record_busy(std::uint64_t cycles, std::uint64_t weight = 1) {
-    LockGuard lock(busy_mutex_);
-    busy_hist_.record_n(cycles, weight);
-  }
-
   state::StateStore& store() noexcept { return store_; }
   mbox::Middlebox* middlebox() noexcept { return mbox_.get(); }
   std::uint64_t drops() const noexcept { return drops_.load(); }
@@ -104,9 +85,6 @@ class NfNode : rt::NonCopyable {
   rt::Meter meter_;
   std::atomic<std::uint64_t> drops_{0};
   std::size_t burst_size_{1};  ///< cfg.burst_size clamped to [1, kMaxBurst].
-  bool account_cycles_{false};
-  mutable Mutex busy_mutex_{ranks::kLeaf, "nf.busy_hist"};
-  rt::Histogram busy_hist_ SFC_GUARDED_BY(busy_mutex_);
 };
 
 }  // namespace sfc::ftc

@@ -24,17 +24,14 @@ inline void span_event(obs::Registry* reg, std::uint32_t site,
   }
 }
 
-// Cycles the current thread spent blocked on full downstream queues while
-// processing the current packet; subtracted from busy accounting.
-thread_local std::uint64_t t_blocked_cycles = 0;
-
 // Per-thread burst scope. While a data worker processes one rx burst, its
 // egress packets are staged in `tx` (flushed with one send_burst) and the
-// per-packet bookkeeping (meter, packets_processed, cycle breakdown)
-// accumulates here, flushed once per burst. Callers outside the owning
-// node's burst loop — the control worker draining parked packets, the
-// propagation path — see `owner != this` and take the immediate path, so
-// protocol semantics never depend on an open scope.
+// per-packet bookkeeping (meter, packets_processed) accumulates here,
+// flushed once per burst. Callers outside the owning node's burst loop —
+// the control worker draining parked packets, the propagation path — see
+// `owner != this` and take the immediate path, so protocol semantics never
+// depend on an open scope. `prof` carries the burst's budget stage marks
+// (obs/prof); outside an open profiled burst every mark is one branch.
 struct BurstScope {
   sfc::ftc::FtcNode* owner{nullptr};
   sfc::net::Port* out{nullptr};
@@ -42,26 +39,8 @@ struct BurstScope {
   std::uint64_t data_packets{0};
   std::uint64_t data_bytes{0};
   std::uint64_t control_packets{0};
-  std::uint64_t cyc_packets{0};
-  std::uint64_t cyc_process{0};
-  std::uint64_t cyc_piggyback{0};
-  std::uint64_t cyc_forward{0};
-  // Budget profiler (obs/prof): the worker's slot while a profiled burst
-  // is open (null otherwise — one thread-local null check per stage when
-  // profiling is disabled), and the burst's per-stage cycle accumulators,
-  // flushed to the slot once per burst. `prof_mark` is the chained stage
-  // boundary: every bracket covers [prof_mark, now] and advances it, so
-  // the stages tile the burst window — glue between brackets lands in the
-  // next stage instead of going unattributed, and a nested bracket that
-  // advanced the mark automatically shrinks its enclosing one.
-  obs::ProfSlot* prof{nullptr};
-  std::uint64_t prof_mark{0};
-  std::uint64_t prof_cycles[obs::kProfStageCount]{};
+  obs::ProfBurst prof;
   pkt::Packet* tx[sfc::ftc::kMaxBurst];
-
-  void prof_add(obs::ProfStage stage, std::uint64_t d) noexcept {
-    prof_cycles[static_cast<std::size_t>(stage)] += d;
-  }
 };
 thread_local BurstScope t_burst;
 
@@ -128,10 +107,6 @@ FtcNode::FtcNode(Params params)
   });
   registry_->gauge_fn("node.mbox_packets", labels, [this] {
     return static_cast<double>(meter_.packets());
-  });
-  registry_->histogram_fn("node.busy_cycles", labels, [this] {
-    LockGuard lock(busy_mutex_);
-    return busy_hist_;
   });
   ctrl_.register_node(id_);
   if (position_ < num_mboxes_ && params.mbox_factory) {
@@ -324,13 +299,17 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
   // state dissemination is pending (paper §5.1).
   if (thread_id == 0 && forwarder_ != nullptr && forwarder_->propagation_due()) {
     // The propagating packet runs through this node's full pipeline (its
-    // appliers are group members of the wrap-around middleboxes too).
+    // appliers are group members of the wrap-around middleboxes too). It
+    // carries feedback logs the forwarder no longer holds, so it holds the
+    // in-flight token like a polled burst does.
     if (pkt::Packet* prop = Forwarder::make_propagating_packet(pool_)) {
+      bursts_in_flight_.fetch_add(1);
       Work work;
       work.packet = prop;
       work.thread_id = thread_id;
       work.msg = forwarder_->collect();
       process_work(std::move(work));
+      bursts_in_flight_.fetch_sub(1);
       did_work = true;
     }
   }
@@ -338,44 +317,21 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
   net::Port* in = in_link_.load(std::memory_order_acquire);
   if (in != nullptr) {
     pkt::Packet* rx[kMaxBurst];
-    // Budget profiler gate: one acquire load + branch when disabled. The
-    // slot lookup past the branch is a thread-local cache hit; the label
-    // string is built only on the first burst of each worker thread.
-    obs::ProfSlot* slot = nullptr;
-    if (obs::HotProfiler* hp = obs::hot_profiler(); SFC_UNLIKELY(hp != nullptr)) {
-      slot = hp->maybe_slot();
-      if (slot == nullptr) {
-        // The label string is built once per thread, on its first
-        // profiled burst only.
-        slot = hp->thread_slot(
-            // LINT_HOT_PATH_ALLOW(string-growth): once per thread
-            "ftc-node-" + std::to_string(position_) + "-t" +
-            // LINT_HOT_PATH_ALLOW(string-growth): once per thread
-            std::to_string(thread_id));
-      }
-    }
     // Raise the in-flight token BEFORE popping: packets leave the link
     // queue here but are only applied/forwarded below, and quiescence
     // checks (ChainRuntime::quiescent) must never observe "links drained"
     // while a whole burst sits unapplied in this worker's hands.
     bursts_in_flight_.fetch_add(1);
-    const std::uint64_t pp0 = slot != nullptr ? rt::rdtsc() : 0;
+    BurstScope& b = t_burst;
+    b.prof.open();
     const std::size_t got = in->poll_burst(rx, burst_size_);
     if (got != 0) {
       // Open the per-thread burst scope: emits from this burst stage into
       // t_burst.tx and per-packet bookkeeping accumulates, all flushed once
       // below.
-      BurstScope& b = t_burst;
       b.owner = this;
       b.out = out_link_.load(std::memory_order_acquire);
-      b.prof = slot;
-      if (slot != nullptr) {
-        const std::uint64_t t = rt::rdtsc();
-        b.prof_add(obs::ProfStage::kPoll, t - pp0);
-        b.prof_mark = t;
-      }
-      const std::uint64_t t0 = account_cycles_ ? rt::rdtsc() : 0;
-      if (account_cycles_) t_blocked_cycles = 0;
+      b.prof.mark(obs::ProfStage::kPoll);
       if (forwarder_ != nullptr) {
         // Chain ingress: packets arrive bare and the message to attach
         // comes from the feedback channel (materialized by necessity), so
@@ -396,23 +352,10 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
           }
           vw[i].view = PiggybackView::open(*rx[i]);
         }
-        if (slot != nullptr) {
-          const std::uint64_t t = rt::rdtsc();
-          b.prof_add(obs::ProfStage::kViewWalk, t - b.prof_mark);
-          b.prof_mark = t;
-        }
+        b.prof.mark(obs::ProfStage::kViewWalk);
         const std::uint64_t span_t0 = any_traced ? rt::now_ns() : 0;
-        const bool timed_apply = account_cycles_ || slot != nullptr;
-        const std::uint64_t ta0 = account_cycles_ ? rt::rdtsc() : 0;
         apply_logs_burst(vw, got);
-        if (timed_apply) {
-          const std::uint64_t now = rt::rdtsc();
-          if (account_cycles_) b.cyc_piggyback += now - ta0;
-          if (slot != nullptr) {
-            b.prof_add(obs::ProfStage::kLogApply, now - b.prof_mark);
-            b.prof_mark = now;
-          }
-        }
+        b.prof.mark(obs::ProfStage::kLogApply);
         // Traced packets report the burst apply as a per-packet share.
         const std::uint64_t apply_share_ns =
             any_traced ? (rt::now_ns() - span_t0) / got : 0;
@@ -424,17 +367,11 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
                        apply_share_ns);
           }
           process_view(rx[i], vw[i], thread_id);
-          if (slot != nullptr) {
-            // Starts from the chained mark (process_view's exit), so the
-            // per-packet return glue bills here; a nested drain that
-            // advanced the mark has already claimed its own time.
-            drain_parked();
-            const std::uint64_t t = rt::rdtsc();
-            b.prof_add(obs::ProfStage::kParkDrain, t - b.prof_mark);
-            b.prof_mark = t;
-          } else {
-            drain_parked();
-          }
+          // Starts from the chained mark (process_view's exit), so the
+          // per-packet return glue bills here; a nested drain that
+          // advanced the mark has already claimed its own time.
+          drain_parked();
+          b.prof.mark(obs::ProfStage::kParkDrain);
         }
       }
       // Burst boundary: apply cross-shard portions other workers (or the
@@ -442,27 +379,23 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
       // own primary stage inside the burst window.
       if (handoff_mesh_ != nullptr) {
         drain_handoff(thread_id);
-        if (slot != nullptr) {
-          const std::uint64_t t = rt::rdtsc();
-          b.prof_add(obs::ProfStage::kHandoffDrain, t - b.prof_mark);
-          b.prof_mark = t;
-        }
+        b.prof.mark(obs::ProfStage::kHandoffDrain);
       }
       b.owner = nullptr;
-      // The whole burst tail — egress flush, meter/counter flush, cycle
-      // accounting — bills to kEgressFlush: it opens at the chained mark
-      // (the last per-packet bracket's exit) and closes at the timestamp
-      // that ends the busy-wall window, so no per-burst glue goes missing.
+      // The whole burst tail — egress flush and meter/counter flush —
+      // bills to kEgressFlush: it opens at the chained mark (the last
+      // per-packet mark) and its closing mark ends the burst wall, so no
+      // per-burst glue goes missing.
       // Flush staged egress with one bulk send; stragglers block with
       // backpressure accounting, exactly like a per-packet send would.
       if (b.n_tx != 0) {
         const std::size_t sent = b.out->send_burst({b.tx, b.n_tx});
         if (sent < b.n_tx) {
-          const std::uint64_t w0 = account_cycles_ ? rt::rdtsc() : 0;
+          const std::uint64_t w0 = b.prof.stamp();
           for (std::size_t i = sent; i < b.n_tx; ++i) {
             if (!b.out->send_blocking(b.tx[i])) pool_.free_raw(b.tx[i]);
           }
-          if (account_cycles_) t_blocked_cycles += rt::rdtsc() - w0;
+          b.prof.blocked(w0);
         }
         b.n_tx = 0;
       }
@@ -477,39 +410,10 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
         stats_.control_packets->add(b.control_packets);
         b.control_packets = 0;
       }
-      if (account_cycles_) {
-        cyc_packets_.fetch_add(b.cyc_packets, std::memory_order_relaxed);
-        cyc_process_.fetch_add(b.cyc_process, std::memory_order_relaxed);
-        cyc_piggyback_.fetch_add(b.cyc_piggyback, std::memory_order_relaxed);
-        cyc_forward_.fetch_add(b.cyc_forward, std::memory_order_relaxed);
-        b.cyc_packets = b.cyc_process = b.cyc_piggyback = b.cyc_forward = 0;
-        // Busy accounting records the per-packet average so the pipeline
-        // throughput metric stays burst-invariant.
-        record_busy((rt::rdtsc() - t0 - t_blocked_cycles) / got, got);
-      }
-      if (slot != nullptr) {
-        // Busy wall ends here: the per-stage sums above must reconcile
-        // against it, so the flush itself stays outside the window.
-        const std::uint64_t wall_ts = rt::rdtsc();
-        b.prof_add(obs::ProfStage::kEgressFlush, wall_ts - b.prof_mark);
-        const std::uint64_t wall = wall_ts - pp0;
-        for (std::size_t s = 0; s < obs::kProfStageCount; ++s) {
-          if (b.prof_cycles[s] == 0) continue;
-          slot->cycles[s].fetch_add(b.prof_cycles[s],
-                                    std::memory_order_relaxed);
-          b.prof_cycles[s] = 0;
-        }
-        // Primary stages share the burst's packet count as their op count.
-        for (std::size_t s = 0; s < obs::kProfPrimaryStageCount; ++s) {
-          slot->ops[s].fetch_add(got, std::memory_order_relaxed);
-        }
-        slot->packets.fetch_add(got, std::memory_order_relaxed);
-        slot->bursts.fetch_add(1, std::memory_order_relaxed);
-        slot->wall_cycles.fetch_add(wall, std::memory_order_relaxed);
-        b.prof = nullptr;
-      }
+      b.prof.mark(obs::ProfStage::kEgressFlush);
       did_work = true;
     }
+    b.prof.finish(got);
     bursts_in_flight_.fetch_sub(1);
   }
 
@@ -579,9 +483,6 @@ void FtcNode::ingest_packet(pkt::Packet* p, std::uint32_t thread_id) {
   Work work;
   work.packet = p;
   work.thread_id = thread_id;
-  const bool prof_here = t_burst.prof != nullptr && t_burst.owner == this;
-  const bool timed = account_cycles_ || prof_here;
-  const std::uint64_t t0 = account_cycles_ ? rt::rdtsc() : 0;
   if (forwarder_ != nullptr) {
     // Chain ingress: outside packets carry no message; attach pending
     // feedback from the buffer.
@@ -596,14 +497,7 @@ void FtcNode::ingest_packet(pkt::Packet* p, std::uint32_t thread_id) {
   } else if (auto msg = extract_message(*p)) {
     work.msg = std::move(*msg);
   }
-  if (timed) {
-    const std::uint64_t now = rt::rdtsc();
-    if (account_cycles_) t_burst.cyc_piggyback += now - t0;
-    if (prof_here) {
-      t_burst.prof_add(obs::ProfStage::kViewWalk, now - t_burst.prof_mark);
-      t_burst.prof_mark = now;
-    }
-  }
+  t_burst.prof.mark(obs::ProfStage::kViewWalk);
   process_work(std::move(work));
 }
 
@@ -617,23 +511,14 @@ void FtcNode::process_work(Work&& work) {
   // after a successful apply, a held log may now fit; after a park, this
   // drain closes the race where the missing log landed between our offer
   // and the park insertion.
-  if (t_burst.prof != nullptr && t_burst.owner == this) {
-    drain_parked();
-    const std::uint64_t t = rt::rdtsc();
-    t_burst.prof_add(obs::ProfStage::kParkDrain, t - t_burst.prof_mark);
-    t_burst.prof_mark = t;
-  } else {
-    drain_parked();
-  }
+  drain_parked();
+  t_burst.prof.mark(obs::ProfStage::kParkDrain);
 }
 
 bool FtcNode::apply_logs(Work& work) {
   const bool traced =
       work.packet != nullptr && work.packet->anno().trace_id != 0;
   const std::uint64_t span_t0 = traced ? rt::now_ns() : 0;
-  const bool prof_here = t_burst.prof != nullptr && t_burst.owner == this;
-  const bool timed = account_cycles_ || prof_here;
-  const std::uint64_t t0 = account_cycles_ ? rt::rdtsc() : 0;
   bool complete = true;
   for (; work.next_log < work.msg.logs.size(); ++work.next_log) {
     const PiggybackLog& log = work.msg.logs[work.next_log];
@@ -663,21 +548,7 @@ bool FtcNode::apply_logs(Work& work) {
       stats_.logs_duplicate->inc();
     }
   }
-  if (timed) {
-    const std::uint64_t now = rt::rdtsc();
-    if (account_cycles_) {
-      const std::uint64_t d = now - t0;
-      if (t_burst.owner == this) {
-        t_burst.cyc_piggyback += d;
-      } else {
-        cyc_piggyback_.fetch_add(d, std::memory_order_relaxed);
-      }
-    }
-    if (prof_here) {
-      t_burst.prof_add(obs::ProfStage::kLogApply, now - t_burst.prof_mark);
-      t_burst.prof_mark = now;
-    }
-  }
+  t_burst.prof.mark(obs::ProfStage::kLogApply);
   if (traced && complete) {
     span_event(registry_, obs::span_site_node(id_),
                work.packet->anno().trace_id, obs::SpanKind::kApply,
@@ -757,11 +628,10 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
                            std::uint32_t thread_id) {
   BurstScope& b = t_burst;
   const std::uint64_t trace_id = p->anno().trace_id;
-  // Budget stage marks chain through b.prof_mark: each boundary timestamp
-  // closes one stage and opens the next — across function boundaries — so
-  // dispatch glue (parse, span/meter bookkeeping, call/return overhead)
-  // lands in an adjacent stage instead of silently eroding reconciliation.
-  const bool prof_here = b.prof != nullptr && b.owner == this;
+  // Budget stage marks chain through b.prof: each mark closes one stage
+  // and opens the next — across function boundaries — so dispatch glue
+  // (parse, span/meter bookkeeping, call/return overhead) lands in an
+  // adjacent stage instead of silently eroding reconciliation.
   if (SFC_UNLIKELY(vw.held_at != kNoHeldLog)) {
     // A predecessor log is missing: leave the zero-copy path and continue
     // on the materializing park/drain machinery from the held log.
@@ -776,8 +646,6 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   PiggybackView& v = vw.view;
 
   // --- Phase B: tail duty, pruning, commit stripping, in place. ---
-  const bool timed_b = account_cycles_ || prof_here;
-  const std::uint64_t tb0 = account_cycles_ ? rt::rdtsc() : 0;
   if (InOrderApplier* a = tail_applier_) {
     if (v.ok() && v.log_count() != 0) {
       v.strip_logs_of(tail_mbox_);
@@ -805,14 +673,7 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
         work.thread_id = thread_id;
         if (auto msg = extract_message(*p)) work.msg = std::move(*msg);
         work.next_log = work.msg.logs.size();
-        if (timed_b) {
-          const std::uint64_t now = rt::rdtsc();
-          if (account_cycles_) b.cyc_piggyback += now - tb0;
-          if (prof_here) {
-            b.prof_add(obs::ProfStage::kTailCommit, now - b.prof_mark);
-            b.prof_mark = now;
-          }
-        }
+        b.prof.mark(obs::ProfStage::kTailCommit);
         finish_work(std::move(work));
         return;
       }
@@ -834,14 +695,7 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
       if (InOrderApplier* ca = applier(c.mbox)) ca->prune(c.max);
     }
   }
-  if (timed_b) {
-    const std::uint64_t now = rt::rdtsc();
-    if (account_cycles_) b.cyc_piggyback += now - tb0;
-    if (prof_here) {
-      b.prof_add(obs::ProfStage::kTailCommit, now - b.prof_mark);
-      b.prof_mark = now;
-    }
-  }
+  b.prof.mark(obs::ProfStage::kTailCommit);
 
   // --- Phase C: the packet transaction (paper §4.2). The tail stays on
   // the packet; parse_packet is told where the wire bytes end. ---
@@ -855,8 +709,6 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
       verdict = mbox::Verdict::kDrop;
     } else {
       const std::uint64_t span_t0 = trace_id != 0 ? rt::now_ns() : 0;
-      const bool timed_c = account_cycles_ || prof_here;
-      const std::uint64_t t0 = account_cycles_ ? rt::rdtsc() : 0;
       mbox::ProcessContext pctx;
       pctx.thread_id = thread_id;
       pctx.num_threads = static_cast<std::uint32_t>(cfg_.threads_per_node);
@@ -873,19 +725,9 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
         }
       }
       if (pctx.deferred_rewrite) pkt::rewrite_flow(*parsed, *pctx.deferred_rewrite);
-      if (timed_c) {
-        const std::uint64_t now = rt::rdtsc();
-        if (account_cycles_) {
-          b.cyc_process += now - t0;
-          ++b.cyc_packets;
-        }
-        if (prof_here) {
-          // Chained from the Phase B boundary: parse + dispatch glue count
-          // as processing cost, not unattributed time.
-          b.prof_add(obs::ProfStage::kProcess, now - b.prof_mark);
-          b.prof_mark = now;
-        }
-      }
+      // Chained from the Phase B mark: parse + dispatch glue count as
+      // processing cost, not unattributed time.
+      b.prof.mark(obs::ProfStage::kProcess);
       if (trace_id != 0) {
         span_event(registry_, obs::span_site_node(id_), trace_id,
                    obs::SpanKind::kProcess, rt::now_ns() - span_t0);
@@ -914,17 +756,6 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
     if (!out.empty()) emit_propagating(std::move(out));
     return;
   }
-  const bool timed_d = account_cycles_ || prof_here;
-  const std::uint64_t tf0 = account_cycles_ ? rt::rdtsc() : 0;
-  const auto flush_forward = [&]() {
-    if (!timed_d) return;
-    const std::uint64_t now = rt::rdtsc();
-    if (account_cycles_) b.cyc_forward += now - tf0;
-    if (prof_here) {
-      b.prof_add(obs::ProfStage::kAppend, now - b.prof_mark);
-      b.prof_mark = now;
-    }
-  };
   if (have_log) {
     if (!v.ok()) v = PiggybackView::create(*p, cfg_.num_partitions);
     if (!v.ok() || !v.append_log(new_log)) {
@@ -935,7 +766,7 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
       if (auto msg = extract_message(*p)) out = std::move(*msg);
       out.logs.push_back(std::move(new_log));
       emit(p, std::move(out));
-      flush_forward();
+      b.prof.mark(obs::ProfStage::kAppend);
       return;
     }
   }
@@ -945,7 +776,7 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   }
   if (buffer_ != nullptr) {
     buffer_->submit_wire(p, v);
-    flush_forward();
+    b.prof.mark(obs::ProfStage::kAppend);
     return;
   }
   net::Port* out = out_link_.load(std::memory_order_acquire);
@@ -959,7 +790,7 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   } else {
     send_now(out, p);
   }
-  flush_forward();
+  b.prof.mark(obs::ProfStage::kAppend);
 }
 
 void FtcNode::park(Work&& work) {
@@ -988,12 +819,9 @@ void FtcNode::finish_work(Work&& work) {
   const std::uint64_t trace_id = p->anno().trace_id;
 
   // --- Phase B: tail duty, pruning, commit stripping (paper §5.1). ---
-  const bool prof_here = t_burst.prof != nullptr && t_burst.owner == this;
-  const bool timed = account_cycles_ || prof_here;
-  // Chained budget marks through t_burst.prof_mark, same scheme as
-  // process_view: boundaries close one stage and open the next so glue
-  // between phases (and across the call) stays attributed.
-  const std::uint64_t tb0 = account_cycles_ ? rt::rdtsc() : 0;
+  // Chained budget marks through t_burst.prof, same scheme as
+  // process_view: marks close one stage and open the next so glue between
+  // phases (and across the call) stays attributed.
   if (InOrderApplier* a = tail_applier_) {
     const std::uint32_t tail_mbox = tail_mbox_;
     if (!msg.logs.empty()) {
@@ -1024,21 +852,7 @@ void FtcNode::finish_work(Work&& work) {
     if (head_ != nullptr && c.mbox == position_) head_->prune(c.max);
     if (InOrderApplier* a = applier(c.mbox)) a->prune(c.max);
   }
-  if (timed) {
-    const std::uint64_t now = rt::rdtsc();
-    if (account_cycles_) {
-      const std::uint64_t d = now - tb0;
-      if (t_burst.owner == this) {
-        t_burst.cyc_piggyback += d;
-      } else {
-        cyc_piggyback_.fetch_add(d, std::memory_order_relaxed);
-      }
-    }
-    if (prof_here) {
-      t_burst.prof_add(obs::ProfStage::kTailCommit, now - t_burst.prof_mark);
-      t_burst.prof_mark = now;
-    }
-  }
+  t_burst.prof.mark(obs::ProfStage::kTailCommit);
 
   // --- Phase C: the packet transaction (paper §4.2). ---
   mbox::Verdict verdict = mbox::Verdict::kForward;
@@ -1049,7 +863,6 @@ void FtcNode::finish_work(Work&& work) {
       verdict = mbox::Verdict::kDrop;
     } else {
       const std::uint64_t span_t0 = trace_id != 0 ? rt::now_ns() : 0;
-      const std::uint64_t t0 = account_cycles_ ? rt::rdtsc() : 0;
       mbox::ProcessContext pctx;
       pctx.thread_id = work.thread_id;
       pctx.num_threads = static_cast<std::uint32_t>(cfg_.threads_per_node);
@@ -1065,23 +878,7 @@ void FtcNode::finish_work(Work&& work) {
         }
       }
       if (pctx.deferred_rewrite) pkt::rewrite_flow(*parsed, *pctx.deferred_rewrite);
-      if (timed) {
-        const std::uint64_t now = rt::rdtsc();
-        if (account_cycles_) {
-          const std::uint64_t d = now - t0;
-          if (t_burst.owner == this) {
-            t_burst.cyc_process += d;
-            ++t_burst.cyc_packets;
-          } else {
-            cyc_process_.fetch_add(d, std::memory_order_relaxed);
-            cyc_packets_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        if (prof_here) {
-          t_burst.prof_add(obs::ProfStage::kProcess, now - t_burst.prof_mark);
-          t_burst.prof_mark = now;
-        }
-      }
+      t_burst.prof.mark(obs::ProfStage::kProcess);
       if (trace_id != 0) {
         span_event(registry_, obs::span_site_node(id_), trace_id,
                    obs::SpanKind::kProcess, rt::now_ns() - span_t0);
@@ -1113,23 +910,8 @@ void FtcNode::finish_work(Work&& work) {
     if (!msg.empty()) emit_propagating(std::move(msg));
     return;
   }
-  const std::uint64_t tf0 = account_cycles_ ? rt::rdtsc() : 0;
   emit(p, std::move(msg));
-  if (timed) {
-    const std::uint64_t now = rt::rdtsc();
-    if (account_cycles_) {
-      const std::uint64_t d = now - tf0;
-      if (t_burst.owner == this) {
-        t_burst.cyc_forward += d;
-      } else {
-        cyc_forward_.fetch_add(d, std::memory_order_relaxed);
-      }
-    }
-    if (prof_here) {
-      t_burst.prof_add(obs::ProfStage::kAppend, now - t_burst.prof_mark);
-      t_burst.prof_mark = now;
-    }
-  }
+  t_burst.prof.mark(obs::ProfStage::kAppend);
 }
 
 void FtcNode::emit(pkt::Packet* p, PiggybackMessage&& msg) {
@@ -1166,11 +948,11 @@ void FtcNode::emit(pkt::Packet* p, PiggybackMessage&& msg) {
 
 void FtcNode::send_now(net::Port* out, pkt::Packet* p) {
   if (out->send(p)) return;
-  // Exclude backpressure waits from busy accounting: a full downstream
-  // queue is the next stage's problem, not this stage's work.
-  const std::uint64_t w0 = account_cycles_ ? rt::rdtsc() : 0;
+  // Backpressure waits stay out of the burst's cost sample: a full
+  // downstream queue is the next stage's problem, not this stage's work.
+  const std::uint64_t w0 = t_burst.prof.stamp();
   if (!out->send_blocking(p)) pool_.free_raw(p);
-  if (account_cycles_) t_blocked_cycles += rt::rdtsc() - w0;
+  t_burst.prof.blocked(w0);
 }
 
 void FtcNode::emit_propagating(PiggybackMessage&& msg) {
@@ -1515,15 +1297,5 @@ bool FtcNode::recover_from(
 }
 
 NodeStats FtcNode::stats() const { return stats_.snapshot(); }
-
-
-FtcNode::CycleBreakdown FtcNode::cycle_breakdown() const {
-  CycleBreakdown b;
-  b.packets = cyc_packets_.load();
-  b.process_cycles = cyc_process_.load();
-  b.piggyback_cycles = cyc_piggyback_.load();
-  b.forward_cycles = cyc_forward_.load();
-  return b;
-}
 
 }  // namespace sfc::ftc

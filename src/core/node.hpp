@@ -187,36 +187,6 @@ class FtcNode : rt::NonCopyable {
   /// Ring position this node is the tail for (or ring_size if none).
   std::uint32_t tail_of() const noexcept;
 
-  /// Per-packet cycle accounting for the Table-2 breakdown benchmark.
-  struct CycleBreakdown {
-    std::uint64_t packets{0};
-    std::uint64_t process_cycles{0};   ///< Packet transaction execution.
-    std::uint64_t piggyback_cycles{0}; ///< Extract/apply/append messages.
-    std::uint64_t forward_cycles{0};
-  };
-  CycleBreakdown cycle_breakdown() const;
-  void enable_cycle_accounting(bool on) noexcept { account_cycles_ = on; }
-
-  /// Productive CPU time per packet (cycles), excluding time blocked on a
-  /// full downstream queue. Used by the pipeline-throughput metric: on a
-  /// timeshared host, the throughput a real one-server-per-stage
-  /// deployment would reach is 1 / max over stages of this cost.
-  double busy_cycles_per_packet() const {
-    LockGuard lock(busy_mutex_);
-    // Median: per-sample rdtsc spans include preemption by the other
-    // simulated servers timesharing this host; outliers of milliseconds
-    // would swamp a mean of sub-microsecond sections.
-    return busy_hist_.count() ? static_cast<double>(busy_hist_.p50()) : 0.0;
-  }
-
-  /// @param weight Number of packets the (per-packet averaged) sample
-  ///               covers: a full burst contributes one sample per packet,
-  ///               so the median is packet-weighted, not burst-weighted.
-  void record_busy(std::uint64_t cycles, std::uint64_t weight = 1) {
-    LockGuard lock(busy_mutex_);
-    busy_hist_.record_n(cycles, weight);
-  }
-
  private:
   struct Work {
     pkt::Packet* packet{nullptr};
@@ -258,7 +228,8 @@ class FtcNode : rt::NonCopyable {
   /// Phases B-D.
   void finish_work(Work&& work);
   void emit(pkt::Packet* p, PiggybackMessage&& msg);
-  /// Immediate (non-staged) send with blocked-cycle accounting.
+  /// Immediate (non-staged) send; retries bill to the profiler's
+  /// kSendBlocked stage.
   void send_now(net::Port* out, pkt::Packet* p);
   void emit_propagating(PiggybackMessage&& msg);
   void drain_parked();
@@ -346,19 +317,12 @@ class FtcNode : rt::NonCopyable {
   obs::Registry* registry_{nullptr};
   NodeCounters stats_;
   obs::EventTrace* trace_{nullptr};
-  bool account_cycles_{false};
-  mutable Mutex busy_mutex_{ranks::kLeaf, "node.busy_hist"};
-  rt::Histogram busy_hist_ SFC_GUARDED_BY(busy_mutex_);
   // Head-ingress piggyback size distributions (registered lazily by
   // set_forwarder; only the chain ingress records them).
   bool pb_hists_registered_{false};
   mutable Mutex pb_mutex_{ranks::kLeaf, "node.pb_hist"};
   rt::Histogram pb_bytes_hist_ SFC_GUARDED_BY(pb_mutex_);
   rt::Histogram pb_logs_hist_ SFC_GUARDED_BY(pb_mutex_);
-  std::atomic<std::uint64_t> cyc_packets_{0};
-  std::atomic<std::uint64_t> cyc_process_{0};
-  std::atomic<std::uint64_t> cyc_piggyback_{0};
-  std::atomic<std::uint64_t> cyc_forward_{0};
 };
 
 }  // namespace sfc::ftc

@@ -1,5 +1,6 @@
 #include "ftmb/ftmb.hpp"
 
+#include "obs/prof.hpp"
 #include "packet/packet_io.hpp"
 #include "runtime/clock.hpp"
 
@@ -21,6 +22,16 @@ pkt::Packet* make_pal_packet(pkt::PacketPool& pool, std::uint64_t packet_id) {
   return pal;
 }
 
+/// Sends @p p, blocking while @p out is full; the retries bill to the
+/// burst's kSendBlocked stage. Drops (frees) on a missing port or timeout.
+void send_or_free(net::Port* out, pkt::Packet* p, pkt::PacketPool& pool,
+                  obs::ProfBurst& prof) {
+  if (out != nullptr && out->send(p)) return;
+  const std::uint64_t w0 = prof.stamp();
+  if (out == nullptr || !out->send_blocking(p)) pool.free_raw(p);
+  prof.blocked(w0);
+}
+
 }  // namespace
 
 void FtmbMaster::start() {
@@ -28,7 +39,7 @@ void FtmbMaster::start() {
   for (std::size_t t = 0; t < cfg_.threads_per_node; ++t) {
     auto worker = std::make_unique<rt::Worker>();
     worker->start(
-        "ftmb-m-" + std::to_string(position_) + "-t" + std::to_string(t),
+        "ftmb-master-" + std::to_string(position_) + "-t" + std::to_string(t),
         [this, t] { return worker_body(static_cast<std::uint32_t>(t)); });
     workers_.push_back(std::move(worker));
   }
@@ -57,9 +68,13 @@ bool FtmbMaster::worker_body(std::uint32_t thread_id) {
   net::Port* in = in_link_.load(std::memory_order_acquire);
   net::Port* out = out_link_.load(std::memory_order_acquire);
   if (in == nullptr || out == nullptr) return false;
+  // Budget stage marks (obs/prof); the snapshot stall above stays outside
+  // the burst.
+  obs::ProfBurst prof;
+  prof.open();
   pkt::Packet* p = in->poll();
   if (p == nullptr) return false;
-  const std::uint64_t b0 = account_cycles_ ? rt::rdtsc() : 0;
+  prof.mark(obs::ProfStage::kPoll);
 
   mbox::Verdict verdict = mbox::Verdict::kForward;
   std::uint32_t pal_count = 0;
@@ -85,25 +100,28 @@ bool FtmbMaster::worker_body(std::uint32_t thread_id) {
       if (pctx.deferred_rewrite) pkt::rewrite_flow(*parsed, *pctx.deferred_rewrite);
     }
   }
+  prof.mark(obs::ProfStage::kProcess);
 
   // Ship PALs ahead of the data packet on the same FIFO link so the OL has
   // them by the time the packet arrives.
   for (std::uint32_t i = 0; i < pal_count; ++i) {
     if (pkt::Packet* pal = make_pal_packet(pool_, p->anno().packet_id)) {
-      if (!out->send_blocking(pal)) pool_.free_raw(pal);
+      send_or_free(out, pal, pool_, prof);
       pals_sent_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  prof.mark(obs::ProfStage::kAppend);
 
   if (verdict == mbox::Verdict::kDrop) {
     drops_.fetch_add(1, std::memory_order_relaxed);
     pool_.free_raw(p);
-    return true;
+  } else {
+    p->anno().aux = pal_count;
+    meter_.add(1, p->size());
+    send_or_free(out, p, pool_, prof);
   }
-  p->anno().aux = pal_count;
-  meter_.add(1, p->size());
-  if (account_cycles_) record_busy(rt::rdtsc() - b0);
-  if (!out->send_blocking(p)) pool_.free_raw(p);
+  prof.mark(obs::ProfStage::kEgressFlush);
+  prof.finish(1);
   return true;
 }
 
@@ -118,22 +136,29 @@ void FtmbLogger::start() {
 }
 
 bool FtmbLogger::worker_body() {
-  bool did_work = false;
+  // Budget stage marks (obs/prof). One iteration is one burst of up to two
+  // ops (an IL input and an OL event); the stage table divides by the data
+  // packets logged, so PAL handling counts as per-data-packet cost.
+  obs::ProfBurst prof;
+  prof.open();
+  std::uint64_t ops = 0;
+  std::uint64_t logged = 0;
 
   // IL side: log the input (memcpy into the bounded replay ring), forward
   // to the master.
   if (net::Port* in = from_chain_.load(std::memory_order_acquire)) {
     if (pkt::Packet* p = in->poll()) {
-      const std::uint64_t b0 = account_cycles_ ? rt::rdtsc() : 0;
+      prof.mark(obs::ProfStage::kPoll);
       const std::size_t slot =
           input_log_pos_.fetch_add(1, std::memory_order_relaxed) %
           kInputLogSlots;
       p->clone_into(input_log_[slot]);
       inputs_logged_.fetch_add(1, std::memory_order_relaxed);
-      if (account_cycles_) record_il(rt::rdtsc() - b0);
-      net::Port* to_m = to_master_.load(std::memory_order_acquire);
-      if (to_m == nullptr || !to_m->send_blocking(p)) pool_.free_raw(p);
-      did_work = true;
+      prof.mark(obs::ProfStage::kProcess);
+      send_or_free(to_master_.load(std::memory_order_acquire), p, pool_, prof);
+      prof.mark(obs::ProfStage::kEgressFlush);
+      ++ops;
+      ++logged;
     }
   }
 
@@ -143,20 +168,21 @@ bool FtmbLogger::worker_body() {
   // the per-PAL receive work is the modeled cost.
   if (net::Port* from_m = from_master_.load(std::memory_order_acquire)) {
     if (pkt::Packet* p = from_m->poll()) {
-      const std::uint64_t b0 = account_cycles_ ? rt::rdtsc() : 0;
+      prof.mark(obs::ProfStage::kPoll);
       if (p->anno().is_control && p->anno().aux == kPalMarker) {
         pals_received_.fetch_add(1, std::memory_order_relaxed);
         pool_.free_raw(p);  // OL keeps only the last PAL (paper §7.1).
-        if (account_cycles_) record_ol(rt::rdtsc() - b0);
+        prof.mark(obs::ProfStage::kProcess);
       } else {
-        if (account_cycles_) record_ol(rt::rdtsc() - b0);
-        net::Port* out = to_chain_.load(std::memory_order_acquire);
-        if (out == nullptr || !out->send_blocking(p)) pool_.free_raw(p);
+        send_or_free(to_chain_.load(std::memory_order_acquire), p, pool_,
+                     prof);
+        prof.mark(obs::ProfStage::kEgressFlush);
       }
-      did_work = true;
+      ++ops;
     }
   }
-  return did_work;
+  prof.finish(ops, logged);
+  return ops != 0;
 }
 
 }  // namespace sfc::ftmb

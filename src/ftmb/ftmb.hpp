@@ -17,12 +17,10 @@
 #include <memory>
 #include <vector>
 
-#include "base/mutex.hpp"
 #include "core/config.hpp"
 #include "mbox/middlebox.hpp"
 #include "net/link.hpp"
 #include "packet/packet_pool.hpp"
-#include "runtime/histogram.hpp"
 #include "runtime/meter.hpp"
 #include "runtime/worker.hpp"
 
@@ -59,22 +57,10 @@ class FtmbMaster : rt::NonCopyable {
   std::uint64_t pals_sent() const noexcept { return pals_sent_.load(); }
   std::uint64_t snapshot_stalls() const noexcept { return stalls_.load(); }
 
-  void enable_cycle_accounting(bool on) noexcept { account_cycles_ = on; }
-  /// Productive cycles per packet, median (includes PAL generation,
-  /// excludes backpressure; snapshot stalls are reported separately as a
-  /// duty-cycle loss via stall_ns_total()).
-  double busy_cycles_per_packet() const {
-    LockGuard lock(busy_mutex_);
-    return busy_hist_.count() ? static_cast<double>(busy_hist_.p50()) : 0.0;
-  }
-
-  void record_busy(std::uint64_t cycles) {
-    LockGuard lock(busy_mutex_);
-    busy_hist_.record(cycles);
-  }
-
   /// Cumulative wall time spent in snapshot stalls. While a master
-  /// checkpoints, the whole chain pipeline halts (paper §7.4).
+  /// checkpoints, the whole chain pipeline halts (paper §7.4). Stalls fall
+  /// outside the profiled bursts, so benches charge them separately as a
+  /// duty-cycle loss.
   std::uint64_t stall_ns_total() const noexcept {
     return stall_ns_total_.load(std::memory_order_relaxed);
   }
@@ -97,9 +83,6 @@ class FtmbMaster : rt::NonCopyable {
   rt::Meter meter_;
   std::atomic<std::uint64_t> pals_sent_{0};
   std::atomic<std::uint64_t> drops_{0};
-  bool account_cycles_{false};
-  mutable Mutex busy_mutex_{ranks::kLeaf, "ftmb.master_busy"};
-  rt::Histogram busy_hist_ SFC_GUARDED_BY(busy_mutex_);
 
   // Snapshot stall machinery: when due, one thread stalls everyone by
   // setting pause_until; all threads spin it out (a stop-the-world
@@ -137,32 +120,6 @@ class FtmbLogger : rt::NonCopyable {
   std::uint64_t pals_received() const noexcept { return pals_received_.load(); }
   std::uint64_t inputs_logged() const noexcept { return inputs_logged_.load(); }
 
-  void enable_cycle_accounting(bool on) noexcept { account_cycles_ = on; }
-  /// Productive cycles per DATA packet over both logger roles: IL and OL
-  /// run on the same server, so the per-packet server cost is the IL
-  /// median plus the OL median scaled by OL events (data + PALs) per data
-  /// packet.
-  double busy_cycles_per_packet() const {
-    LockGuard lock(busy_mutex_);
-    const double il = il_hist_.count() ? static_cast<double>(il_hist_.p50()) : 0.0;
-    const double ol = ol_hist_.count() ? static_cast<double>(ol_hist_.p50()) : 0.0;
-    const double ol_per_data =
-        il_hist_.count()
-            ? static_cast<double>(ol_hist_.count()) /
-                  static_cast<double>(il_hist_.count())
-            : 1.0;
-    return il + ol * ol_per_data;
-  }
-
-  void record_il(std::uint64_t cycles) {
-    LockGuard lock(busy_mutex_);
-    il_hist_.record(cycles);
-  }
-  void record_ol(std::uint64_t cycles) {
-    LockGuard lock(busy_mutex_);
-    ol_hist_.record(cycles);
-  }
-
  private:
   bool worker_body();
 
@@ -178,10 +135,6 @@ class FtmbLogger : rt::NonCopyable {
   std::vector<std::unique_ptr<rt::Worker>> workers_;
   std::atomic<std::uint64_t> pals_received_{0};
   std::atomic<std::uint64_t> inputs_logged_{0};
-  bool account_cycles_{false};
-  mutable Mutex busy_mutex_{ranks::kLeaf, "ftmb.logger_busy"};
-  rt::Histogram il_hist_ SFC_GUARDED_BY(busy_mutex_);
-  rt::Histogram ol_hist_ SFC_GUARDED_BY(busy_mutex_);
 
   // IL input log: bounded ring of packet copies (replay storage). The
   // memcpy is the modeled cost; the paper's IL similarly retains inputs

@@ -19,6 +19,17 @@ inline void span_event(obs::Registry* reg, std::uint32_t site,
   }
 }
 
+/// kLinkEnter stamped at `ts_ns`. The fast path takes the time before the
+/// push: once the packet is in the queue the consumer can pop it and record
+/// later spans of the trace (link exit, sink receive) before this call.
+inline void span_enter(obs::Registry* reg, std::uint32_t site,
+                       std::uint64_t trace_id, std::uint64_t ts_ns) noexcept {
+  if (auto* sink = reg->span_sink()) {
+    sink->record(
+        obs::SpanRecord{trace_id, ts_ns, 0, site, obs::SpanKind::kLinkEnter});
+  }
+}
+
 }  // namespace
 
 Link::Link(pkt::PacketPool& pool, LinkConfig cfg, obs::Registry* registry,
@@ -57,14 +68,13 @@ bool Link::send(pkt::Packet* p) {
   const std::uint64_t trace_id = p->anno().trace_id;
 
   if (fast_path_) {
+    const std::uint64_t enter_ns = trace_id != 0 ? rt::now_ns() : 0;
     if (!fast_queue_.try_push(std::move(p))) {
       dropped_full_->inc();
       return false;
     }
     sent_->inc();
-    if (trace_id != 0) {
-      span_event(registry_, span_site_, trace_id, obs::SpanKind::kLinkEnter);
-    }
+    if (trace_id != 0) span_enter(registry_, span_site_, trace_id, enter_ns);
     return true;
   }
 
@@ -139,17 +149,21 @@ std::size_t Link::send_burst(std::span<pkt::Packet*> ps) {
                          ps.size()};
   if (fast_path_) {
     // Ownership transfers at the push: the consumer may pop, free and
-    // recycle a packet before this function returns, so trace ids must be
-    // snapshotted BEFORE try_push_n (same ordering as send()).
+    // recycle a packet before this function returns, so trace ids and the
+    // enter time must be snapshotted BEFORE try_push_n (same ordering as
+    // send()).
     constexpr std::size_t kChunk = 256;
     std::uint64_t traced[kChunk];
     std::size_t total = 0;
     while (total < ps.size()) {
       const auto chunk =
           ps.subspan(total, std::min(kChunk, ps.size() - total));
+      bool any_traced = false;
       for (std::size_t i = 0; i < chunk.size(); ++i) {
         traced[i] = chunk[i]->anno().trace_id;
+        any_traced |= traced[i] != 0;
       }
+      const std::uint64_t enter_ns = any_traced ? rt::now_ns() : 0;
       const std::size_t n = fast_queue_.try_push_n(chunk);
       if (n == 0) {
         // The head packet found the queue full.
@@ -159,8 +173,7 @@ std::size_t Link::send_burst(std::span<pkt::Packet*> ps) {
       sent_->add(n);
       for (std::size_t i = 0; i < n; ++i) {
         if (SFC_UNLIKELY(traced[i] != 0)) {
-          span_event(registry_, span_site_, traced[i],
-                     obs::SpanKind::kLinkEnter);
+          span_enter(registry_, span_site_, traced[i], enter_ns);
         }
       }
       total += n;

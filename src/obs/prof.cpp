@@ -31,6 +31,7 @@ constexpr const char* kStageNames[kProfStageCount] = {
     "poll",         "view_walk", "log_apply",   "tail_commit", "process",
     "append",       "egress_flush", "park_drain", "handoff_drain",
     "link_send",    "link_poll", "store_apply", "pool_alloc",  "pool_free",
+    "send_blocked",
 };
 
 constexpr const char* kCounterNames[kProfCounterCount] = {
@@ -43,7 +44,36 @@ constexpr const char* kCounterNames[kProfCounterCount] = {
 
 double safe_div(double num, double den) { return den > 0 ? num / den : 0.0; }
 
+rt::Histogram cost_histogram(const ProfSlot& slot) {
+  rt::Histogram h;
+  for (std::size_t i = 0; i < kProfCostBuckets; ++i) {
+    h.record_n(rt::Histogram::bucket_upper_bound(i),
+               slot.cost[i].load(std::memory_order_relaxed));
+  }
+  return h;
+}
+
 }  // namespace
+
+void ProfBurst::flush(std::uint64_t ops, std::uint64_t packets) noexcept {
+  ProfSlot* slot = slot_;
+  slot_ = nullptr;
+  if (ops == 0) {
+    std::fill(std::begin(cycles_), std::end(cycles_), 0);
+    return;
+  }
+  for (std::size_t s = 0; s < kProfPrimaryStageCount; ++s) {
+    if (cycles_[s] == 0) continue;
+    slot->cycles[s].fetch_add(cycles_[s], std::memory_order_relaxed);
+    slot->ops[s].fetch_add(ops, std::memory_order_relaxed);
+    cycles_[s] = 0;
+  }
+  const std::uint64_t wall = mark_ - start_;
+  slot->packets.fetch_add(packets, std::memory_order_relaxed);
+  slot->bursts.fetch_add(1, std::memory_order_relaxed);
+  slot->wall_cycles.fetch_add(wall, std::memory_order_relaxed);
+  slot->record_cost((wall - std::min(blocked_, wall)) / ops, ops);
+}
 
 const char* prof_stage_name(ProfStage stage) noexcept {
   return kStageNames[static_cast<std::size_t>(stage)];
@@ -161,6 +191,7 @@ void HotProfiler::reset() noexcept {
     slot.bursts.store(0, std::memory_order_relaxed);
     slot.wall_cycles.store(0, std::memory_order_relaxed);
     for (auto& c : slot.counters) c.store(0, std::memory_order_relaxed);
+    for (auto& c : slot.cost) c.store(0, std::memory_order_relaxed);
   }
   {
     LockGuard lock(violation_mutex_);
@@ -191,6 +222,8 @@ void finalize_worker(BudgetWorker& w, double tsc_hz) {
   }
   w.reconciliation = safe_div(static_cast<double>(primary_cycles),
                               static_cast<double>(w.wall_cycles));
+  w.median_ns_per_packet =
+      tsc_hz > 0 ? static_cast<double>(w.cost.p50()) * 1e9 / tsc_hz : 0.0;
 }
 
 }  // namespace
@@ -204,6 +237,8 @@ BudgetReport HotProfiler::report() const {
     out.total.stages[s].stage = static_cast<ProfStage>(s);
   }
 
+  // Names are written under register_mutex_ by registering threads.
+  LockGuard lock(register_mutex_);
   for (const auto& slot : slots_) {
     if (!slot.used.load(std::memory_order_acquire)) continue;
     BudgetWorker w;
@@ -227,6 +262,8 @@ BudgetReport HotProfiler::report() const {
     out.total.packets += w.packets;
     out.total.bursts += w.bursts;
     out.total.wall_cycles += w.wall_cycles;
+    w.cost = cost_histogram(slot);
+    out.total.cost.merge(w.cost);
     finalize_worker(w, out.tsc_hz);
     out.workers.push_back(std::move(w));
   }
@@ -354,11 +391,18 @@ void HotProfiler::export_metrics(Registry& registry) const {
   };
 
   add_rows("all", nullptr);
-  for (const auto& slot : slots_) {
-    if (!slot.used.load(std::memory_order_acquire)) continue;
-    if (slot.name[0] == '\0') continue;
-    add_rows(slot.name, &slot);
+  // Copy the names under the registration mutex; the registry's own lock
+  // ranks above it, so the rows are added after it is released.
+  std::vector<std::pair<std::string, const ProfSlot*>> named;
+  {
+    LockGuard lock(register_mutex_);
+    for (const auto& slot : slots_) {
+      if (!slot.used.load(std::memory_order_acquire)) continue;
+      if (slot.name[0] == '\0') continue;
+      named.emplace_back(slot.name, &slot);
+    }
   }
+  for (const auto& [name, slot] : named) add_rows(name.c_str(), slot);
   for (std::size_t c = 0; c < kProfCounterCount; ++c) {
     const auto counter = static_cast<ProfCounter>(c);
     registry.gauge_fn(

@@ -3,12 +3,14 @@
 // The paper's Table 2 attributes FTC's per-packet cost to a handful of
 // stages; this module does the same attribution *live*: every worker
 // thread owns a cache-line-padded slot of per-stage TSC accumulators, and
-// the data-path code brackets its burst-loop stages with rdtsc deltas when
-// a profiler is installed. Installation is process-global and run-time
-// gated — every instrumentation point costs one relaxed/acquire load plus
-// one predictable branch when no profiler is installed (the same idiom as
-// the SpanSampler's off-path check), and the profiler itself is always
-// compiled in.
+// the data-path code marks its burst-loop stages with ProfBurst when a
+// profiler is installed. It is the repository's only cycle instrument: the
+// benches' pipeline-throughput metric reads each slot's per-burst cost
+// distribution, and the budget gate reads the stage table. Installation is
+// process-global and run-time gated — every instrumentation point costs
+// one relaxed/acquire load plus one predictable branch when no profiler is
+// installed (the same idiom as the SpanSampler's off-path check), and the
+// profiler itself is always compiled in.
 //
 // Quiet mode turns steady-state invariants into hard assertions: once
 // armed (after warmup), any pool-allocation failure, pool free-retry,
@@ -18,6 +20,7 @@
 // recorder and fail the run when violations exist.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -28,6 +31,7 @@
 #include "base/mutex.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/common.hpp"
+#include "runtime/histogram.hpp"
 
 namespace sfc::obs {
 
@@ -58,8 +62,12 @@ enum class ProfStage : std::uint8_t {
   kStoreApply, // StateStore::apply_wire (inside kLogApply)
   kPoolAlloc,  // PacketPool::alloc_raw
   kPoolFree,   // PacketPool::free_raw
+  kSendBlocked,  // send_blocking retries on a full downstream port; the
+                 // time also stays in its enclosing primary stage, but is
+                 // excluded from the burst's cost sample (backpressure is
+                 // the next server's bottleneck, not this one's)
 };
-inline constexpr std::size_t kProfStageCount = 14;
+inline constexpr std::size_t kProfStageCount = 15;
 inline constexpr std::size_t kProfPrimaryStageCount = 9;
 
 const char* prof_stage_name(ProfStage stage) noexcept;
@@ -94,6 +102,10 @@ inline constexpr bool prof_counter_is_violation(ProfCounter c) noexcept {
 // ---------------------------------------------------------------------------
 // Per-worker accumulator slot
 
+/// rt::Histogram buckets covering costs below 2^32 cycles per packet; a
+/// larger sample lands in the last bucket.
+inline constexpr std::size_t kProfCostBuckets = 896;
+
 /// One worker thread's accumulators. Cache-line aligned and written only by
 /// the owning thread (relaxed atomics so concurrent report snapshots are
 /// race-free under TSan).
@@ -105,6 +117,12 @@ struct alignas(rt::kCacheLineSize) ProfSlot {
   std::atomic<std::uint64_t> wall_cycles{0};  // busy wall: cycles spent in
                                               // non-empty burst iterations
   std::atomic<std::uint64_t> counters[kProfCounterCount];
+  /// Per-burst cost per polled packet (cycles, send_blocking retries
+  /// excluded), one sample per polled packet, in rt::Histogram's buckets.
+  /// Its median is the robust per-packet cost: a burst preempted on an
+  /// oversubscribed host costs milliseconds and would swamp a mean.
+  std::atomic<std::uint64_t> cost[kProfCostBuckets];
+  /// Written under HotProfiler's registration mutex; read under it too.
   char name[48]{};
   std::atomic<bool> used{false};
 
@@ -113,6 +131,15 @@ struct alignas(rt::kCacheLineSize) ProfSlot {
     const auto i = static_cast<std::size_t>(stage);
     cycles[i].fetch_add(delta_cycles, std::memory_order_relaxed);
     ops[i].fetch_add(op_count, std::memory_order_relaxed);
+  }
+
+  /// Adds @p weight samples of @p cycles_per_packet to the cost
+  /// distribution.
+  void record_cost(std::uint64_t cycles_per_packet,
+                   std::uint64_t weight) noexcept {
+    const std::size_t i = std::min(
+        rt::Histogram::bucket_index(cycles_per_packet), kProfCostBuckets - 1);
+    cost[i].fetch_add(weight, std::memory_order_relaxed);
   }
 };
 
@@ -144,6 +171,61 @@ class ProfStageTimer {
   std::uint64_t start_{0};
 };
 
+/// Stage marks of one worker burst. open() starts the burst just before
+/// the poll; each mark(stage) bills [previous mark, now] to @p stage and
+/// advances the mark, so the marks tile the burst: glue between two marks
+/// lands in the later stage, and a mark taken inside a nested call shrinks
+/// the enclosing stage instead of double-counting it. finish() flushes the
+/// burst into the calling thread's slot once, so stage sums reconcile
+/// exactly with the burst wall. With no profiler installed every call is a
+/// single branch.
+class ProfBurst {
+ public:
+  /// Starts a burst on the calling thread's slot of the installed profiler
+  /// (registered under the thread's Worker name on first use).
+  void open() noexcept;
+
+  void mark(ProfStage stage) noexcept {
+    if (SFC_UNLIKELY(slot_ != nullptr)) {
+      const std::uint64_t now = rt::rdtsc();
+      cycles_[static_cast<std::size_t>(stage)] += now - mark_;
+      mark_ = now;
+    }
+  }
+
+  /// Start time for blocked(); 0 when no burst is open.
+  std::uint64_t stamp() const noexcept {
+    return SFC_UNLIKELY(slot_ != nullptr) ? rt::rdtsc() : 0;
+  }
+  /// Bills [@p since, now] to the auxiliary kSendBlocked stage without
+  /// moving the mark, and excludes it from this burst's cost sample.
+  void blocked(std::uint64_t since) noexcept {
+    if (SFC_UNLIKELY(slot_ != nullptr)) {
+      const std::uint64_t d = rt::rdtsc() - since;
+      blocked_ += d;
+      slot_->add(ProfStage::kSendBlocked, d);
+    }
+  }
+
+  /// Ends the burst. @p ops packets were polled; @p packets of them are
+  /// the unit the stage table divides by (a logger polls PALs too, but
+  /// costs per data packet). The cost sample is per op. ops == 0
+  /// discards the burst. The wall ends at the last mark.
+  void finish(std::uint64_t ops, std::uint64_t packets) noexcept {
+    if (SFC_UNLIKELY(slot_ != nullptr)) flush(ops, packets);
+  }
+  void finish(std::uint64_t packets) noexcept { finish(packets, packets); }
+
+ private:
+  void flush(std::uint64_t ops, std::uint64_t packets) noexcept;
+
+  ProfSlot* slot_{nullptr};
+  std::uint64_t start_{0};
+  std::uint64_t mark_{0};
+  std::uint64_t blocked_{0};
+  std::uint64_t cycles_[kProfPrimaryStageCount]{};
+};
+
 // ---------------------------------------------------------------------------
 // Reports
 
@@ -170,6 +252,11 @@ struct BudgetWorker {
   double reconciliation{0.0};
   std::vector<BudgetStageRow> stages;  // all kProfStageCount rows, in order
   std::uint64_t counters[kProfCounterCount]{};
+  /// The slot's per-burst cost distribution (cycles per polled packet);
+  /// filled by HotProfiler::report().
+  rt::Histogram cost;
+  /// cost's median in ns: the worker's robust cost per polled packet.
+  double median_ns_per_packet{0.0};
 };
 
 struct BudgetReport {
@@ -253,8 +340,9 @@ class HotProfiler : rt::NonCopyable {
   ProfSlot slots_[kMaxSlots];
   std::atomic<std::uint32_t> next_slot_{0};
   /// A thread's first prof_count can fire inside PartitionLock::lock, so
-  /// slot registration must rank below the partition locks.
-  Mutex register_mutex_{ranks::kProfRegister, "prof.register"};
+  /// slot registration must rank below the partition locks. Guards slot
+  /// names: readers on other threads take it too.
+  mutable Mutex register_mutex_{ranks::kProfRegister, "prof.register"};
 
   std::atomic<bool> quiet_armed_{false};
   std::atomic<bool> quiet_was_armed_{false};
@@ -300,6 +388,14 @@ inline ProfSlot* prof_slot() noexcept {
 inline void prof_count(ProfCounter c, std::uint64_t n = 1) noexcept {
   HotProfiler* p = hot_profiler();
   if (SFC_UNLIKELY(p != nullptr)) p->count(c, n);
+}
+
+inline void ProfBurst::open() noexcept {
+  slot_ = prof_slot();
+  if (SFC_UNLIKELY(slot_ != nullptr)) {
+    start_ = mark_ = rt::rdtsc();
+    blocked_ = 0;
+  }
 }
 
 }  // namespace sfc::obs

@@ -13,6 +13,9 @@ using ftc::CtrlMsg;
 
 namespace {
 
+/// Upper bound on the pre-fetch wait for a failed head's in-flight logs.
+constexpr std::uint64_t kDrainTimeoutNs = 1'000'000'000;
+
 /// Recovery-phase span on the orchestrator track. Protocol-rate: the sink
 /// check is the gate (no per-packet cost involved).
 inline void span_event(obs::Registry& reg, std::uint32_t position,
@@ -132,6 +135,18 @@ std::vector<RecoveryReport> Orchestrator::recover(
     span_event(chain_.registry(), pos, obs::SpanKind::kSpawn, p.node->id());
     p.tag = 0xFEC0000000000000ull | p.node->id();
     pending.push_back(p);
+  }
+
+  // Before any fetch, the logs each failed head already sent must reach
+  // the successor its store is fetched from (ChainRuntime::
+  // successor_caught_up). Bounded: a stalled successor delays recovery by
+  // at most the deadline, then the fetch proceeds as before.
+  const std::uint64_t drain_deadline = rt::now_ns() + kDrainTimeoutNs;
+  for (const auto& p : pending) {
+    while (!chain_.successor_caught_up(p.report.position) &&
+           rt::now_ns() < drain_deadline) {
+      std::this_thread::yield();
+    }
   }
 
   // The fetch plan references the surviving replicas (paper §5.2).

@@ -49,6 +49,13 @@ class Histogram {
   /// non-empty buckets — exactly what Figure 11 plots.
   std::vector<std::pair<std::uint64_t, double>> cdf() const;
 
+  /// The bucketing, exposed so other recorders (the budget profiler's
+  /// lock-free per-worker cost distribution) share it: bucket_index of a
+  /// bucket's upper bound is that bucket, so record_n(bucket_upper_bound(i),
+  /// n) rebuilds bucket i exactly.
+  static std::size_t bucket_index(std::uint64_t value) noexcept;
+  static std::uint64_t bucket_upper_bound(std::size_t index) noexcept;
+
  private:
   // 64 exact buckets, then 58 octaves x 32 sub-buckets.
   static constexpr std::size_t kExactBuckets = 64;
@@ -56,9 +63,6 @@ class Histogram {
   static constexpr int kFirstOctave = 6;  // values >= 2^6 use octave buckets.
   static constexpr std::size_t kNumBuckets =
       kExactBuckets + (64 - kFirstOctave) * kSubBuckets;
-
-  static std::size_t bucket_index(std::uint64_t value) noexcept;
-  static std::uint64_t bucket_upper_bound(std::size_t index) noexcept;
 
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_{0};

@@ -14,12 +14,22 @@ namespace sfc::ftc {
 namespace {
 
 struct SweepParam {
+  SweepParam(ChainMode mode, std::size_t length, std::uint32_t f,
+             std::size_t threads, std::size_t burst = 32)
+      : mode(mode), length(length), f(f), threads(threads), burst(burst) {}
+
+  // gtest names each case after the param's raw bytes, so the padding is
+  // spelled out as zeroed members: left implicit, it held whatever the
+  // stack did and the case names changed from build to build.
   ChainMode mode;
+  std::uint8_t pad_mode[7]{};
   std::size_t length;
   std::uint32_t f;
+  std::uint32_t pad_f{0};
   std::size_t threads;
-  std::size_t burst{32};  ///< Data-path burst size (1 = per-packet).
+  std::size_t burst;  ///< Data-path burst size (1 = per-packet).
 };
+static_assert(sizeof(SweepParam) == 40, "no implicit padding");
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string mode;
@@ -73,11 +83,15 @@ TEST_P(ChainSweep, DeliversAndReplicates) {
   if (param.mode == ChainMode::kFtc) {
     // Quiesce, then check the replication-factor invariant: each
     // middlebox's counters present and equal on ALL f successors.
+    // Asserts the observation that ended the wait: a second quiescent()
+    // read can catch an idle worker's in-flight token raised for its poll.
     const auto quiesce_deadline = rt::now_ns() + 10'000'000'000ull;
-    while (!chain.quiescent() && rt::now_ns() < quiesce_deadline) {
+    bool converged = false;
+    while (!(converged = chain.quiescent()) &&
+           rt::now_ns() < quiesce_deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_TRUE(chain.quiescent()) << "chain failed to quiesce";
+    ASSERT_TRUE(converged) << "chain failed to quiesce";
 
     for (std::uint32_t m = 0; m < param.length; ++m) {
       auto* head_node = chain.ftc_node(m);

@@ -1,11 +1,13 @@
 // Tests for the hot-path budget profiler (obs/prof): slot registration
-// and report math, the single-branch disabled path, quiet-mode assertions
-// (clean runs stay quiet; injected allocation failures and contended
-// partition locks fire), stage-sum/wall-clock reconciliation on a live
-// chain at burst 1 and 32, the registry export, and the per-worker span
-// ring health gauges.
+// and report math, burst stage marks and the per-burst cost median,
+// reports racing slot registration, the single-branch disabled path,
+// quiet-mode assertions (clean runs stay quiet; injected allocation
+// failures and contended partition locks fire), per-server slots with
+// stage-sum/wall-clock reconciliation on live NF/FTC/FTMB chains, the
+// registry export, and the per-worker span ring health gauges.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,6 +105,113 @@ TEST(ProfReport, SlotAccumulatesAndReconciles) {
   prof.reset();
   EXPECT_EQ(prof.maybe_slot(), slot);
   EXPECT_EQ(prof.report().workers[0].packets, 0u);
+}
+
+TEST(ProfReport, MedianCostIgnoresPreemptedBursts) {
+  // The slot's cost distribution uses rt::Histogram's buckets up to 2^32
+  // cycles per packet.
+  EXPECT_EQ(rt::Histogram::bucket_index((1ULL << 32) - 1) + 1,
+            kProfCostBuckets);
+
+  HotProfiler prof;
+  ProfSlot* slot = prof.thread_slot("median-worker");
+  // 1000 normal bursts of 32 packets at 100 cycles/packet, plus a few
+  // bursts 1000x slower (a worker preempted mid-burst on a busy host).
+  for (int i = 0; i < 1000; ++i) slot->record_cost(100, 32);
+  for (int i = 0; i < 5; ++i) slot->record_cost(100'000, 32);
+
+  const BudgetReport report = prof.report();
+  ASSERT_EQ(report.workers.size(), 1u);
+  const BudgetWorker& w = report.workers[0];
+  EXPECT_EQ(w.cost.count(), 1005u * 32u);
+  // The median stays at the normal cost (within one ~3% bucket); a mean
+  // would be ~6x off.
+  EXPECT_NEAR(static_cast<double>(w.cost.p50()), 100.0, 3.0);
+  EXPECT_GT(w.cost.mean(), 500.0);
+  EXPECT_NEAR(w.median_ns_per_packet,
+              static_cast<double>(w.cost.p50()) * 1e9 / report.tsc_hz, 1e-9);
+  EXPECT_EQ(report.total.cost.count(), w.cost.count());
+}
+
+TEST(ProfReport, BurstMarksTileTheWall) {
+  HotProfiler prof;
+  ASSERT_TRUE(install_hot_profiler(&prof));
+  ProfSlot* slot = prof.thread_slot("burst-worker");
+  const auto spin = [](std::uint64_t cycles) {
+    const std::uint64_t end = rt::rdtsc() + cycles;
+    while (rt::rdtsc() < end) {
+    }
+  };
+
+  ProfBurst burst;
+  burst.open();
+  spin(2'000);
+  burst.mark(ProfStage::kPoll);
+  spin(4'000);
+  burst.mark(ProfStage::kProcess);
+  const std::uint64_t w0 = burst.stamp();
+  spin(50'000);  // A send_blocking retry loop.
+  burst.blocked(w0);
+  burst.mark(ProfStage::kEgressFlush);
+  burst.finish(4);
+
+  // An empty poll records nothing.
+  burst.open();
+  burst.finish(0);
+  uninstall_hot_profiler(&prof);
+
+  const BudgetReport report = prof.report();
+  ASSERT_EQ(report.workers.size(), 1u);
+  const BudgetWorker& w = report.workers[0];
+  EXPECT_EQ(w.packets, 4u);
+  EXPECT_EQ(w.bursts, 1u);
+  // The marks tile the burst wall exactly.
+  EXPECT_DOUBLE_EQ(w.reconciliation, 1.0);
+  const auto stage = [&](ProfStage s) -> const BudgetStageRow& {
+    return w.stages[static_cast<std::size_t>(s)];
+  };
+  EXPECT_EQ(stage(ProfStage::kPoll).ops, 4u);
+  EXPECT_EQ(stage(ProfStage::kViewWalk).ops, 0u);  // Never marked.
+  // The retry time stays in its enclosing primary stage and shows up in
+  // the auxiliary kSendBlocked row...
+  EXPECT_GE(stage(ProfStage::kEgressFlush).cycles, 50'000u);
+  EXPECT_GE(stage(ProfStage::kSendBlocked).cycles, 50'000u);
+  EXPECT_EQ(stage(ProfStage::kSendBlocked).ops, 1u);
+  // ...but not in the burst's cost sample: 4 samples of (wall - blocked)/4.
+  ASSERT_EQ(w.cost.count(), 4u);
+  const std::uint64_t unblocked =
+      w.wall_cycles - stage(ProfStage::kSendBlocked).cycles;
+  EXPECT_NEAR(static_cast<double>(w.cost.p50()),
+              static_cast<double>(unblocked / 4),
+              0.04 * static_cast<double>(unblocked / 4));
+  EXPECT_EQ(slot->bursts.load(), 1u);
+}
+
+TEST(ProfReport, ReportWhileThreadsRegister) {
+  // report() runs on a stats thread while worker threads register and
+  // name their slots (a replacement node's workers start up mid-run).
+  HotProfiler prof;
+  std::atomic<bool> done{false};
+  std::atomic<int> reports{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      (void)prof.report();
+      reports.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (reports.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  constexpr int kThreads = 16;
+  std::vector<std::thread> workers;
+  for (int i = 0; i < kThreads; ++i) {
+    workers.emplace_back(
+        [&prof, i] { prof.thread_slot("worker-" + std::to_string(i)); });
+  }
+  for (auto& t : workers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  const BudgetReport report = prof.report();
+  ASSERT_EQ(report.workers.size(), static_cast<std::size_t>(kThreads));
+  for (const auto& w : report.workers) EXPECT_EQ(w.worker.rfind("worker-", 0), 0u);
 }
 
 TEST(ProfReport, AggregateSpansWorkers) {
@@ -307,13 +416,16 @@ TEST(ProfQuiet, UncontendedPartitionLockStaysQuiet) {
 
 // --- Live chain: reconciliation and clean quiet runs. -------------------
 
-// Paced, sustainable load through a 2-hop FTC chain with the budget
+// Paced, sustainable load through a 2-middlebox chain with the budget
 // profiler on and quiet mode armed at the warmup boundary. A clean steady
-// run must (a) attribute most of the workers' busy wall time to primary
-// stages and (b) raise no quiet violations — at burst 32 and at burst 1.
-void run_budget_chain(std::size_t burst) {
+// run must (a) give every server of every position a profiled slot whose
+// stage marks reconcile with its busy wall and whose cost median is
+// positive (the pipeline-throughput metric reads those medians), and
+// (b) raise no quiet violations — for every chain mode, and for FTC at
+// burst 32 and at burst 1.
+void run_budget_chain(ftc::ChainMode mode, std::size_t burst) {
   ftc::ChainRuntime::Spec spec;
-  spec.mode = ftc::ChainMode::kFtc;
+  spec.mode = mode;
   spec.cfg.f = 1;
   spec.cfg.burst_size = burst;
   spec.cfg.profile = true;
@@ -353,30 +465,67 @@ void run_budget_chain(std::size_t burst) {
   EXPECT_GE(report.total.reconciliation, 0.5);
   EXPECT_LE(report.total.reconciliation, 1.25);
 
-  // Every ftc worker produced a labeled row with per-stage ns/packet.
-  bool saw_node_worker = false;
-  for (const auto& worker : report.workers) {
-    if (worker.worker.rfind("ftc-node-", 0) != 0) continue;
-    saw_node_worker = true;
-    EXPECT_GT(worker.packets, 0u);
+  // Every server of every ring position produced a labeled row.
+  std::vector<std::string> servers;
+  for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
+    const std::string p = std::to_string(pos);
+    switch (mode) {
+      case ftc::ChainMode::kNf:
+        servers.push_back("nf-node-" + p);
+        break;
+      case ftc::ChainMode::kFtc:
+        servers.push_back("ftc-node-" + p);
+        break;
+      case ftc::ChainMode::kFtmb:
+      case ftc::ChainMode::kFtmbSnapshot:
+        servers.push_back("ftmb-master-" + p);
+        servers.push_back("ftmb-log-" + p);
+        break;
+    }
+  }
+  for (const auto& server : servers) {
+    const std::string name = server + "-t0";
+    const BudgetWorker* worker = nullptr;
+    for (const auto& w : report.workers) {
+      if (w.worker == name) worker = &w;
+    }
+    ASSERT_NE(worker, nullptr) << "no profiler slot for " << name;
+    EXPECT_GT(worker->packets, 0u) << name;
+    EXPECT_GE(worker->reconciliation, 0.9) << name;
+    EXPECT_GT(worker->median_ns_per_packet, 0.0) << name;
     double primary_ns = 0;
-    for (const auto& row : worker.stages) {
+    for (const auto& row : worker->stages) {
       if (prof_stage_primary(row.stage)) primary_ns += row.ns_per_packet;
     }
-    EXPECT_GT(primary_ns, 0.0) << worker.worker;
+    EXPECT_GT(primary_ns, 0.0) << name;
   }
-  EXPECT_TRUE(saw_node_worker);
 
   // A paced steady-state run is quiet: no allocation failures, contended
   // locks, free retries, or send retries after warmup.
   EXPECT_TRUE(prof->quiet_ok())
       << "violations=" << prof->quiet_violation_count()
-      << " burst=" << burst;
+      << " mode=" << ftc::to_string(mode) << " burst=" << burst;
 }
 
-TEST(ProfChain, ReconciliationAndQuietAtBurst32) { run_budget_chain(32); }
+TEST(ProfChain, ReconciliationAndQuietAtBurst32) {
+  run_budget_chain(ftc::ChainMode::kFtc, 32);
+}
 
-TEST(ProfChain, ReconciliationAndQuietAtBurst1) { run_budget_chain(1); }
+TEST(ProfChain, ReconciliationAndQuietAtBurst1) {
+  run_budget_chain(ftc::ChainMode::kFtc, 1);
+}
+
+TEST(ProfChain, ReconciliationAndQuietNf) {
+  run_budget_chain(ftc::ChainMode::kNf, 32);
+}
+
+TEST(ProfChain, ReconciliationAndQuietFtmb) {
+  run_budget_chain(ftc::ChainMode::kFtmb, 32);
+}
+
+TEST(ProfChain, ReconciliationAndQuietFtmbSnapshot) {
+  run_budget_chain(ftc::ChainMode::kFtmbSnapshot, 32);
+}
 
 TEST(ProfChain, BudgetExportedThroughRegistry) {
   ftc::ChainRuntime::Spec spec;

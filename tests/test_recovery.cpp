@@ -44,13 +44,17 @@ std::uint64_t monitor_count(FtcNode* node) {
 // replica's applier, so count comparisons against the pre-failure head are
 // only exact once nothing is in flight. A fixed sleep is not enough on a
 // slow host (e.g. under TSan, where draining the chain takes far longer
-// than 50 ms).
+// than 50 ms). quiescent() is a snapshot that an idle worker's empty poll
+// can flip back to false for an instant (its in-flight token is up while
+// it polls), so the barrier asserts the observation that ended the wait
+// rather than a second, racing read.
 void quiesce(ChainRuntime& chain) {
   const auto deadline = rt::now_ns() + 15'000'000'000ull;
-  while (!chain.quiescent() && rt::now_ns() < deadline) {
+  bool converged = false;
+  while (!(converged = chain.quiescent()) && rt::now_ns() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(chain.quiescent());
+  ASSERT_TRUE(converged);
 }
 
 void pump(ChainRuntime& chain, tgen::TrafficSource& src, tgen::TrafficSink& sink,
@@ -300,6 +304,95 @@ TEST(Recovery, NatStateSurvivesFailover) {
     ASSERT_TRUE(entry.has_value()) << "flow " << i << " mapping lost";
     EXPECT_TRUE(*entry == mappings[i]) << "flow " << i << " mapping changed";
   }
+
+  sink.stop();
+  chain.stop();
+}
+
+// Builds one UDP packet per flow, source ports first_port.., and injects
+// them at the chain ingress.
+void inject_new_flows(ChainRuntime& chain, std::uint16_t first_port,
+                      std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    pkt::Packet* p = chain.pool().alloc_raw();
+    ASSERT_NE(p, nullptr);
+    const pkt::FlowKey flow{0x0a000001, 0x08080808,
+                            static_cast<std::uint16_t>(first_port + i), 443,
+                            pkt::Ipv4Header::kProtoUdp};
+    pkt::PacketBuilder(*p).udp(flow, 128);
+    ASSERT_TRUE(chain.ingress().send(p));
+  }
+}
+
+TEST(Recovery, InFlightLogsOfFailedHeadReachReplicaBeforeFetch) {
+  // The failed MazuNAT head has already sent logs for new flows that are
+  // still on the 20 ms segment to its successor. Recovery fetches the head
+  // store from that successor; if it did so before those logs land, they
+  // would take the sequence numbers the recovered head reuses, and the
+  // replica would drop the head's next logs as duplicates and diverge.
+  ChainRuntime::Spec spec;
+  spec.mode = ChainMode::kFtc;
+  spec.cfg.f = 1;
+  spec.cfg.threads_per_node = 1;
+  spec.cfg.pool_packets = 2048;
+  spec.cfg.propagate_interval_ns = 100'000;
+  spec.cfg.link.delay_ns = 20'000'000;
+  const auto monitor = []() -> std::unique_ptr<mbox::Middlebox> {
+    return std::make_unique<mbox::Monitor>(1);
+  };
+  spec.mbox_factories = {
+      monitor,
+      []() -> std::unique_ptr<mbox::Middlebox> {
+        return std::make_unique<mbox::MazuNat>();
+      },
+      monitor,
+  };
+  ChainRuntime chain(spec);
+  chain.start();
+  OrchestratorConfig ocfg;
+  ocfg.spawn_delay_ns = 0;
+  Orchestrator orch(chain, ocfg);
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+
+  constexpr std::size_t kFlows = 64;
+  inject_new_flows(chain, 1000, kFlows);
+  // Fail the MazuNAT head as soon as it has processed the new flows: their
+  // packets (and logs) are then on the delayed segment to position 2.
+  FtcNode* old_head = chain.ftc_node(1);
+  const auto deadline = rt::now_ns() + 10'000'000'000ull;
+  while (old_head->stats().packets_processed < kFlows &&
+         rt::now_ns() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_GE(old_head->stats().packets_processed, kFlows);
+  chain.fail_position(1);
+  const auto reports = orch.recover({1});
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_TRUE(reports[0].success);
+
+  inject_new_flows(chain, 2000, kFlows);
+  quiesce(chain);
+
+  FtcNode* head = chain.ftc_node(1);
+  FtcNode* replica = chain.ftc_node(2);
+  state::StateStore& head_store = head->head()->store();
+  state::StateStore& replica_store = replica->applier(1)->store();
+  for (const std::uint16_t first_port : {1000, 2000}) {
+    for (std::size_t i = 0; i < kFlows; ++i) {
+      const pkt::FlowKey flow{0x0a000001, 0x08080808,
+                              static_cast<std::uint16_t>(first_port + i), 443,
+                              pkt::Ipv4Header::kProtoUdp};
+      const auto at_head = head_store.get(flow.hash());
+      const auto at_replica = replica_store.get(flow.hash());
+      ASSERT_TRUE(at_head.has_value()) << "port " << flow.src_port;
+      ASSERT_TRUE(at_replica.has_value()) << "port " << flow.src_port;
+      EXPECT_TRUE(*at_head == *at_replica) << "port " << flow.src_port;
+    }
+  }
+  const auto counter = mbox::MazuNat::port_counter_key();
+  EXPECT_TRUE(head_store.get(counter) == replica_store.get(counter));
+  EXPECT_EQ(replica->stats().logs_duplicate, 0u);
 
   sink.stop();
   chain.stop();

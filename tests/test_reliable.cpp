@@ -383,11 +383,14 @@ TEST(ReliableChain, FtcOverLossyReliableSegmentsLosesNothing) {
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   source.stop();
 
+  // Asserts the observation that ended the wait: a second quiescent()
+  // read can catch an idle worker's in-flight token raised for its poll.
   const std::uint64_t deadline = rt::now_ns() + 15'000'000'000ull;
-  while (!chain.quiescent() && rt::now_ns() < deadline) {
+  bool converged = false;
+  while (!(converged = chain.quiescent()) && rt::now_ns() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_TRUE(chain.quiescent());
+  EXPECT_TRUE(converged);
   // Let the sink drain the egress queue.
   const std::uint64_t sent = source.packets_sent();
   const std::uint64_t sink_deadline = rt::now_ns() + 5'000'000'000ull;

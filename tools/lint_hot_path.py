@@ -30,7 +30,11 @@ line can also carry an inline marker:
 
 which suppresses that rule on that line only.
 
-Exit status: 0 clean, 1 violations, 2 usage/internal error.
+An allowlist entry that names no function under src/ is an error: it
+exempts nothing, and usually outlived the code it was written for.
+
+Exit status: 0 clean, 1 violations or stale allowlist entries, 2
+usage/internal error.
 """
 
 from __future__ import annotations
@@ -336,6 +340,17 @@ class Allowlist:
             al.reasons[(name, rule)] = reason
         return al
 
+    def names(self) -> set:
+        return set(self.cold) | {name for name, _rule in self.allowed}
+
+
+def stale_entries(index: dict, allow: Allowlist) -> list:
+    """Allowlist names that match no indexed function's qualified name (the
+    walk compares qualified names exactly, so such an entry exempts
+    nothing)."""
+    known = {f.qual for fns in index.values() for f in fns}
+    return sorted(allow.names() - known)
+
 
 # --- Engine ----------------------------------------------------------------
 
@@ -507,7 +522,15 @@ def self_test(repo_root: str) -> int:
         for v in clean:
             print(f"  {v.func} {v.rule} {v.file}:{v.line}", file=sys.stderr)
         return 1
-    print("self-test: ok (dirty fixture flagged, clean fixture quiet)")
+
+    stale = stale_entries(index, Allowlist.load(
+        os.path.join(fixture_dir, "stale_allowlist.txt")))
+    if stale != ["FixtureNode::gone_helper"]:
+        print(f"self-test: stale allowlist entries: expected "
+              f"['FixtureNode::gone_helper'], got {stale}", file=sys.stderr)
+        return 1
+    print("self-test: ok (dirty fixture flagged, clean fixture quiet, "
+          "stale allowlist entry flagged)")
     return 0
 
 
@@ -549,6 +572,16 @@ def main() -> int:
         print(f"lint-hot-path: entry points not found: {', '.join(missing)}",
               file=sys.stderr)
         return 2
+    stale = stale_entries(index, allow)
+    if stale:
+        print(f"lint-hot-path: {len(stale)} allowlist entr"
+              f"{'y names' if len(stale) == 1 else 'ies name'} no function "
+              f"under {os.path.relpath(src_dir, args.repo_root)}/:")
+        for name in stale:
+            print(f"  {name}")
+        print("\nDelete the entry, or fix its name to the function's "
+              "qualified name.")
+        return 1
     if violations:
         print(f"lint-hot-path: {len(violations)} hot-path purity "
               f"violation(s):")
