@@ -69,27 +69,34 @@ int main() {
   });
   const double processing_cycles = txn_cycles - locking_cycles;
 
-  // --- Copying piggybacked state: append+extract of a NAT-sized log. ---
-  ftc::PiggybackMessage msg;
+  // --- Copying piggybacked state: the data path's in-place handling of a
+  // NAT-sized log (append it to the tail, strip the tail again). ---
   ftc::PiggybackLog log;
   log.mbox = 0;
   log.dep.mask = 1ULL << store.partition_of(key);
   log.dep.seq[store.partition_of(key)] = 1;
   mbox::NatEntry entry{};
   log.writes.push_back({key, state::Bytes::of(entry), false});
-  msg.logs.push_back(std::move(log));
   const double piggyback_cycles = cycles_per_iter([&](int) {
-    ftc::append_message(packet, msg, 16);
-    auto extracted = ftc::extract_message(packet);
-    benchmark::DoNotOptimize(extracted);
+    ftc::PiggybackView v = ftc::PiggybackView::create(packet, 16);
+    v.append_log(log);
+    benchmark::DoNotOptimize(v.tail_size());
+    v.strip_tail();
   });
 
-  // --- Forwarder: merge one pending feedback message onto a packet. ---
+  // --- Forwarder: collect one pending feedback record for a packet. ---
   ftc::ChainConfig cfg;
   ftc::FeedbackChannel feedback;
   ftc::Forwarder forwarder(feedback, cfg);
+  ftc::FeedbackLogs record;
+  {
+    ftc::PiggybackView v = ftc::PiggybackView::create(packet, 16);
+    v.append_log(log);
+    record.add_record(v.log_bytes(0));
+    v.strip_tail();
+  }
   const double forwarder_cycles = cycles_per_iter([&](int) {
-    feedback.push(ftc::PiggybackMessage{});
+    feedback.push(ftc::FeedbackLogs(record));
     auto merged = forwarder.collect();
     benchmark::DoNotOptimize(merged);
   });
@@ -101,9 +108,9 @@ int main() {
   ftc::EgressBuffer buffer(pool, egress, buf_feedback);
   const double buffer_cycles = cycles_per_iter([&](int) {
     pkt::Packet* p = pool.alloc_raw();
-    ftc::PiggybackMessage m;
-    m.set_commit(0, ftc::MaxVector{});
-    buffer.submit(p, std::move(m));
+    ftc::PiggybackView v = ftc::PiggybackView::create(*p, 16);
+    v.set_commit(0, ftc::MaxVector{});
+    buffer.submit_wire(p, v);
     pool.free_raw(egress.poll());
   });
 
@@ -121,10 +128,9 @@ int main() {
   // Reproducible shape: locking tracks the paper closely and every FTC
   // component stays within the same order of magnitude as transaction
   // execution — no component is a 10x outlier. (Our forwarder/buffer use
-  // general-purpose queues+mutexes where the paper's Click elements pass
-  // pointers, and our piggyback handling is serialize-based rather than
-  // in-place, so those constants sit above the paper's; see
-  // EXPERIMENTS.md.)
+  // general-purpose queues+mutexes and copy log records where the paper's
+  // Click elements pass pointers, so those constants sit above the
+  // paper's; see EXPERIMENTS.md.)
   const bool locking_ok = locking_cycles > 152 / 3.0 && locking_cycles < 152 * 3.0;
   const bool same_order = piggyback_cycles < 10 * txn_cycles &&
                           forwarder_cycles < 10 * txn_cycles &&

@@ -86,36 +86,14 @@ void EgressBuffer::absorb(std::span<const CommitVector> commits) {
   }
 }
 
-void EgressBuffer::submit(pkt::Packet* p, PiggybackMessage&& msg) {
-  // Cache: the packet leaves our hands inside submit_core (freed for
-  // control packets, sent for released ones).
-  const bool is_control = p->anno().is_control;
-  const std::uint64_t trace_id = p->anno().trace_id;
-  std::vector<PendingLog> pending;
-  if (!is_control) {
-    pending.reserve(msg.logs.size());
-    for (const auto& log : msg.logs) {
-      pending.push_back(PendingLog{log.mbox, log.dep});
-    }
-  }
-  submit_core(p, is_control, trace_id, {msg.commits.data(), msg.commits.size()},
-              std::move(pending));
-
-  // Commit vectors end their journey here (tail -> ... -> buffer, paper
-  // §5.1); only logs still traveling toward their wrap-around tails feed
-  // back to the forwarder. Dropping commits also terminates the idle
-  // propagation loop: once every log is stripped at its tail, feedback
-  // messages become empty.
-  msg.commits.clear();
-  if (!msg.empty()) feedback_.push(std::move(msg));
-}
-
 void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
+  // Cache: the packet leaves our hands below (freed for control packets,
+  // sent for released ones).
   const bool is_control = p->anno().is_control;
   const std::uint64_t trace_id = p->anno().trace_id;
   rt::SmallVector<CommitVector, 2> commits;
   std::vector<PendingLog> pending;
-  PiggybackMessage feedback;
+  FeedbackLogs feedback;
   if (v.ok()) {
     for (std::size_t i = 0; i < v.commit_count(); ++i) {
       CommitVector c;
@@ -127,21 +105,19 @@ void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
     for (std::size_t i = 0; i < n; ++i) {
       const WireLog log = v.log(i);
       if (!is_control) pending.push_back(PendingLog{log.mbox, log.dep});
-      // Only surviving (wrap-around) logs pay a materialization: they
-      // outlive the packet on the feedback channel.
-      feedback.logs.push_back(materialize_log(log));
+      // Every log still on board travels on toward its wrap-around tail:
+      // its record bytes outlive the packet on the feedback channel.
+      feedback.add_record(v.log_bytes(i));
     }
     v.strip_tail();  // The packet leaves the chain bare.
   }
-  submit_core(p, is_control, trace_id, {commits.data(), commits.size()},
-              std::move(pending));
-  if (!feedback.logs.empty()) feedback_.push(std::move(feedback));
-}
+  // Commit vectors end their journey here (tail -> ... -> buffer, paper
+  // §5.1); only logs still traveling toward their wrap-around tails feed
+  // back to the forwarder. Dropping commits also terminates the idle
+  // propagation loop: once every log is stripped at its tail, nothing is
+  // fed back.
+  if (!feedback.empty()) feedback_.push(std::move(feedback));
 
-void EgressBuffer::submit_core(pkt::Packet* p, bool is_control,
-                               std::uint64_t trace_id,
-                               std::span<const CommitVector> commits,
-                               std::vector<PendingLog>&& pending) {
   LockGuard lock(mutex_);
   submitted_->inc();
 

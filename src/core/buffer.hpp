@@ -3,8 +3,8 @@
 // Holds packets leaving the chain until the state updates they carried for
 // wrap-around middleboxes (those whose tail sits at the chain start) are
 // known to be f+1-replicated, i.e. covered by commit vectors observed on
-// later packets. Strips the piggyback message and forwards it to the
-// forwarder via the feedback channel.
+// later packets. Strips the piggyback message and forwards its log records
+// to the forwarder via the feedback channel.
 #pragma once
 
 #include <cstdint>
@@ -38,17 +38,13 @@ class EgressBuffer : rt::NonCopyable {
                FeedbackChannel& feedback, obs::Registry* registry = nullptr);
 
   /// Accepts a packet at the end of the chain with its final piggyback
-  /// message. Consumes both. Control (propagating) packets deliver their
-  /// commits and are freed.
-  void submit(pkt::Packet* p, PiggybackMessage&& msg);
-
-  /// submit() for the zero-copy path: commits and pending-log headers are
-  /// read straight off the packet tail via @p v; only logs that must
-  /// outlive the packet (the feedback hand-off to the forwarder) are
-  /// materialized. The tail is stripped before the packet is held or
-  /// released, so packets leave the chain bare exactly as on the legacy
-  /// path. @p v may be invalid (packet without a message) and is consumed.
-  void submit_wire(pkt::Packet* p, PiggybackView& v);
+  /// message, read in place through @p v: commits and pending-log headers
+  /// come straight off the packet tail, and the surviving log records go
+  /// back to the forwarder as wire bytes. The tail is stripped before the
+  /// packet is held or released, so packets leave the chain bare. Control
+  /// (propagating) packets deliver their commits and are freed. @p v may
+  /// be invalid (packet without a message) and is consumed.
+  void submit_wire(pkt::Packet* p, PiggybackView& v) SFC_EXCLUDES(mutex_);
 
   /// Absorbs commit vectors into the buffer's release knowledge (also
   /// called by the egress node before message stripping).
@@ -77,12 +73,6 @@ class EgressBuffer : rt::NonCopyable {
   };
 
   bool is_covered(const Held& held) const SFC_REQUIRES(mutex_);
-  /// Shared tail of submit()/submit_wire(): absorbs @p commits, holds or
-  /// releases the (already bare) packet, runs the prefix/periodic release
-  /// scans.
-  void submit_core(pkt::Packet* p, bool is_control, std::uint64_t trace_id,
-                   std::span<const CommitVector> commits,
-                   std::vector<PendingLog>&& pending) SFC_EXCLUDES(mutex_);
   /// Stages @p held's packet for release; flush_releases_locked() ships the
   /// whole batch with one bulk send (releases within a submit/scan coalesce).
   void release_locked(Held& held) SFC_REQUIRES(mutex_);

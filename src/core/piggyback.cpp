@@ -159,6 +159,21 @@ bool append_message(pkt::Packet& p, const PiggybackMessage& msg,
   return true;
 }
 
+bool append_wire_logs(pkt::Packet& p, std::span<const std::uint8_t> records,
+                      std::size_t count, std::size_t num_partitions) {
+  const std::size_t total = kWireHeaderSize + records.size() + kFooterSize;
+  if (p.tailroom() < total) return false;
+  Writer w(p.push_back(total));
+  w.pod<std::uint16_t>(static_cast<std::uint16_t>(count));
+  w.pod<std::uint16_t>(0);
+  w.pod<std::uint16_t>(static_cast<std::uint16_t>(num_partitions));
+  w.pod<std::uint16_t>(0);
+  w.raw(records.data(), records.size());
+  w.pod<std::uint32_t>(static_cast<std::uint32_t>(total - kFooterSize));
+  w.pod<std::uint32_t>(kFooterMagic);
+  return true;
+}
+
 bool has_message(const pkt::Packet& p) noexcept {
   if (p.size() < kFooterSize) return false;
   std::uint32_t magic = 0;
@@ -360,9 +375,7 @@ PiggybackView PiggybackView::open(pkt::Packet& p) noexcept {
 }
 
 PiggybackView PiggybackView::create(pkt::Packet& p, std::size_t num_partitions) {
-  if (!append_message(p, PiggybackMessage{}, num_partitions)) {
-    return PiggybackView{};
-  }
+  if (!append_wire_logs(p, {}, 0, num_partitions)) return PiggybackView{};
   return open(p);
 }
 
@@ -431,19 +444,30 @@ bool PiggybackView::set_commit(MboxId mbox, const MaxVector& max) {
   return true;
 }
 
-bool PiggybackView::append_log(const PiggybackLog& log) {
-  const std::size_t need = log_size(log);
-  if (p_->tailroom() < need) return false;
+std::uint8_t* PiggybackView::grow_logs(std::size_t need) {
+  if (p_->tailroom() < need) return nullptr;
   p_->push_back(need);
-  std::uint8_t* commits_begin = body() + logs_end_;
-  std::memmove(commits_begin + need, commits_begin,
-               (body_len_ - logs_end_) + kFooterSize);
-  Writer w(commits_begin);
-  write_log(w, log);
+  std::uint8_t* at = body() + logs_end_;
+  std::memmove(at + need, at, (body_len_ - logs_end_) + kFooterSize);
   log_off_.push_back(logs_end_);
   logs_end_ += static_cast<std::uint32_t>(need);
   body_len_ += static_cast<std::uint32_t>(need);
   sync_header_footer();
+  return at;
+}
+
+bool PiggybackView::append_log(const PiggybackLog& log) {
+  std::uint8_t* at = grow_logs(log_size(log));
+  if (at == nullptr) return false;
+  Writer w(at);
+  write_log(w, log);
+  return true;
+}
+
+bool PiggybackView::append_wire_log(std::span<const std::uint8_t> record) {
+  std::uint8_t* at = grow_logs(record.size());
+  if (at == nullptr) return false;
+  std::memcpy(at, record.data(), record.size());
   return true;
 }
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/dep_vector.hpp"
@@ -97,6 +98,13 @@ std::size_t serialized_size(const PiggybackMessage& msg,
 bool append_message(pkt::Packet& p, const PiggybackMessage& msg,
                     std::size_t num_partitions);
 
+/// Appends a message holding @p count pre-serialized log records (their
+/// wire encoding back to back, no commit vectors) to a packet without one.
+/// Returns false (packet untouched) when the tailroom cannot hold it.
+/// With no records this writes the empty message (header + footer).
+bool append_wire_logs(pkt::Packet& p, std::span<const std::uint8_t> records,
+                      std::size_t count, std::size_t num_partitions);
+
 /// True if the packet carries a piggyback message footer.
 bool has_message(const pkt::Packet& p) noexcept;
 
@@ -178,6 +186,12 @@ class PiggybackView {
 
   /// Decodes log @p i's header; its writes stay on the wire.
   WireLog log(std::size_t i) const noexcept;
+  /// Log @p i's whole record as it sits on the wire.
+  std::span<const std::uint8_t> log_bytes(std::size_t i) const noexcept {
+    const std::uint32_t end =
+        i + 1 < log_off_.size() ? log_off_[i + 1] : logs_end_;
+    return {body() + log_off_[i], end - log_off_[i]};
+  }
   bool has_logs_of(MboxId mbox) const noexcept;
 
   /// Decodes commit vector @p i into @p out (partitions beyond
@@ -195,6 +209,10 @@ class PiggybackView {
   /// tailroom cannot hold it.
   bool append_log(const PiggybackLog& log);
 
+  /// append_log() for a record already in wire form (log_bytes() of
+  /// another view): copied as is, never re-encoded.
+  bool append_wire_log(std::span<const std::uint8_t> record);
+
   /// Removes every log of @p mbox with one compacting pass over the log
   /// region; logs that stay are moved at most once and a message without
   /// logs of @p mbox is untouched. Returns the number removed.
@@ -209,6 +227,10 @@ class PiggybackView {
   std::size_t commit_entry_size() const noexcept {
     return 4 + 8 * static_cast<std::size_t>(num_partitions_);
   }
+  /// Opens @p need bytes at the end of the log region (commit region and
+  /// footer shift up) and returns where the new record goes; null — packet
+  /// unmodified — when the tailroom is short.
+  std::uint8_t* grow_logs(std::size_t need);
   /// Rewrites the header counts and the (possibly moved) footer.
   void sync_header_footer() noexcept;
 

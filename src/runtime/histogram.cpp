@@ -80,4 +80,30 @@ std::vector<std::pair<std::uint64_t, double>> Histogram::cdf() const {
   return out;
 }
 
+void AtomicHistogram::record(std::uint64_t value) noexcept {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  buckets_[Histogram::bucket_index(value)].fetch_add(1, kRelaxed);
+  count_.fetch_add(1, kRelaxed);
+  sum_.fetch_add(value, kRelaxed);
+  std::uint64_t seen = min_.load(kRelaxed);
+  while (value < seen && !min_.compare_exchange_weak(seen, value, kRelaxed)) {
+  }
+  seen = max_.load(kRelaxed);
+  while (value > seen && !max_.compare_exchange_weak(seen, value, kRelaxed)) {
+  }
+}
+
+Histogram AtomicHistogram::snapshot() const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  Histogram h;
+  for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+    h.buckets_[i] = buckets_[i].load(kRelaxed);
+  }
+  h.count_ = count_.load(kRelaxed);
+  h.sum_ = sum_.load(kRelaxed);
+  h.min_ = min_.load(kRelaxed);
+  h.max_ = max_.load(kRelaxed);
+  return h;
+}
+
 }  // namespace sfc::rt

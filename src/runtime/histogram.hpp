@@ -6,6 +6,8 @@
 // the recorder run at line rate (one increment, no allocation).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -57,6 +59,8 @@ class Histogram {
   static std::uint64_t bucket_upper_bound(std::size_t index) noexcept;
 
  private:
+  friend class AtomicHistogram;
+
   // 64 exact buckets, then 58 octaves x 32 sub-buckets.
   static constexpr std::size_t kExactBuckets = 64;
   static constexpr std::size_t kSubBuckets = 32;
@@ -69,6 +73,23 @@ class Histogram {
   std::uint64_t sum_{0};
   std::uint64_t min_{~0ULL};
   std::uint64_t max_{0};
+};
+
+/// Multi-writer Histogram recorder for the data path: record() is a few
+/// relaxed atomic updates (no lock), snapshot() rebuilds the Histogram a
+/// locked recorder would hold. A snapshot racing writers may count a
+/// sample in one field before another; it never reads a torn value.
+class AtomicHistogram {
+ public:
+  void record(std::uint64_t value) noexcept;
+  Histogram snapshot() const;
+
+ private:
+  std::array<std::atomic<std::uint64_t>, Histogram::kNumBuckets> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{~0ULL};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 }  // namespace sfc::rt

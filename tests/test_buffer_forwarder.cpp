@@ -9,6 +9,25 @@
 namespace sfc::ftc {
 namespace {
 
+constexpr std::size_t kParts = 16;
+
+/// One feedback hand-off holding @p log's wire record, as the egress
+/// buffer produces it.
+FeedbackLogs feedback_of(const PiggybackLog& log) {
+  pkt::Packet p;
+  PiggybackView v = PiggybackView::create(p, kParts);
+  EXPECT_TRUE(v.append_log(log));
+  FeedbackLogs out;
+  out.add_record(v.log_bytes(0));
+  return out;
+}
+
+/// Opens a fresh packet carrying @p fb as its message.
+PiggybackView attach(pkt::Packet& p, const FeedbackLogs& fb) {
+  EXPECT_TRUE(append_wire_logs(p, fb.bytes, fb.count(), kParts));
+  return PiggybackView::open(p);
+}
+
 struct Rig {
   pkt::PacketPool pool{64};
   net::Link egress{pool, net::LinkConfig{}};
@@ -24,6 +43,15 @@ struct Rig {
     return p;
   }
 
+  /// Serializes @p msg onto @p p's tail and submits it through the wire
+  /// path, as the egress node does.
+  void submit(pkt::Packet* p, const PiggybackMessage& msg) {
+    ASSERT_TRUE(append_message(*p, msg, kParts));
+    PiggybackView v = PiggybackView::open(*p);
+    ASSERT_TRUE(v.ok());
+    buffer.submit_wire(p, v);
+  }
+
   PiggybackLog log_for(MboxId mbox, std::size_t partition, std::uint64_t seq) {
     PiggybackLog log;
     log.mbox = mbox;
@@ -35,7 +63,7 @@ struct Rig {
 
 TEST(EgressBuffer, EmptyMessageReleasesImmediately) {
   Rig rig;
-  rig.buffer.submit(rig.data_packet(1), PiggybackMessage{});
+  rig.submit(rig.data_packet(1), PiggybackMessage{});
   EXPECT_EQ(rig.buffer.held_count(), 0u);
   pkt::Packet* out = rig.egress.poll();
   ASSERT_NE(out, nullptr);
@@ -48,7 +76,7 @@ TEST(EgressBuffer, HoldsUntilCommitCovers) {
   Rig rig;
   PiggybackMessage msg;
   msg.logs.push_back(rig.log_for(2, 0, 5));
-  rig.buffer.submit(rig.data_packet(1), std::move(msg));
+  rig.submit(rig.data_packet(1), msg);
   EXPECT_EQ(rig.buffer.held_count(), 1u);
   EXPECT_EQ(rig.egress.poll(), nullptr);
 
@@ -57,7 +85,7 @@ TEST(EgressBuffer, HoldsUntilCommitCovers) {
   MaxVector commit;
   commit.seq[0] = 5;
   commit_msg.set_commit(2, commit);
-  rig.buffer.submit(rig.data_packet(2), std::move(commit_msg));
+  rig.submit(rig.data_packet(2), commit_msg);
 
   // Both packets released (the second had no pending logs).
   EXPECT_EQ(rig.buffer.held_count(), 0u);
@@ -73,13 +101,13 @@ TEST(EgressBuffer, InsufficientCommitKeepsHolding) {
   Rig rig;
   PiggybackMessage msg;
   msg.logs.push_back(rig.log_for(2, 0, 5));
-  rig.buffer.submit(rig.data_packet(1), std::move(msg));
+  rig.submit(rig.data_packet(1), msg);
 
   PiggybackMessage commit_msg;
   MaxVector commit;
   commit.seq[0] = 4;  // One short.
   commit_msg.set_commit(2, commit);
-  rig.buffer.submit(rig.data_packet(2), std::move(commit_msg));
+  rig.submit(rig.data_packet(2), commit_msg);
   EXPECT_EQ(rig.buffer.held_count(), 1u);
 }
 
@@ -87,7 +115,7 @@ TEST(EgressBuffer, ControlPacketsDeliverCommitsAndDie) {
   Rig rig;
   PiggybackMessage msg;
   msg.logs.push_back(rig.log_for(1, 3, 2));
-  rig.buffer.submit(rig.data_packet(1), std::move(msg));
+  rig.submit(rig.data_packet(1), msg);
   EXPECT_EQ(rig.buffer.held_count(), 1u);
 
   pkt::Packet* prop = Forwarder::make_propagating_packet(rig.pool);
@@ -95,7 +123,7 @@ TEST(EgressBuffer, ControlPacketsDeliverCommitsAndDie) {
   MaxVector commit;
   commit.seq[3] = 2;
   commit_msg.set_commit(1, commit);
-  rig.buffer.submit(prop, std::move(commit_msg));
+  rig.submit(prop, commit_msg);
 
   EXPECT_EQ(rig.buffer.held_count(), 0u);
   // Only the data packet leaves the chain; the propagating packet is
@@ -115,19 +143,23 @@ TEST(EgressBuffer, FeedsLogsBackWithoutCommits) {
   MaxVector commit;
   commit.seq[1] = 9;
   msg.set_commit(0, commit);
-  rig.buffer.submit(rig.data_packet(1), std::move(msg));
+  rig.submit(rig.data_packet(1), msg);
 
   auto fed_back = rig.feedback.pop();
   ASSERT_TRUE(fed_back.has_value());
-  EXPECT_EQ(fed_back->logs.size(), 1u);   // Wrap logs keep traveling.
-  EXPECT_TRUE(fed_back->commits.empty()); // Commits end at the buffer.
+  pkt::Packet p;
+  const PiggybackView v = attach(p, *fed_back);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.log_count(), 1u);     // Wrap logs keep traveling.
+  EXPECT_EQ(v.commit_count(), 0u);  // Commits end at the buffer.
+  EXPECT_EQ(materialize_log(v.log(0)), rig.log_for(2, 0, 1));
 }
 
 TEST(EgressBuffer, AbsorbWithoutSubmit) {
   Rig rig;
   PiggybackMessage msg;
   msg.logs.push_back(rig.log_for(2, 0, 1));
-  rig.buffer.submit(rig.data_packet(1), std::move(msg));
+  rig.submit(rig.data_packet(1), msg);
   EXPECT_EQ(rig.buffer.held_count(), 1u);
 
   MaxVector commit;
@@ -144,18 +176,19 @@ TEST(Forwarder, CollectMergesPendingMessages) {
   Forwarder fwd(feedback, cfg);
 
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
-    PiggybackMessage m;
     PiggybackLog log;
     log.mbox = 7;
     log.dep.mask = 1;
     log.dep.seq[0] = seq;
-    m.logs.push_back(log);
-    feedback.push(std::move(m));
+    feedback.push(feedback_of(log));
   }
-  auto merged = fwd.collect();
-  EXPECT_EQ(merged.logs.size(), 3u);
-  EXPECT_EQ(merged.logs[0].dep.seq[0], 1u);  // Order preserved.
-  EXPECT_EQ(merged.logs[2].dep.seq[0], 3u);
+  const FeedbackLogs merged = fwd.collect();
+  pkt::Packet p;
+  const PiggybackView v = attach(p, merged);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.log_count(), 3u);
+  EXPECT_EQ(v.log(0).dep.seq[0], 1u);  // Order preserved.
+  EXPECT_EQ(v.log(2).dep.seq[0], 3u);
 }
 
 TEST(Forwarder, MergeLimitBoundsPerPacketWork) {
@@ -163,9 +196,54 @@ TEST(Forwarder, MergeLimitBoundsPerPacketWork) {
   cfg.forwarder_merge_limit = 2;
   FeedbackChannel feedback;
   Forwarder fwd(feedback, cfg);
-  for (int i = 0; i < 5; ++i) feedback.push(PiggybackMessage{});
+  for (int i = 0; i < 5; ++i) feedback.push(feedback_of(PiggybackLog{}));
   (void)fwd.collect();
   EXPECT_EQ(feedback.pending_approx(), 3u);
+}
+
+// Merged feedback must fit the packet that carries it when no data packet
+// can: a fresh propagating packet. Hand-offs of ~1 KB records (one to three
+// per hand-off, as wide wrap-around logs produce) would overflow it if the
+// merge limit alone bounded a collect.
+TEST(Forwarder, MergedFeedbackFitsAPropagatingPacket) {
+  ChainConfig cfg;
+  FeedbackChannel feedback;
+  Forwarder fwd(feedback, cfg);
+  pkt::PacketPool pool(4);
+
+  std::uint64_t pushed = 0;
+  for (int run = 0; run < 12; ++run) {
+    FeedbackLogs fb;
+    for (int r = 0; r <= run % 3; ++r) {
+      PiggybackLog log;
+      log.mbox = 3;
+      log.dep.mask = 1;
+      log.dep.seq[0] = ++pushed;
+      std::vector<std::uint8_t> value(1000, static_cast<std::uint8_t>(run));
+      log.writes.push_back({pushed, state::Bytes(value.data(), value.size()), false});
+      const FeedbackLogs one = feedback_of(log);
+      fb.add_record({one.bytes.data(), one.bytes.size()});
+    }
+    feedback.push(std::move(fb));
+  }
+
+  std::uint64_t next_seq = 1;
+  while (feedback.pending_approx() != 0) {
+    const FeedbackLogs merged = fwd.collect();
+    ASSERT_FALSE(merged.empty());
+    pkt::Packet* prop = Forwarder::make_propagating_packet(pool);
+    ASSERT_NE(prop, nullptr);
+    ASSERT_TRUE(append_wire_logs(*prop, merged.bytes, merged.count(), kParts))
+        << merged.bytes.size() << " record bytes > tailroom " << prop->tailroom();
+    const PiggybackView v = PiggybackView::open(*prop);
+    ASSERT_TRUE(v.ok());
+    // Whole records, none lost, none reordered.
+    for (std::size_t i = 0; i < v.log_count(); ++i) {
+      EXPECT_EQ(v.log(i).dep.seq[0], next_seq++);
+    }
+    pool.free_raw(prop);
+  }
+  EXPECT_EQ(next_seq, pushed + 1);
 }
 
 TEST(Forwarder, PropagationDueOnlyWhenIdleAndPending) {
@@ -174,7 +252,7 @@ TEST(Forwarder, PropagationDueOnlyWhenIdleAndPending) {
   FeedbackChannel feedback;
   Forwarder fwd(feedback, cfg);
   EXPECT_FALSE(fwd.propagation_due());  // Nothing pending.
-  feedback.push(PiggybackMessage{});
+  feedback.push(feedback_of(PiggybackLog{}));
   EXPECT_FALSE(fwd.propagation_due());  // Pending but not idle yet.
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
   EXPECT_TRUE(fwd.propagation_due());

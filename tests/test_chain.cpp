@@ -359,6 +359,69 @@ TEST(FtcChain, FilteringMiddleboxEmitsPropagatingPackets) {
   chain.stop();
 }
 
+// Gen writes ~2 KB of state per packet, so at f=2 a packet would carry two
+// in-flight logs plus its own: messages outgrow every frame and detour onto
+// propagating packets, a detour outgrows one propagating packet, and merged
+// feedback outgrows any single packet. Over lossless, in-order links none
+// of that may lose state: every packet is delivered, every replica matches
+// its head, and no gap ever needs a NACK to fill it.
+TEST(FtcChain, OversizeStateDetoursWithoutLoss) {
+  auto spec = spec_for(ChainMode::kFtc, 3, /*f=*/2);
+  spec.mbox_factories.clear();
+  for (int i = 0; i < 3; ++i) {
+    spec.mbox_factories.push_back(
+        []() -> std::unique_ptr<Middlebox> { return std::make_unique<mbox::Gen>(2000); });
+  }
+  ChainRuntime chain(spec);
+  chain.start();
+
+  tgen::Workload w;
+  w.num_flows = 8;
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+  tgen::TrafficSource source(chain.pool(), chain.ingress(), w, 5'000.0);
+  source.start();
+  const auto deadline = rt::now_ns() + 20'000'000'000ull;
+  while (source.packets_sent() < 1000 && rt::now_ns() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  source.stop();
+  const std::uint64_t sent = source.packets_sent();
+  while (sink.packets_received() < sent && rt::now_ns() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  wait_for_convergence(chain, 10'000'000'000ull);
+  EXPECT_EQ(sink.packets_received(), sent);
+  sink.stop();
+
+  std::uint64_t detours = 0;
+  std::uint64_t nacks = 0;
+  for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
+    const NodeStats st = chain.ftc_node(pos)->stats();
+    detours += st.oversize_detours;
+    nacks += st.nacks_sent;
+  }
+  EXPECT_GT(detours, 0u);
+  EXPECT_EQ(nacks, 0u) << "state was dropped on the way and had to be NACKed";
+
+  const state::Key key = state::key_of_name("gen-state");  // Thread 0.
+  for (std::uint32_t m = 0; m < 3; ++m) {
+    HeadStore* head = chain.ftc_node(m)->head();
+    const auto head_value = head->store().get(key);
+    ASSERT_TRUE(head_value.has_value()) << "mbox " << m;
+    for (std::uint32_t k = 1; k <= 2; ++k) {
+      InOrderApplier* replica = chain.ftc_node((m + k) % 3)->applier(m);
+      ASSERT_NE(replica, nullptr) << "mbox " << m << " succ " << k;
+      EXPECT_EQ(replica->store().total_entries(), head->store().total_entries())
+          << "mbox " << m << " succ " << k;
+      const auto value = replica->store().get(key);
+      ASSERT_TRUE(value.has_value()) << "mbox " << m << " succ " << k;
+      EXPECT_TRUE(*value == *head_value) << "mbox " << m << " succ " << k;
+    }
+  }
+  chain.stop();
+}
+
 TEST(FtmbChain, DeliversAndEmitsPals) {
   ChainRuntime chain(spec_for(ChainMode::kFtmb, 2));
   chain.start();

@@ -9,7 +9,9 @@
 #include <random>
 #include <vector>
 
+#include "core/buffer.hpp"
 #include "core/config.hpp"
+#include "core/forwarder.hpp"
 #include "core/piggyback.hpp"
 #include "core/stores.hpp"
 #include "packet/packet_io.hpp"
@@ -131,7 +133,7 @@ TEST(PiggybackView, MutationsMatchMaterializingRoundTrip) {
     ASSERT_TRUE(v.ok());
 
     for (int op = 0; op < 6; ++op) {
-      switch (rng() % 3) {
+      switch (rng() % 4) {
         case 0: {  // Tail duty: strip one middlebox's logs.
           const auto mbox = static_cast<MboxId>(rng() % 4);
           msg.strip_logs_of(mbox);
@@ -156,6 +158,16 @@ TEST(PiggybackView, MutationsMatchMaterializingRoundTrip) {
           ASSERT_TRUE(v.append_log(log));
           break;
         }
+        case 3: {  // Detour: move a record already in wire form.
+          const PiggybackLog log = random_log(rng);
+          if (log_wire_size(log) > inplace.tailroom()) break;
+          pkt::Packet other = make_wire_packet();
+          PiggybackView src = PiggybackView::create(other, kParts);
+          ASSERT_TRUE(src.append_log(log));
+          msg.logs.push_back(log);
+          ASSERT_TRUE(v.append_wire_log(src.log_bytes(0)));
+          break;
+        }
       }
       // Legacy path re-serializes from scratch each time.
       ASSERT_TRUE(extract_message(legacy).has_value());
@@ -163,6 +175,57 @@ TEST(PiggybackView, MutationsMatchMaterializingRoundTrip) {
       ASSERT_EQ(packet_bytes(inplace), packet_bytes(legacy));
     }
   }
+}
+
+// The feedback path never materializes: the egress buffer copies each
+// surviving record's bytes, the forwarder concatenates them, the head
+// writes them into tailroom. The head-ingress tail must be byte-identical
+// to the reference: merge the stripped messages (commits end at the
+// buffer) and serialize the result.
+TEST(PiggybackView, FeedbackAttachMatchesMergeAndAppend) {
+  std::mt19937_64 rng(0xf7c3);
+  ChainConfig cfg;
+  cfg.forwarder_merge_limit = 4;
+  int compared = 0;
+  for (int round = 0; round < 100; ++round) {
+    pkt::PacketPool pool(16);
+    net::Link egress(pool, net::LinkConfig{});
+    FeedbackChannel feedback;
+    EgressBuffer buffer(pool, egress, feedback);
+    Forwarder fwd(feedback, cfg);
+
+    PiggybackMessage reference;
+    const std::size_t hand_offs = 1 + rng() % cfg.forwarder_merge_limit;
+    for (std::size_t i = 0; i < hand_offs; ++i) {
+      PiggybackMessage msg = random_message(rng, 3);
+      pkt::Packet* p = Forwarder::make_propagating_packet(pool);
+      ASSERT_NE(p, nullptr);
+      if (serialized_size(msg, kParts) > p->tailroom()) {
+        pool.free_raw(p);
+        continue;
+      }
+      ASSERT_TRUE(append_message(*p, msg, kParts));
+      PiggybackView v = PiggybackView::open(*p);
+      ASSERT_TRUE(v.ok());
+      buffer.submit_wire(p, v);
+      msg.commits.clear();
+      reference.merge(std::move(msg));
+    }
+    if (serialized_size(reference, kParts) - kWireHeaderSize - kFooterSize >
+        Forwarder::kFeedbackBudget) {
+      continue;  // A collect would (correctly) split it; not this property.
+    }
+
+    const FeedbackLogs fb = fwd.collect();
+    EXPECT_EQ(feedback.pending_approx(), 0u);
+    pkt::Packet head = make_wire_packet();
+    pkt::Packet oracle = make_wire_packet();
+    ASSERT_TRUE(append_wire_logs(head, fb.bytes, fb.count(), kParts));
+    ASSERT_TRUE(append_message(oracle, reference, kParts));
+    ASSERT_EQ(packet_bytes(head), packet_bytes(oracle)) << "round " << round;
+    ++compared;
+  }
+  EXPECT_GT(compared, 50);
 }
 
 TEST(PiggybackView, CreateOnBarePacketAndStripTail) {

@@ -498,6 +498,17 @@ void run_budget_chain(ftc::ChainMode mode, std::size_t burst) {
       if (prof_stage_primary(row.stage)) primary_ns += row.ns_per_packet;
     }
     EXPECT_GT(primary_ns, 0.0) << name;
+    if (mode == ftc::ChainMode::kFtc) {
+      // One piggyback pipeline at every hop, the chain ingress included:
+      // each position bills the per-packet stages of the same table.
+      for (const ProfStage stage :
+           {ProfStage::kViewWalk, ProfStage::kLogApply, ProfStage::kTailCommit,
+            ProfStage::kProcess, ProfStage::kAppend}) {
+        const auto& row = worker->stages[static_cast<std::size_t>(stage)];
+        EXPECT_GT(row.ns_per_packet, 0.0)
+            << name << " stage " << prof_stage_name(stage);
+      }
+    }
   }
 
   // A paced steady-state run is quiet: no allocation failures, contended
