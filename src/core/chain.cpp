@@ -217,16 +217,6 @@ bool ChainRuntime::quiescent() {
                      node->position(), node->parked_count());
       return false;
     }
-    // A burst a worker has popped but not finished is in no link queue yet
-    // still carries unapplied logs; checked after the links so a token
-    // observed as zero means the packets are back somewhere visible.
-    if (node != nullptr && node->bursts_in_flight() != 0) {
-      if (dbg)
-        std::fprintf(stderr, "[quiesce] node pos=%u bursts_in_flight=%zu\n",
-                     node->position(),
-                     static_cast<std::size_t>(node->bursts_in_flight()));
-      return false;
-    }
     // Shard mode: a cross-shard portion sitting in a handoff ring counted
     // as applied at classification, but its writes reach the store only at
     // the owner's drain.
@@ -234,6 +224,19 @@ bool ChainRuntime::quiescent() {
       if (dbg)
         std::fprintf(stderr, "[quiesce] node pos=%u handoff pending\n",
                      node->position());
+      return false;
+    }
+    // A burst a worker has popped but not finished is in no link queue yet
+    // still carries unapplied logs; likewise parked packets or handoff
+    // portions a drain has taken out. Workers raise the token before they
+    // take anything, so checked after the links, the parked list and the
+    // handoff rings, a token observed as zero means the work is back
+    // somewhere visible or done.
+    if (node != nullptr && node->bursts_in_flight() != 0) {
+      if (dbg)
+        std::fprintf(stderr, "[quiesce] node pos=%u bursts_in_flight=%zu\n",
+                     node->position(),
+                     static_cast<std::size_t>(node->bursts_in_flight()));
       return false;
     }
   }

@@ -24,11 +24,9 @@
 
 namespace sfc::state {
 
-/// Identity of a thread of control for wound-wait purposes. Must outlive
-/// any lock acquisition it is used for (we use thread_local instances, so
-/// slots live for the thread's lifetime and dereferencing a stale owner
-/// pointer is safe; the worst case is a spurious wound of a reused slot,
-/// which only costs one extra abort).
+/// Identity of a thread of control for wound-wait purposes. Each thread's
+/// slot is allocated once and never freed, so dereferencing a stale owner
+/// pointer is safe even after the owner thread exited.
 struct TxnSlot {
   std::atomic<std::uint64_t> ts{0};
   std::atomic<bool> wounded{false};
