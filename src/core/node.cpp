@@ -109,19 +109,38 @@ FtcNode::FtcNode(Params params)
     return static_cast<double>(meter_.packets());
   });
   ctrl_.register_node(id_);
+  // Each store's history reports its size and its capacity evictions,
+  // labelled by the middlebox whose logs it holds.
+  const auto store_labels = [&labels](MboxId m) {
+    obs::Labels out = labels;
+    out.emplace_back("mbox", std::to_string(m));
+    return out;
+  };
+  const auto evicted = [&](MboxId m) {
+    return &registry_->counter("state.history_evicted", store_labels(m));
+  };
   if (position_ < num_mboxes_ && params.mbox_factory) {
     mbox_ = params.mbox_factory();
-    head_ = std::make_unique<HeadStore>(position_, cfg_);
+    head_ = std::make_unique<HeadStore>(position_, cfg_, evicted(position_));
+    registry_->gauge_fn("state.history_logs", store_labels(position_),
+                        [h = head_.get()] {
+                          return static_cast<double>(h->history().size());
+                        });
   }
   // Appliers for the f preceding ring positions that carry middleboxes.
   for (std::uint32_t k = 1; k <= cfg_.f && k < ring_size_; ++k) {
     const std::uint32_t m = (position_ + ring_size_ - k) % ring_size_;
     if (m < num_mboxes_) {
-      appliers_.emplace(m, std::make_unique<InOrderApplier>(m, cfg_));
+      appliers_.emplace(m, std::make_unique<InOrderApplier>(m, cfg_, evicted(m)));
     }
   }
   // Hot-path caches (appliers_ is immutable from here on).
-  for (const auto& [m, a] : appliers_) applier_cache_.emplace_back(m, a.get());
+  for (const auto& [m, a] : appliers_) {
+    applier_cache_.emplace_back(m, a.get());
+    registry_->gauge_fn("state.history_logs", store_labels(m), [a = a.get()] {
+      return static_cast<double>(a->history().size());
+    });
+  }
   tail_mbox_ = tail_of();
   tail_applier_ = tail_mbox_ != ring_size_ ? applier(tail_mbox_) : nullptr;
   burst_size_ = std::clamp<std::size_t>(cfg_.burst_size, 1, kMaxBurst);
@@ -250,6 +269,7 @@ void FtcNode::start_control() {
     if (failed_.load(std::memory_order_acquire)) return false;
     handle_control();
     check_parked_timeouts();
+    send_commit_notice();
     // Control work is low-rate (heartbeats in ms, NACK timers in ms):
     // sleep rather than spin so data-plane threads keep the CPU.
     std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -617,7 +637,6 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
       }
       last_commit_attach_.store(applied, std::memory_order_relaxed);
       commits.push_back(CommitVector{tail_mbox_, max});
-      trace_->emit(obs::Event::kCommitAttach, tail_mbox_, applied);
       if (trace_id != 0) {
         span_event(registry_, obs::span_site_node(id_), trace_id,
                    obs::SpanKind::kCommitAttach, tail_mbox_);
@@ -922,34 +941,80 @@ void FtcNode::check_parked_timeouts() {
   }
 }
 
+void FtcNode::send_commit_notice() {
+  InOrderApplier* a = tail_applier_;
+  if (a == nullptr) return;
+  const std::uint64_t applied = a->applied_count();
+  if (applied == last_commit_notice_) return;
+  // A replacement learns its predecessor when it is wired in; its notice
+  // waits until then.
+  const net::NodeId pred = ring_pred_id_.load(std::memory_order_acquire);
+  if (pred == 0) return;
+  last_commit_notice_ = applied;
+  net::Message notice;
+  notice.type = kCommitNotice;
+  notice.from = id_;
+  notice.to = pred;
+  put_u32(notice.payload, tail_mbox_);
+  put_max(notice.payload, a->max());
+  ctrl_.send(std::move(notice));
+}
+
 void FtcNode::handle_control() {
-  while (auto msg = ctrl_.poll(id_)) {
-    switch (msg->type) {
-      case kPing: {
-        net::Message pong;
-        pong.type = kPong;
-        pong.from = id_;
-        pong.to = msg->from;
-        pong.tag = msg->tag;
-        ctrl_.send(std::move(pong));
-        break;
-      }
-      case kNack:
-        handle_nack(*msg);
-        break;
-      case kNackResp:
-        handle_nack_resp(*msg);
-        break;
-      case kFetchReq:
-        handle_fetch(*msg);
-        break;
-      case kInit:
-        handle_init(*msg);
-        break;
-      default:
-        break;
-    }
+  while (auto msg = ctrl_.poll(id_)) dispatch_control(*msg);
+}
+
+void FtcNode::dispatch_control(net::Message& msg) {
+  switch (msg.type) {
+    case kPing:
+      reply_pong(msg);
+      break;
+    case kNack:
+      handle_nack(msg);
+      break;
+    case kNackResp:
+      handle_nack_resp(msg);
+      break;
+    case kFetchReq:
+      handle_fetch(msg);
+      break;
+    case kInit:
+      handle_init(msg);
+      break;
+    case kCommitNotice:
+      handle_commit_notice(msg);
+      break;
+    default:
+      break;
   }
+}
+
+void FtcNode::reply_pong(const net::Message& ping) {
+  net::Message pong;
+  pong.type = kPong;
+  pong.from = id_;
+  pong.to = ping.from;
+  pong.tag = ping.tag;
+  ctrl_.send(std::move(pong));
+}
+
+void FtcNode::handle_commit_notice(net::Message& notice) {
+  std::span<const std::uint8_t> in(notice.payload);
+  std::uint32_t mbox = 0;
+  MaxVector commit;
+  if (!take_u32(in, mbox) || !take_max(in, commit)) return;
+  // The tail's commit means f+1 copies exist, and every upstream member
+  // applied these logs before the tail did: no NACK can ask for them.
+  if (head_ != nullptr && mbox == position_) {
+    head_->prune(commit);
+    return;
+  }
+  InOrderApplier* a = applier(mbox);
+  if (a == nullptr) return;
+  a->prune(commit);
+  notice.from = id_;
+  notice.to = ring_pred_id_.load(std::memory_order_acquire);
+  ctrl_.send(std::move(notice));
 }
 
 void FtcNode::handle_init(const net::Message& req) {
@@ -1119,6 +1184,10 @@ bool FtcNode::recover_from(
                mbox);
   }
 
+  // Other messages keep arriving during the fetch: pings are answered at
+  // once (a silent node looks dead to the heartbeat monitor), the rest are
+  // handled once the fetched state is in place.
+  std::vector<net::Message> deferred;
   const std::uint64_t deadline = rt::now_ns() + timeout_ns;
   std::size_t outstanding = fetches.size();
   while (outstanding > 0 && rt::now_ns() < deadline) {
@@ -1127,7 +1196,14 @@ bool FtcNode::recover_from(
       std::this_thread::yield();
       continue;
     }
-    if (msg->type != kFetchResp) continue;
+    if (msg->type == kPing) {
+      reply_pong(*msg);
+      continue;
+    }
+    if (msg->type != kFetchResp) {
+      deferred.push_back(std::move(*msg));
+      continue;
+    }
     std::span<const std::uint8_t> in(msg->payload);
     std::uint32_t mbox = 0, ok = 0;
     if (!take_u32(in, mbox) || !take_u32(in, ok)) continue;
@@ -1148,6 +1224,8 @@ bool FtcNode::recover_from(
       break;
     }
   }
+
+  for (auto& msg : deferred) dispatch_control(msg);
 
   bool all_ok = outstanding == 0;
   for (const auto& f : fetches) all_ok = all_ok && f.ok;

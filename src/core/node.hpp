@@ -9,7 +9,8 @@
 //   * the data-plane workers that per packet: apply piggybacked logs, do
 //     tail duty (strip + commit vector), run the packet transaction,
 //     append the new log, and forward,
-//   * a control endpoint (heartbeats, retransmissions, state fetch).
+//   * a control endpoint (heartbeats, retransmissions, state fetch, and
+//     the commit notices that prune the group's log histories).
 //
 // Ring position 0 additionally runs the Forwarder, the last position the
 // EgressBuffer.
@@ -49,6 +50,8 @@ enum CtrlMsg : std::uint32_t {
   kInit,        ///< Orchestrator -> new replica: begin recovery.
   kInitAck,
   kRecovered,   ///< New replica -> orchestrator: state recovery finished.
+  kCommitNotice,  ///< Group tail -> ring predecessor, hop by hop to the
+                  ///< head: payload = mbox id + the tail's MAX vector.
 };
 
 struct NodeStats {
@@ -244,7 +247,16 @@ class FtcNode : rt::NonCopyable {
   /// Returns entries consumed. Owner-only (or control under quiesce).
   std::size_t drain_handoff(std::uint32_t thread_id);
   void check_parked_timeouts();
+  /// Tail duty on the control plane: once the tail applier's applied count
+  /// has advanced, sends its MAX to the ring predecessor as a
+  /// kCommitNotice. Every upstream group member prunes its history with it.
+  void send_commit_notice();
   void handle_control();
+  void dispatch_control(net::Message& msg);
+  void reply_pong(const net::Message& ping);
+  /// Prunes this node's copy of the notice's store; a group member
+  /// between head and tail forwards it to its own ring predecessor.
+  void handle_commit_notice(net::Message& notice);
   void handle_init(const net::Message& req);
   void handle_fetch(const net::Message& req);
   void handle_nack(const net::Message& req);
@@ -295,8 +307,10 @@ class FtcNode : rt::NonCopyable {
   InOrderApplier* tail_applier_{nullptr};
   std::size_t burst_size_{1};                ///< cfg clamp to [1, kMaxBurst].
 
-  // Tail duty: applied-count at the last commit-vector attach.
+  // Tail duty: applied-count at the last commit-vector attach, and at the
+  // last commit notice (control thread only).
   std::atomic<std::uint64_t> last_commit_attach_{~0ULL};
+  std::uint64_t last_commit_notice_{0};
 
   // Parked packets awaiting missing piggyback logs. Node rank: held only
   // for container manipulation, but the registry's snapshot callbacks take

@@ -17,6 +17,7 @@
 #include "core/config.hpp"
 #include "core/dep_vector.hpp"
 #include "core/piggyback.hpp"
+#include "obs/registry.hpp"
 #include "state/handoff_ring.hpp"
 #include "state/shard_map.hpp"
 #include "state/txn.hpp"
@@ -39,22 +40,25 @@ struct StateHandoff {
 using StateHandoffMesh = state::HandoffMesh<StateHandoff>;
 
 /// Bounded per-store history of piggyback logs, kept for retransmission to
-/// successors; pruned by commit vectors (paper §4.1/§5.1) and bounded by
-/// capacity as a backstop for group members that never see the commit.
+/// successors; pruned by the group tail's commit vector (paper §4.1/§5.1),
+/// which reaches every group member, so the history holds only logs not yet
+/// f+1-replicated. The capacity is a memory backstop: a log evicted there
+/// can no longer serve a NACK, so each eviction bumps @p evicted.
 class LogHistory {
  public:
-  explicit LogHistory(std::size_t capacity) : capacity_(capacity) {}
+  explicit LogHistory(std::size_t capacity, obs::Counter* evicted = nullptr)
+      : capacity_(capacity), evicted_(evicted) {}
 
   void record(const PiggybackLog& log) {
     LockGuard lock(mutex_);
     logs_.push_back(log);
-    if (logs_.size() > capacity_) logs_.pop_front();
+    if (logs_.size() > capacity_) evict_oldest();
   }
 
   void record(PiggybackLog&& log) {
     LockGuard lock(mutex_);
     logs_.push_back(std::move(log));
-    if (logs_.size() > capacity_) logs_.pop_front();
+    if (logs_.size() > capacity_) evict_oldest();
   }
 
   /// Drops every log covered by @p commit.
@@ -81,7 +85,13 @@ class LogHistory {
   }
 
  private:
+  void evict_oldest() SFC_REQUIRES(mutex_) {
+    logs_.pop_front();
+    if (evicted_ != nullptr) evicted_->inc();
+  }
+
   const std::size_t capacity_;
+  obs::Counter* const evicted_;
   mutable Mutex mutex_{ranks::kLeaf, "ftc.log_history"};
   std::deque<PiggybackLog> logs_ SFC_GUARDED_BY(mutex_);
 };
@@ -91,11 +101,12 @@ class LogHistory {
 /// this head has emitted.
 class HeadStore : rt::NonCopyable {
  public:
-  HeadStore(MboxId mbox, const ChainConfig& cfg)
+  HeadStore(MboxId mbox, const ChainConfig& cfg,
+            obs::Counter* history_evicted = nullptr)
       : mbox_(mbox),
         store_(cfg.num_partitions),
         txn_ctx_(store_),
-        history_(cfg.history_capacity) {}
+        history_(cfg.history_capacity, history_evicted) {}
 
   MboxId mbox() const noexcept { return mbox_; }
   state::StateStore& store() noexcept { return store_; }
@@ -142,10 +153,11 @@ class HeadStore : rt::NonCopyable {
 /// partial order defined by dependency vectors (paper §4.3, Fig. 3).
 class InOrderApplier : rt::NonCopyable {
  public:
-  InOrderApplier(MboxId mbox, const ChainConfig& cfg)
+  InOrderApplier(MboxId mbox, const ChainConfig& cfg,
+                 obs::Counter* history_evicted = nullptr)
       : mbox_(mbox),
         store_(cfg.num_partitions),
-        history_(cfg.history_capacity) {}
+        history_(cfg.history_capacity, history_evicted) {}
 
   MboxId mbox() const noexcept { return mbox_; }
   state::StateStore& store() noexcept { return store_; }

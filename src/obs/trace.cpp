@@ -13,7 +13,6 @@ const char* to_string(Event e) noexcept {
     case Event::kNackSent: return "nack_sent";
     case Event::kNackServed: return "nack_served";
     case Event::kNackApplied: return "nack_applied";
-    case Event::kCommitAttach: return "commit_attach";
     case Event::kFailure: return "failure";
     case Event::kFailureDetected: return "failure_detected";
     case Event::kRecoverySpawn: return "recovery_spawn";

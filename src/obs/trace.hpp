@@ -1,11 +1,11 @@
 // Observability: bounded per-node protocol event trace.
 //
 // A fixed-capacity ring of typed events (park/unpark, NACK sent/served,
-// commit-vector attach, failure, recovery phases) with timestamps, so
-// protocol tests and post-mortems can assert event *sequences* rather
-// than only counts. Events are protocol-rate (loss, recovery, idle
-// propagation), not per-packet, so a mutex-protected ring is cheap enough
-// and keeps snapshots consistent.
+// failure, recovery phases) with timestamps, so protocol tests and
+// post-mortems can assert event *sequences* rather than only counts.
+// Events are protocol-rate (loss, recovery, idle propagation), not
+// per-packet, so a mutex-protected ring is cheap enough and keeps
+// snapshots consistent.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +24,6 @@ enum class Event : std::uint8_t {
   kNackSent,           ///< a = mbox, b = target node.
   kNackServed,         ///< a = mbox, b = logs shipped.
   kNackApplied,        ///< a = mbox, b = logs applied from the response.
-  kCommitAttach,       ///< a = mbox, b = applied count at attach.
   kFailure,            ///< Node crash-stopped (fail-stop). a = node id.
   kFailureDetected,    ///< Orchestrator: a = node id, b = position.
   kRecoverySpawn,      ///< Orchestrator: a = new node id, b = position.

@@ -1,0 +1,172 @@
+// Log-history pruning (paper §4.1/§5.1): the group tail's commit vector
+// reaches every upstream group member over the control plane, so each
+// history holds only the logs not yet f+1-replicated — including heads
+// whose commits never wrap around the ring, and group members strictly
+// between head and tail. A failover then fetches that in-flight window,
+// not the capacity backstop.
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/chain.hpp"
+#include "mbox/monitor.hpp"
+#include "orch/orchestrator.hpp"
+#include "tgen/traffic.hpp"
+#include "wait_until.hpp"
+
+namespace sfc::ftc {
+namespace {
+
+using namespace std::chrono_literals;
+using test::wait_until;
+
+/// Far below the default history capacity (65,536): a history above it
+/// did not prune.
+constexpr std::size_t kWindow = 4096;
+
+ChainRuntime::Spec monitor_chain(std::size_t len, std::uint32_t f) {
+  ChainRuntime::Spec spec;
+  spec.mode = ChainMode::kFtc;
+  spec.cfg.f = f;
+  spec.cfg.threads_per_node = 1;
+  spec.cfg.pool_packets = 2048;
+  spec.cfg.propagate_interval_ns = 100'000;
+  for (std::size_t i = 0; i < len; ++i) {
+    spec.mbox_factories.push_back([]() -> std::unique_ptr<mbox::Middlebox> {
+      return std::make_unique<mbox::Monitor>(1);
+    });
+  }
+  return spec;
+}
+
+std::uint64_t count_of(state::StateStore& store, FtcNode* head_node) {
+  auto* monitor = dynamic_cast<mbox::Monitor*>(head_node->middlebox());
+  const auto v = store.get(monitor->counter_key(0));
+  return v ? v->as<std::uint64_t>() : 0;
+}
+
+/// Drives @p packets through the chain at full speed, then waits until
+/// nothing is in flight.
+void run_traffic(ChainRuntime& chain, std::uint64_t packets) {
+  tgen::Workload w;
+  tgen::TrafficSource source(chain.pool(), chain.ingress(), w);
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+  source.start();
+  const bool delivered =
+      wait_until([&] { return sink.packets_received() >= packets; }, 60s);
+  source.stop();
+  const bool quiesced = wait_until([&] { return chain.quiescent(); }, 15s);
+  sink.stop();
+  ASSERT_TRUE(delivered) << "delivered " << sink.packets_received() << " of "
+                         << packets;
+  ASSERT_TRUE(quiesced) << "chain never quiesced";
+}
+
+/// Largest history any live store of the chain holds.
+std::size_t largest_history(ChainRuntime& chain) {
+  std::size_t largest = 0;
+  for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
+    FtcNode* node = chain.ftc_node(pos);
+    if (node->head() != nullptr) {
+      largest = std::max(largest, node->head()->history().size());
+    }
+    for (std::uint32_t m = 0; m < chain.num_mboxes(); ++m) {
+      if (InOrderApplier* a = node->applier(m)) {
+        largest = std::max(largest, a->history().size());
+      }
+    }
+  }
+  return largest;
+}
+
+std::vector<obs::Sample> samples_named(ChainRuntime& chain,
+                                       const std::string& name) {
+  std::vector<obs::Sample> out;
+  for (auto& s : chain.registry().snapshot()) {
+    if (s.name == name) out.push_back(std::move(s));
+  }
+  return out;
+}
+
+void expect_every_history_prunes(std::size_t len, std::uint32_t f) {
+  ChainRuntime chain(monitor_chain(len, f));
+  chain.start();
+  run_traffic(chain, 50'000);
+  // The last commit notices ride the control plane after the data path
+  // went quiet.
+  EXPECT_TRUE(wait_until([&] { return largest_history(chain) <= kWindow; }, 10s))
+      << "a history kept " << largest_history(chain) << " logs";
+  // One gauge and one eviction counter per store: a head and f appliers
+  // per position.
+  const auto logs = samples_named(chain, "state.history_logs");
+  const auto evicted = samples_named(chain, "state.history_evicted");
+  EXPECT_EQ(logs.size(), len * (f + 1));
+  EXPECT_EQ(evicted.size(), len * (f + 1));
+  for (const auto& s : logs) EXPECT_LE(s.value, static_cast<double>(kWindow));
+  for (const auto& s : evicted) EXPECT_EQ(s.value, 0.0);
+  chain.stop();
+}
+
+TEST(HistoryPruning, EveryHistoryOfAMonitorChainPrunes) {
+  // Heads 0 and 1 never see their tail's commit on the data path (it does
+  // not wrap), so without the commit notice they kept every log.
+  expect_every_history_prunes(3, 1);
+}
+
+TEST(HistoryPruning, MiddleGroupMembersPruneAtF2) {
+  // f=2: the member strictly between head and tail forwards the notice.
+  expect_every_history_prunes(4, 2);
+}
+
+TEST(HistoryPruning, FailoverFetchesOnlyTheInFlightWindow) {
+  ChainRuntime chain(monitor_chain(3, 1));
+  chain.start();
+  orch::Orchestrator orch(chain);
+  run_traffic(chain, 50'000);
+
+  chain.fail_position(1);
+  const auto reports = orch.recover({1});
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_TRUE(reports[0].success);
+
+  // The replacement's stores came from head 0 (its applier) and from
+  // node 2's applier (its head): both hold only unreplicated logs.
+  FtcNode* fresh = chain.ftc_node(1);
+  EXPECT_LE(fresh->head()->history().size(), kWindow);
+  ASSERT_NE(fresh->applier(0), nullptr);
+  EXPECT_LE(fresh->applier(0)->history().size(), kWindow);
+
+  // Replication stays exact on the pruned histories.
+  run_traffic(chain, 2'000);
+  for (std::uint32_t m = 0; m < 3; ++m) {
+    FtcNode* head_node = chain.ftc_node(m);
+    FtcNode* replica = chain.ftc_node((m + 1) % chain.ring_size());
+    ASSERT_NE(replica->applier(m), nullptr);
+    EXPECT_EQ(count_of(replica->applier(m)->store(), head_node),
+              count_of(head_node->head()->store(), head_node))
+        << "mbox " << m;
+  }
+  EXPECT_GE(count_of(fresh->head()->store(), fresh), 50'000u);
+  chain.stop();
+}
+
+TEST(ProtocolTrace, LosslessTrafficEmitsNoPerPacketEvents) {
+  // The event trace is a protocol-rate ring: on a lossless chain nothing
+  // parks, NACKs or recovers, so it stays (nearly) empty however many
+  // packets flow.
+  ChainRuntime chain(monitor_chain(3, 1));
+  chain.start();
+  run_traffic(chain, 20'000);
+  for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
+    EXPECT_LT(chain.ftc_node(pos)->trace().total_emitted(), 64u)
+        << "position " << pos;
+  }
+  chain.stop();
+}
+
+}  // namespace
+}  // namespace sfc::ftc

@@ -129,19 +129,19 @@ TEST(EventTrace, RingWrapsAndKeepsNewest) {
 TEST(EventTrace, ContainsSequenceMatchesSubsequences) {
   EventTrace trace;
   trace.emit(Event::kPacketParked);
-  trace.emit(Event::kCommitAttach);
+  trace.emit(Event::kNackServed);
   trace.emit(Event::kNackSent);
   trace.emit(Event::kPacketUnparked);
   EXPECT_TRUE(trace.contains_sequence(
       {Event::kPacketParked, Event::kNackSent, Event::kPacketUnparked}));
-  EXPECT_TRUE(trace.contains_sequence({Event::kCommitAttach}));
+  EXPECT_TRUE(trace.contains_sequence({Event::kNackServed}));
   // Order matters.
   EXPECT_FALSE(trace.contains_sequence(
       {Event::kPacketUnparked, Event::kPacketParked}));
   EXPECT_FALSE(trace.contains_sequence({Event::kFailure}));
   trace.clear();
   EXPECT_TRUE(trace.snapshot().empty());
-  EXPECT_FALSE(trace.contains_sequence({Event::kCommitAttach}));
+  EXPECT_FALSE(trace.contains_sequence({Event::kNackServed}));
 }
 
 TEST(Export, JsonContainsMetricsAndTraces) {

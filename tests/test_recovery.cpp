@@ -10,9 +10,12 @@
 #include "mbox/nat.hpp"
 #include "orch/orchestrator.hpp"
 #include "tgen/traffic.hpp"
+#include "wait_until.hpp"
 
 namespace sfc::orch {
 namespace {
+
+using namespace std::chrono_literals;
 
 using ftc::ChainMode;
 using ftc::ChainRuntime;
@@ -183,6 +186,25 @@ TEST(Recovery, HeartbeatMonitorDetectsAndRecovers) {
   source.stop();
   sink.stop();
   orch.stop();
+  chain.stop();
+}
+
+TEST(Recovery, HeartbeatMonitorKeepsLiveNodes) {
+  // A ping round on every monitor pass: pongs keep arriving while the
+  // monitor absorbs them, and none of them may make a live node look
+  // silent.
+  ChainRuntime chain(monitor_chain(3));
+  chain.start();
+  OrchestratorConfig cfg;
+  cfg.heartbeat_interval_ns = 0;
+  cfg.failure_timeout_ns = 5'000'000'000;
+  Orchestrator orch(chain, cfg);
+  orch.start();
+  const auto& pings =
+      chain.registry().counter("orch.pings_sent", {{"node", "orch"}});
+  EXPECT_TRUE(test::wait_until([&] { return pings.value() >= 600; }, 30s));
+  orch.stop();
+  EXPECT_EQ(orch.failures_detected(), 0u);
   chain.stop();
 }
 
@@ -450,6 +472,71 @@ TEST(Recovery, WanDelaysDominateRecoveryTime) {
   EXPECT_LT(reports[0].rerouting_ns, reports[0].initialization_ns);
   // And the state survived the WAN trip intact.
   EXPECT_EQ(monitor_count(chain.ftc_node(1)), count1);
+
+  sink.stop();
+  chain.stop();
+}
+
+TEST(Recovery, AnswersPingsDuringStateFetch) {
+  // A replica fetching state still answers heartbeats: a ping lost while
+  // the fetch is in flight would make the monitor suspect a live node.
+  // The fetch sources sit behind a WAN delay, so the fetch is still
+  // outstanding when the ping arrives.
+  constexpr std::uint64_t kFetchOneWayNs = 300'000'000;
+  constexpr net::NodeId kProbe = 0xfffffff0;
+  ChainRuntime chain(monitor_chain(3));
+  chain.start();
+  tgen::Workload w;
+  tgen::TrafficSource source(chain.pool(), chain.ingress(), w, 30'000.0);
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+  source.start();
+  pump(chain, source, sink, 500);
+  source.stop();
+  quiesce(chain);
+  const std::uint64_t pre_failure_count = monitor_count(chain.ftc_node(1));
+
+  auto& ctrl = chain.control();
+  ctrl.register_node(kProbe);
+  chain.fail_position(1);
+  FtcNode* fresh = chain.spawn_replacement(1);
+  const auto sources = chain.recovery_sources(1);
+  net::Message init;
+  init.type = ftc::CtrlMsg::kInit;
+  init.from = kProbe;
+  init.to = fresh->id();
+  const auto put = [&init](std::uint32_t v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    init.payload.insert(init.payload.end(), p, p + 4);
+  };
+  put(static_cast<std::uint32_t>(sources.size()));
+  for (const auto& [mbox, node] : sources) {
+    ctrl.set_delay(fresh->id(), node, kFetchOneWayNs);
+    put(mbox);
+    put(node);
+  }
+  ctrl.send(std::move(init));
+  ASSERT_TRUE(ctrl.wait_for(kProbe, ftc::CtrlMsg::kInitAck, 5'000'000'000));
+
+  net::Message ping;
+  ping.type = ftc::CtrlMsg::kPing;
+  ping.from = kProbe;
+  ping.to = fresh->id();
+  ping.tag = 42;
+  ctrl.send(std::move(ping));
+  const auto pong = ctrl.wait_for(kProbe, ftc::CtrlMsg::kPong, 5'000'000'000);
+  ASSERT_TRUE(pong.has_value()) << "ping lost during the state fetch";
+  EXPECT_EQ(pong->tag, 42u);
+  // The pong came back while the fetch was still in flight.
+  EXPECT_FALSE(ctrl.wait_for(kProbe, ftc::CtrlMsg::kRecovered, 0));
+
+  const auto done =
+      ctrl.wait_for(kProbe, ftc::CtrlMsg::kRecovered, 10'000'000'000);
+  ASSERT_TRUE(done.has_value());
+  ASSERT_FALSE(done->payload.empty());
+  EXPECT_EQ(done->payload[0], 1);
+  chain.wire_replacement(1, fresh);
+  EXPECT_EQ(monitor_count(fresh), pre_failure_count);
 
   sink.stop();
   chain.stop();

@@ -1,0 +1,31 @@
+// Test synchronization: poll a condition until it holds or a deadline
+// passes, instead of sleeping for a fixed time and hoping.
+#pragma once
+
+#include <chrono>
+#include <cstdint>
+#include <thread>
+
+#include "runtime/clock.hpp"
+
+namespace sfc::test {
+
+/// Polls @p pred every @p poll until it returns true or @p timeout
+/// elapses. Returns the observation that ended the wait, so callers assert
+/// that one rather than a second, racing read:
+///   ASSERT_TRUE(wait_until([&] { return chain.quiescent(); }, 15s))
+///       << "chain never quiesced";
+template <typename Pred>
+bool wait_until(Pred&& pred, std::chrono::milliseconds timeout,
+                std::chrono::microseconds poll = std::chrono::milliseconds(1)) {
+  const std::uint64_t deadline =
+      rt::now_ns() + static_cast<std::uint64_t>(
+                         std::chrono::nanoseconds(timeout).count());
+  for (;;) {
+    if (pred()) return true;
+    if (rt::now_ns() >= deadline) return false;
+    std::this_thread::sleep_for(poll);
+  }
+}
+
+}  // namespace sfc::test
