@@ -69,10 +69,13 @@ void EgressBuffer::flush_releases_locked() {
   if (n_stage_ == 0) return;
   // The egress link is drained by the measurement sink; block rather than
   // lose a released packet. One bulk send covers the common case; only
-  // stragglers (egress momentarily full) fall back to blocking sends.
+  // stragglers (egress momentarily full) fall back to blocking sends, and
+  // a send that still fails (the sink stopped) frees its packet.
   const std::size_t sent = egress_.send_burst({release_stage_, n_stage_});
   for (std::size_t i = sent; i < n_stage_; ++i) {
-    egress_.send_blocking(release_stage_[i]);
+    if (!egress_.send_blocking(release_stage_[i])) {
+      pool_.free_raw(release_stage_[i]);
+    }
   }
   released_->add(n_stage_);
   n_stage_ = 0;

@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include <thread>
 
 #include "obs/span.hpp"
+#include "runtime/clock.hpp"
 
 namespace sfc::ftc {
+
+namespace {
+
+/// How long quiescent() waits for a node's in-flight token to drop before
+/// naming it the blocker. An empty poll holds it for well under this.
+constexpr std::uint64_t kInFlightWaitNs = 1'000'000;
+
+}  // namespace
 
 ChainRuntime::ChainRuntime(Spec spec) : spec_(std::move(spec)) {
   assert(!spec_.mbox_factories.empty());
@@ -37,6 +45,12 @@ ChainRuntime::ChainRuntime(Spec spec) : spec_(std::move(spec)) {
   });
   registry_.gauge_fn("pool.alloc_failures", {{"pool", "internal"}}, [this] {
     return static_cast<double>(internal_pool_->alloc_failures());
+  });
+  registry_.gauge_fn("pool.carved", {{"pool", "data"}}, [this] {
+    return static_cast<double>(pool_->carved());
+  });
+  registry_.gauge_fn("pool.carved", {{"pool", "internal"}}, [this] {
+    return static_cast<double>(internal_pool_->carved());
   });
 
   switch (spec_.mode) {
@@ -186,61 +200,101 @@ std::uint64_t ChainRuntime::egress_packets() const noexcept {
   return egress_link_ ? egress_link_->stats().sent : 0;
 }
 
-bool ChainRuntime::quiescent() {
-  static const bool dbg = std::getenv("FTC_QUIESCE_DEBUG") != nullptr;
-  for (auto& link : links_) {
-    if (!link->drained()) {
-      if (dbg) std::fprintf(stderr, "[quiesce] link not drained\n");
-      return false;
+std::string QuiescenceReport::to_string() const {
+  const std::string pos = std::to_string(position);
+  const std::string n = std::to_string(count);
+  switch (blocker) {
+    case Blocker::kNone:
+      return "quiescent";
+    case Blocker::kLink:
+      return "link " + pos + ": " + n + " queued";
+    case Blocker::kFtmbLink:
+      return "ftmb link " + pos + ": " + n + " queued";
+    case Blocker::kFeedback:
+      return "feedback: " + n + " pending";
+    case Blocker::kBuffer:
+      return "buffer: " + n + " held";
+    case Blocker::kParked:
+      return "node pos " + pos + ": " + n + " parked";
+    case Blocker::kHandoff:
+      return "node pos " + pos + ": handoff pending";
+    case Blocker::kInFlight:
+      return "node pos " + pos + ": " + n + " bursts in flight";
+    case Blocker::kProgress:
+      return "progress: " + n + " bursts finished during the check";
+  }
+  return "unknown";
+}
+
+QuiescenceReport ChainRuntime::quiescent() {
+  using Blocker = QuiescenceReport::Blocker;
+  const auto queued = [](const net::Port& port) {
+    const net::LinkStats st = port.stats();
+    const std::uint64_t out = st.delivered + st.dropped_loss;
+    return st.sent > out ? st.sent - out : 0;
+  };
+  // Which node serves each position and how many bursts it has finished.
+  // Read before and after the scan: a burst that finished in between moved
+  // work, possibly into a place the scan had already passed.
+  const auto collect = [this] {
+    std::vector<std::pair<FtcNode*, std::uint64_t>> done;
+    done.reserve(ftc_at_.size());
+    for (auto& slot : ftc_at_) {
+      FtcNode* node = slot.load(std::memory_order_acquire);
+      done.emplace_back(node, node != nullptr ? node->bursts_done() : 0);
+    }
+    return done;
+  };
+  const auto before = collect();
+
+  for (std::uint32_t i = 0; i < links_.size(); ++i) {
+    if (!links_[i]->drained()) return {Blocker::kLink, i, queued(*links_[i])};
+  }
+  for (std::uint32_t i = 0; i < ftmb_links_.size(); ++i) {
+    if (!ftmb_links_[i]->drained()) {
+      return {Blocker::kFtmbLink, i, queued(*ftmb_links_[i])};
     }
   }
-  for (auto& link : ftmb_links_) {
-    if (!link->drained()) return false;
-  }
   if (feedback_ && feedback_->pending_approx() != 0) {
-    if (dbg)
-      std::fprintf(stderr, "[quiesce] feedback pending=%zu\n",
-                   feedback_->pending_approx());
-    return false;
+    return {Blocker::kFeedback, 0, feedback_->pending_approx()};
   }
   if (buffer_ && buffer_->held_count() != 0) {
-    if (dbg)
-      std::fprintf(stderr, "[quiesce] buffer held=%zu\n",
-                   buffer_->held_count());
-    return false;
+    return {Blocker::kBuffer, 0, buffer_->held_count()};
   }
-  for (auto& slot : ftc_at_) {
-    FtcNode* node = slot.load(std::memory_order_acquire);
-    if (node != nullptr && node->parked_count() != 0) {
-      if (dbg)
-        std::fprintf(stderr, "[quiesce] node pos=%u parked=%zu\n",
-                     node->position(), node->parked_count());
-      return false;
+  for (std::uint32_t pos = 0; pos < ftc_at_.size(); ++pos) {
+    FtcNode* node = ftc_at_[pos].load(std::memory_order_acquire);
+    if (node == nullptr) continue;
+    if (const std::size_t parked = node->parked_count(); parked != 0) {
+      return {Blocker::kParked, pos, parked};
     }
     // Shard mode: a cross-shard portion sitting in a handoff ring counted
     // as applied at classification, but its writes reach the store only at
     // the owner's drain.
-    if (node != nullptr && node->handoff_pending()) {
-      if (dbg)
-        std::fprintf(stderr, "[quiesce] node pos=%u handoff pending\n",
-                     node->position());
-      return false;
-    }
+    if (node->handoff_pending()) return {Blocker::kHandoff, pos, 1};
     // A burst a worker has popped but not finished is in no link queue yet
     // still carries unapplied logs; likewise parked packets or handoff
     // portions a drain has taken out. Workers raise the token before they
     // take anything, so checked after the links, the parked list and the
-    // handoff rings, a token observed as zero means the work is back
-    // somewhere visible or done.
-    if (node != nullptr && node->bursts_in_flight() != 0) {
-      if (dbg)
-        std::fprintf(stderr, "[quiesce] node pos=%u bursts_in_flight=%zu\n",
-                     node->position(),
-                     static_cast<std::size_t>(node->bursts_in_flight()));
-      return false;
+    // handoff rings, a raised token may hide work. An idle worker raises
+    // it around every empty poll too, so wait for it to drop: work it held
+    // shows up below as a finished burst, an empty poll leaves no trace.
+    const std::uint64_t give_up = rt::now_ns() + kInFlightWaitNs;
+    while (const std::uint32_t held = node->bursts_in_flight()) {
+      if (rt::now_ns() > give_up) return {Blocker::kInFlight, pos, held};
+      std::this_thread::yield();
     }
   }
-  return true;
+  const auto after = collect();
+  std::uint64_t moved = 0;
+  for (std::size_t pos = 0; pos < before.size(); ++pos) {
+    if (before[pos].first != after[pos].first) {
+      // Rewired mid-check: the new node's history is not comparable.
+      return {Blocker::kProgress, static_cast<std::uint32_t>(pos), 1};
+    }
+    moved += after[pos].second - before[pos].second;
+  }
+  if (moved != 0) return {Blocker::kProgress, 0, moved};
+  return {};
 }
 
 void ChainRuntime::fail_position(std::uint32_t position) {

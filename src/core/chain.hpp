@@ -15,6 +15,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/buffer.hpp"
@@ -32,6 +33,29 @@ namespace sfc::ftc {
 /// Span-site link id of the chain's egress link (segments use their ring
 /// position). High enough to clear any realistic chain length.
 constexpr std::uint32_t kEgressLinkSite = 1000;
+
+/// What ChainRuntime::quiescent() found: the first place still holding
+/// replication work, or nothing. Converts to true when quiescent.
+struct QuiescenceReport {
+  enum class Blocker : std::uint8_t {
+    kNone,
+    kLink,       ///< Segment `position` (it feeds that ring position) holds packets.
+    kFtmbLink,   ///< FTMB logger<->master link `position` holds packets.
+    kFeedback,   ///< Feedback records wait for the forwarder.
+    kBuffer,     ///< The egress buffer holds packets for commits.
+    kParked,     ///< The node at `position` has parked packets.
+    kHandoff,    ///< The node at `position` has undrained handoff portions.
+    kInFlight,   ///< A worker at `position` kept a burst in its hands.
+    kProgress,   ///< Bursts finished while the check ran (`count` of them).
+  };
+  Blocker blocker{Blocker::kNone};
+  std::uint32_t position{0};
+  std::uint64_t count{0};
+
+  explicit operator bool() const noexcept { return blocker == Blocker::kNone; }
+  /// One line naming the blocker, e.g. "node pos 1: 3 parked".
+  std::string to_string() const;
+};
 
 class ChainRuntime : rt::NonCopyable {
  public:
@@ -102,10 +126,14 @@ class ChainRuntime : rt::NonCopyable {
   /// the chain as the paper measures it: packets leaving the chain).
   std::uint64_t egress_packets() const noexcept;
 
-  /// True when no replication work is pending anywhere: all data links
-  /// drained, no buffered holds, no feedback awaiting dissemination, no
-  /// parked packets. Used by tests to know state has fully converged.
-  bool quiescent();
+  /// Quiescent (converts to true) when no replication work is pending
+  /// anywhere: all data links drained, no buffered holds, no feedback
+  /// awaiting dissemination, no parked packets or handoff portions, no
+  /// burst in a worker's hands. Otherwise names the first blocker. The
+  /// check double-collects every node's bursts_done() around the scan, so
+  /// work that moved from an unchecked place into a checked one while the
+  /// scan ran is not missed. Used by tests to know state has converged.
+  QuiescenceReport quiescent();
 
   // --- Failure injection & recovery plumbing (FTC mode). ---
   /// Crash-stops the node at @p position (fail-stop, paper §2).

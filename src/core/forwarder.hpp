@@ -25,6 +25,7 @@
 #include "runtime/clock.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/small_vector.hpp"
+#include "runtime/worker.hpp"
 
 namespace sfc::ftc {
 
@@ -53,7 +54,12 @@ class FeedbackChannel : rt::NonCopyable {
 
   void push(FeedbackLogs&& logs) {
     // The channel must not lose state: if the consumer lags, spin-yield.
-    while (!queue_.try_push(std::move(logs))) std::this_thread::yield();
+    // A worker being stopped gives up instead: the head may already have
+    // stopped, and then nothing will ever drain the channel.
+    while (!queue_.try_push(std::move(logs))) {
+      if (rt::stop_requested()) return;
+      std::this_thread::yield();
+    }
   }
 
   /// Returns records a collect could not fit; they leave first next time.

@@ -241,6 +241,11 @@ std::uint32_t FtcNode::tail_of() const noexcept {
   return m < num_mboxes_ && m != position_ ? m : ring_size_;
 }
 
+void FtcNode::end_in_flight(bool took_work) noexcept {
+  if (took_work) bursts_done_.fetch_add(1);
+  bursts_in_flight_.fetch_sub(1);
+}
+
 bool FtcNode::replicates(MboxId mbox) const noexcept {
   return appliers_.count(mbox) != 0;
 }
@@ -329,7 +334,7 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
       // Its logs may be what a parked packet waits for, and no burst may
       // follow on an idle chain.
       if (parked_size_.load(std::memory_order_acquire) != 0) drain_parked();
-      bursts_in_flight_.fetch_sub(1);
+      end_in_flight(true);
       did_work = true;
     }
   }
@@ -420,7 +425,7 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
       did_work = true;
     }
     b.prof.finish(got);
-    bursts_in_flight_.fetch_sub(1);
+    end_in_flight(got != 0);
   }
 
   // Idle duties in shard mode: portions queued for this shard by other
@@ -435,7 +440,7 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
     const bool popping = handoff_mesh_->pending(thread_id);
     if (popping) bursts_in_flight_.fetch_add(1);
     if (drain_handoff(thread_id) != 0) did_work = true;
-    if (popping) bursts_in_flight_.fetch_sub(1);
+    if (popping) end_in_flight(true);
     if (parked_size_.load(std::memory_order_acquire) != 0) {
       drain_parked();
     }
@@ -855,6 +860,7 @@ void FtcNode::drain_parked() {
   // hold the in-flight token so quiescence checks see them (the idle and
   // NACK-response drains run outside any polled burst).
   bursts_in_flight_.fetch_add(1);
+  bool took = false;
 
   for (;;) {
     std::vector<Parked> candidates;
@@ -864,6 +870,7 @@ void FtcNode::drain_parked() {
       candidates.swap(parked_);
       parked_size_.store(0, std::memory_order_release);
     }
+    took = true;
     bool progress = false;
     std::vector<Parked> still_blocked;
     for (auto& parked : candidates) {
@@ -895,7 +902,7 @@ void FtcNode::drain_parked() {
     }
     if (!progress) break;
   }
-  bursts_in_flight_.fetch_sub(1);
+  end_in_flight(took);
   draining = false;
 }
 

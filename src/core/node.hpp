@@ -173,6 +173,13 @@ class FtcNode : rt::NonCopyable {
   std::uint32_t bursts_in_flight() const noexcept {
     return bursts_in_flight_.load(std::memory_order_acquire);
   }
+  /// Bursts finished that held something (packets, parked work, handoff
+  /// portions); empty polls do not count. Bumped before the in-flight
+  /// token drops, so a quiescence check that reads it before and after
+  /// sees any work that moved while it looked elsewhere.
+  std::uint64_t bursts_done() const noexcept {
+    return bursts_done_.load(std::memory_order_acquire);
+  }
   /// True while any cross-shard handoff ring holds an un-drained portion
   /// (shard-affine mode). Quiescence checks must consult this: an enqueued
   /// portion's log counted as applied at classification but its writes
@@ -261,6 +268,9 @@ class FtcNode : rt::NonCopyable {
   void handle_fetch(const net::Message& req);
   void handle_nack(const net::Message& req);
   void handle_nack_resp(const net::Message& resp);
+  /// Lowers the in-flight token raised before taking work, counting a
+  /// finished burst first when @p took_work.
+  void end_in_flight(bool took_work) noexcept;
   bool replicates(MboxId mbox) const noexcept;
   void quiesce_and(const std::function<void()>& fn);
 
@@ -331,6 +341,7 @@ class FtcNode : rt::NonCopyable {
   std::atomic<bool> quiesced_{false};
   std::atomic<int> active_workers_{0};
   std::atomic<std::uint32_t> bursts_in_flight_{0};
+  std::atomic<std::uint64_t> bursts_done_{0};
 
   // Stats / observability.
   rt::Meter meter_;

@@ -6,6 +6,7 @@
 #include "obs/prof.hpp"
 #include "obs/span.hpp"
 #include "runtime/clock.hpp"
+#include "runtime/worker.hpp"
 
 namespace sfc::net {
 namespace {
@@ -121,7 +122,7 @@ bool Link::send_blocking(pkt::Packet* p, std::uint64_t timeout_ns) {
   const std::uint64_t deadline = rt::now_ns() + timeout_ns;
   std::uint64_t retries = 0;
   for (unsigned backoff = 1; !send(p); backoff = std::min(backoff * 2, 1024u)) {
-    if (rt::now_ns() > deadline) {
+    if (rt::now_ns() > deadline || rt::stop_requested()) {
       send_retries_->add(retries);
       obs::prof_count(obs::ProfCounter::kSendRetry, retries);
       return false;

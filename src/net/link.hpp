@@ -58,7 +58,8 @@ class Port : rt::NonCopyable {
   virtual bool send(pkt::Packet* p) = 0;
 
   /// Sends with bounded retry/backoff; false (caller keeps ownership)
-  /// only if the port stayed full for @p timeout_ns.
+  /// only if the port stayed full for @p timeout_ns, or the calling
+  /// Worker was asked to stop while it waited (rt::stop_requested).
   virtual bool send_blocking(pkt::Packet* p,
                              std::uint64_t timeout_ns = 1'000'000'000) = 0;
 

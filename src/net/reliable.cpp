@@ -5,6 +5,7 @@
 
 #include "obs/prof.hpp"
 #include "runtime/clock.hpp"
+#include "runtime/worker.hpp"
 
 namespace sfc::net {
 namespace {
@@ -495,7 +496,7 @@ bool ReliableChannel::send_blocking(pkt::Packet* p, std::uint64_t timeout_ns) {
   for (unsigned backoff = 1; !send(p);
        backoff = std::min(backoff * 2, 1024u)) {
     ++retries;
-    if (rt::now_ns() > deadline) {
+    if (rt::now_ns() > deadline || rt::stop_requested()) {
       obs::prof_count(obs::ProfCounter::kSendRetry, retries);
       return false;
     }

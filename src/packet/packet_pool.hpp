@@ -11,14 +11,23 @@
 // recycles a cache-warm packet with zero shared-CAS traffic, and the CAS
 // storm of W workers all freeing into one queue head disappears. Magazines
 // overflow to the global list in bulk, and allocation falls back
-// magazine → global → cold sweep of every magazine, so no packet is ever
-// stranded.
+// magazine → global → carve → cold sweep of every magazine, so no packet
+// is ever stranded.
+//
+// The slab is reserved as raw storage and each slot is constructed the
+// first time it is handed out (a bump index, `carve`). A chain that only
+// ever circulates a few hundred packets therefore never faults in the
+// rest of the slab, and building a pool costs no per-packet work. The
+// uncarved tail plays the part of a pre-filled global list, so exhaustion
+// (every slot carved, none free) is unchanged.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "packet/packet.hpp"
@@ -49,12 +58,19 @@ class PacketPool : rt::NonCopyable {
 
   std::size_t capacity() const noexcept { return capacity_; }
 
-  /// Approximate number of packets currently available (global free list
-  /// plus every thread magazine).
+  /// Approximate number of packets currently available (global free list,
+  /// every thread magazine and the slots not yet carved).
   std::size_t available_approx() const noexcept {
-    std::size_t n = free_list_.size_approx();
+    std::size_t n = free_list_.size_approx() + (capacity_ - carved());
     for (const auto& m : magazines_) n += m.q.size_approx();
     return n;
+  }
+
+  /// Slots ever handed out: the pool's working set, which a chain that
+  /// keeps up with its load holds far below capacity (exported as
+  /// `pool.carved`).
+  std::size_t carved() const noexcept {
+    return carved_.load(std::memory_order_relaxed);
   }
 
   /// True if @p p was allocated from this pool (debug aid).
@@ -95,15 +111,30 @@ class PacketPool : rt::NonCopyable {
     rt::MpmcQueue<Packet*> q{kMagazineCapacity};
   };
 
+  /// Frees the slab's raw storage. No destructor runs: packets are
+  /// trivially destructible.
+  struct SlabDeleter {
+    void operator()(Packet* slab) const noexcept {
+      ::operator delete[](slab, std::align_val_t{alignof(Packet)});
+    }
+  };
+  static_assert(std::is_trivially_destructible_v<Packet>,
+                "the slab frees carved packets without destroying them");
+
   /// Magazine slot for the calling thread.
   Magazine& my_magazine() noexcept;
+
+  /// Constructs the next never-used slot; nullptr once all are carved.
+  Packet* carve() noexcept;
 
   /// Pushes @p p to the global free list, retrying transient "full"
   /// reports (the pool can never truly exceed capacity).
   void push_global(Packet* p) noexcept;
 
   const std::size_t capacity_;
-  std::unique_ptr<Packet[]> slab_;
+  /// Raw storage for capacity_ packets; slots [0, carved_) hold packets.
+  std::unique_ptr<Packet, SlabDeleter> slab_;
+  std::atomic<std::size_t> carved_{0};
   rt::MpmcQueue<Packet*> free_list_;
   std::vector<Magazine> magazines_{kMagazines};
   std::atomic<std::uint64_t> free_retries_{0};

@@ -7,6 +7,7 @@ namespace sfc::rt {
 namespace {
 thread_local std::string t_worker_name;
 thread_local std::uint32_t t_shard = kNoShard;
+thread_local const std::atomic<bool>* t_stop_flag = nullptr;
 }
 
 std::string_view current_worker_name() noexcept { return t_worker_name; }
@@ -14,6 +15,10 @@ std::string_view current_worker_name() noexcept { return t_worker_name; }
 std::uint32_t current_shard() noexcept { return t_shard; }
 
 void set_current_shard(std::uint32_t shard) noexcept { t_shard = shard; }
+
+bool stop_requested() noexcept {
+  return t_stop_flag != nullptr && t_stop_flag->load(std::memory_order_acquire);
+}
 
 void poll_loop(const std::atomic<bool>& stop, const std::function<bool()>& body) {
   unsigned idle_spins = 0;
@@ -39,6 +44,7 @@ void Worker::start(std::string name, std::function<bool()> body) {
   stop_flag_.store(false);
   thread_ = std::thread([this, name = name_, body = std::move(body)]() mutable {
     t_worker_name = std::move(name);
+    t_stop_flag = &stop_flag_;
     poll_loop(stop_flag_, body);
   });
 }

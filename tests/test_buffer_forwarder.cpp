@@ -2,12 +2,19 @@
 // semantics, commit absorption, feedback, propagating packets.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "core/buffer.hpp"
 #include "core/forwarder.hpp"
 #include "packet/packet_io.hpp"
+#include "runtime/worker.hpp"
+#include "wait_until.hpp"
 
 namespace sfc::ftc {
 namespace {
+
+using namespace std::chrono_literals;
 
 constexpr std::size_t kParts = 16;
 
@@ -267,6 +274,34 @@ TEST(Forwarder, PropagatingPacketIsControlAndParseable) {
   EXPECT_TRUE(p->anno().is_control);
   EXPECT_TRUE(pkt::parse_packet(*p).has_value());
   pool.free_raw(p);
+}
+
+TEST(FeedbackChannel, BlockedPushGivesUpWhenItsWorkerStops) {
+  // The tail pushes feedback toward the head; once the head has stopped,
+  // nothing drains the channel, and the tail's stop() must still return.
+  FeedbackChannel channel(4);
+  while (channel.pending_approx() < 4) channel.push(FeedbackLogs{});
+  std::atomic<bool> blocked{false};
+  rt::Worker tail("tail", [&] {
+    blocked.store(true);
+    channel.push(FeedbackLogs{});
+    return true;
+  });
+  ASSERT_TRUE(test::wait_until([&] { return blocked.load(); }, 5s));
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    tail.stop();
+    stopped.store(true);
+  });
+  const bool in_time = test::wait_until([&] { return stopped.load(); }, 1s);
+  // A push blind to the stop flag waits for room: make some, so the test
+  // fails instead of hanging.
+  while (!stopped.load()) {
+    (void)channel.pop();
+    std::this_thread::yield();
+  }
+  stopper.join();
+  EXPECT_TRUE(in_time) << "stop() waited on a push nobody drains";
 }
 
 }  // namespace

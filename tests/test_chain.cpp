@@ -2,6 +2,10 @@
 // real traffic, state replication invariants, loss and reordering.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/chain.hpp"
@@ -9,7 +13,9 @@
 #include "mbox/gen.hpp"
 #include "mbox/monitor.hpp"
 #include "mbox/nat.hpp"
+#include "packet/packet_io.hpp"
 #include "tgen/traffic.hpp"
+#include "wait_until.hpp"
 
 namespace sfc::ftc {
 namespace {
@@ -80,18 +86,9 @@ void pump_and_wait(ChainRuntime& chain, std::uint64_t packets,
 /// Waits until the idle-propagation machinery has flushed all replication
 /// state: every buffer hold released and appliers converged.
 void wait_for_convergence(ChainRuntime& chain, std::uint64_t timeout_ns) {
-  const auto deadline = rt::now_ns() + timeout_ns;
-  while (rt::now_ns() < deadline) {
-    if (chain.quiescent()) {
-      // Re-check after a beat: a packet can be between poll() and emit()
-      // (in no queue) when we sample.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      if (chain.quiescent()) return;
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ADD_FAILURE() << "chain did not quiesce within timeout";
+  const auto q = test::wait_until([&] { return chain.quiescent(); },
+                                  std::chrono::milliseconds(timeout_ns / 1'000'000));
+  if (!q) ADD_FAILURE() << "chain did not quiesce within timeout: " << q.to_string();
 }
 
 TEST(NfChain, DeliversAllPackets) {
@@ -488,6 +485,142 @@ TEST(FtcChain, ReplicationFactorTwoGroupsSpanTwoSuccessors) {
           << "mbox " << m << " succ " << k;
     }
   }
+  chain.stop();
+}
+
+/// A UDP frame from @p chain's data pool, or nullptr when it is empty.
+pkt::Packet* udp_packet(ChainRuntime& chain, std::uint64_t id) {
+  pkt::Packet* p = chain.pool().alloc_raw();
+  if (p != nullptr) {
+    pkt::PacketBuilder(*p).udp(
+        pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 128);
+    p->anno().packet_id = id;
+    p->anno().ingress_ns = rt::now_ns();
+  }
+  return p;
+}
+
+double gauge_value(ChainRuntime& chain, std::string_view name) {
+  for (const auto& sample : chain.registry().snapshot()) {
+    if (sample.name == name) return sample.value;
+  }
+  return -1;
+}
+
+TEST(FtcChain, StopReturnsWhileTheTailWaitsOnAStoppedHead) {
+  // Teardown stops the head first. The tail then still pushes the logs
+  // bound for the head into the feedback channel, which nobody drains any
+  // more: once it is full, the tail's worker waits there, and stop() must
+  // not wait behind it.
+  auto spec = spec_for(ChainMode::kFtc, 3);
+  spec.cfg.pool_packets = 4096;
+  ChainRuntime chain(spec);
+  chain.start();
+  chain.ftc_node(0)->stop();
+  // Feed position 1 directly: every packet leaves the tail with a log for
+  // the head, one feedback hand-off each, past the channel's 1024.
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    pkt::Packet* p = udp_packet(chain, i);
+    ASSERT_NE(p, nullptr);
+    ASSERT_TRUE(chain.segment(1).send_blocking(p));
+  }
+  ASSERT_TRUE(test::wait_until(
+      [&] { return gauge_value(chain, "forwarder.feedback_pending") >= 1024; },
+      std::chrono::seconds(10)))
+      << "the feedback channel never filled";
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    chain.stop();
+    stopped.store(true);
+  });
+  const bool in_time = test::wait_until([&] { return stopped.load(); },
+                                        std::chrono::seconds(1));
+  // A push blind to the stop flag waits for room: drain the channel the
+  // way the head would, so the test fails instead of hanging.
+  while (!stopped.load()) {
+    (void)chain.forwarder()->collect();
+    std::this_thread::yield();
+  }
+  stopper.join();
+  EXPECT_TRUE(in_time) << "stop() waited on the tail's feedback push";
+}
+
+TEST(FtcChain, QuiescentObservationsMatchReplicatedState) {
+  // One thread reads quiescent() in a tight loop while single bursts are
+  // injected with gaps between them. Every quiescent observation must
+  // find each head store equal to its replica: no burst may be in a place
+  // the check does not look. The lock keeps injection out of each
+  // observe-and-compare window, so the state cannot move in between.
+  ChainRuntime chain(spec_for(ChainMode::kFtc, 4));
+  chain.start();
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+
+  const auto counter = [](HeadStore* head, InOrderApplier* applier,
+                          mbox::Monitor* monitor) {
+    const auto at = [&](state::StateStore& store) -> std::uint64_t {
+      const auto v = store.get(monitor->counter_key(0));
+      return v ? v->as<std::uint64_t>() : 0;
+    };
+    return std::make_pair(at(head->store()), at(applier->store()));
+  };
+  std::mutex mu;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> observations{0};
+  std::uint64_t mismatches = 0;
+  std::string first_mismatch;
+  std::thread checker([&] {
+    while (!done.load()) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (chain.quiescent()) {
+          ++observations;
+          for (std::uint32_t m = 0; m < 4; ++m) {
+            FtcNode* head = chain.ftc_node(m);
+            auto* monitor = dynamic_cast<mbox::Monitor*>(head->middlebox());
+            const auto [h, r] =
+                counter(head->head(), chain.ftc_node((m + 1) % 4)->applier(m),
+                        monitor);
+            if (h != r && mismatches++ == 0) {
+              first_mismatch = "mbox " + std::to_string(m) + ": head " +
+                               std::to_string(h) + " replica " +
+                               std::to_string(r);
+            }
+          }
+        }
+      }
+      std::this_thread::yield();
+    }
+  });
+
+  constexpr std::size_t kBurst = 32;
+  std::uint64_t id = 0;
+  for (int burst = 0; burst < 300; ++burst) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      pkt::Packet* b[kBurst];
+      std::size_t n = 0;
+      while (n < kBurst && (b[n] = udp_packet(chain, id++)) != nullptr) ++n;
+      const std::size_t sent = chain.ingress().send_burst({b, n});
+      for (std::size_t i = sent; i < n; ++i) chain.pool().free_raw(b[i]);
+    }
+    // Gaps from none to 0.5 ms: some bursts find the chain idle, some
+    // catch the previous one mid-flight.
+    std::this_thread::sleep_for(std::chrono::microseconds((burst * 37) % 500));
+  }
+  // The checker must also see the chain quiet after the last burst.
+  const std::uint64_t before_settling = observations.load();
+  const bool settled = test::wait_until(
+      [&] { return observations.load() > before_settling; },
+      std::chrono::seconds(10));
+  done.store(true);
+  checker.join();
+  EXPECT_TRUE(settled) << "never quiescent after the last burst";
+  EXPECT_EQ(mismatches, 0u) << "of " << observations.load()
+                            << " quiescent observations; first: "
+                            << first_mismatch;
+  sink.stop();
   chain.stop();
 }
 

@@ -9,6 +9,7 @@
 #include "core/chain.hpp"
 #include "mbox/monitor.hpp"
 #include "tgen/traffic.hpp"
+#include "wait_until.hpp"
 
 namespace sfc::ftc {
 namespace {
@@ -83,15 +84,9 @@ TEST_P(ChainSweep, DeliversAndReplicates) {
   if (param.mode == ChainMode::kFtc) {
     // Quiesce, then check the replication-factor invariant: each
     // middlebox's counters present and equal on ALL f successors.
-    // Asserts the observation that ended the wait: a second quiescent()
-    // read can catch an idle worker's in-flight token raised for its poll.
-    const auto quiesce_deadline = rt::now_ns() + 10'000'000'000ull;
-    bool converged = false;
-    while (!(converged = chain.quiescent()) &&
-           rt::now_ns() < quiesce_deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_TRUE(converged) << "chain failed to quiesce";
+    const auto q = test::wait_until([&] { return chain.quiescent(); },
+                                    std::chrono::seconds(10));
+    ASSERT_TRUE(q) << "chain failed to quiesce: " << q.to_string();
 
     for (std::uint32_t m = 0; m < param.length; ++m) {
       auto* head_node = chain.ftc_node(m);

@@ -59,11 +59,11 @@ void run_traffic(ChainRuntime& chain, std::uint64_t packets) {
   const bool delivered =
       wait_until([&] { return sink.packets_received() >= packets; }, 60s);
   source.stop();
-  const bool quiesced = wait_until([&] { return chain.quiescent(); }, 15s);
+  const auto quiesced = wait_until([&] { return chain.quiescent(); }, 15s);
   sink.stop();
   ASSERT_TRUE(delivered) << "delivered " << sink.packets_received() << " of "
                          << packets;
-  ASSERT_TRUE(quiesced) << "chain never quiesced";
+  ASSERT_TRUE(quiesced) << "chain never quiesced: " << quiesced.to_string();
 }
 
 /// Largest history any live store of the chain holds.

@@ -3,15 +3,20 @@
 // regions, bandwidth).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "net/control.hpp"
 #include "runtime/clock.hpp"
 #include "net/link.hpp"
 #include "packet/packet_io.hpp"
+#include "runtime/worker.hpp"
+#include "wait_until.hpp"
 
 namespace sfc::net {
 namespace {
+
+using namespace std::chrono_literals;
 
 pkt::Packet* make_packet(pkt::PacketPool& pool, std::uint64_t id) {
   pkt::Packet* p = pool.alloc_raw();
@@ -57,6 +62,34 @@ TEST(Link, BackpressureWhenFull) {
   EXPECT_GT(link.stats().dropped_full, 0u);
   pool.free_raw(link.poll());
   EXPECT_TRUE(link.send(make_packet(pool, 99)));
+}
+
+TEST(Link, BlockedSendGivesUpWhenItsWorkerStops) {
+  // A worker blocked on a link nobody drains must not hold stop() for the
+  // send timeout: it observes its stop flag and keeps the packet.
+  pkt::PacketPool pool(32);
+  LinkConfig cfg;
+  cfg.capacity = 4;
+  Link link(pool, cfg);
+  for (std::uint64_t i = 0; link.send(make_packet(pool, i)); ++i) {
+  }
+  std::atomic<bool> blocked{false};
+  rt::Worker worker("blocked-sender", [&] {
+    // Eight sends into the full link: a path blind to the stop flag waits
+    // out the 1 s timeout of each.
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      pkt::Packet* p = make_packet(pool, 100 + i);
+      if (p == nullptr) return false;
+      blocked.store(true);
+      if (!link.send_blocking(p)) pool.free_raw(p);
+    }
+    return true;
+  });
+  ASSERT_TRUE(test::wait_until([&] { return blocked.load(); }, 5s));
+  const std::uint64_t t0 = rt::now_ns();
+  worker.stop();
+  EXPECT_LT(rt::now_ns() - t0, 1'000'000'000u);
+  while (pkt::Packet* p = link.poll()) pool.free_raw(p);
 }
 
 TEST(Link, DelayHoldsPacketsUntilDue) {

@@ -2,10 +2,17 @@
 // building, NAT-style rewriting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <fstream>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/chain.hpp"
+#include "mbox/monitor.hpp"
 #include "packet/flow.hpp"
 #include "packet/headers.hpp"
 #include "packet/packet.hpp"
@@ -270,6 +277,98 @@ TEST(PacketPool, ConcurrentAllocFree) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(pool.available_approx(), 256u);
+}
+
+// --- Lazy slab: packets are constructed the first time they are handed
+// out, so a pool costs nothing per packet until it is used. ---
+
+/// Resident set size of this process in kB, from /proc/self/status.
+std::size_t rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  }
+  return 0;
+}
+
+TEST(PacketPool, FreshPoolReportsEveryPacketAvailable) {
+  PacketPool pool(8192);
+  EXPECT_EQ(pool.carved(), 0u);
+  EXPECT_EQ(pool.available_approx(), pool.capacity());
+}
+
+TEST(PacketPool, ConcurrentExhaustionHandsOutEveryPacketOnce) {
+  constexpr std::size_t kCapacity = 4096;
+  constexpr int kThreads = 4;
+  PacketPool pool(kCapacity);
+  std::vector<std::vector<Packet*>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &mine = got[t]] {
+      while (Packet* p = pool.alloc_raw()) mine.push_back(p);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  std::set<Packet*> distinct;
+  for (const auto& mine : got) {
+    for (Packet* p : mine) {
+      distinct.insert(p);
+      ASSERT_TRUE(pool.owns(p));
+      EXPECT_EQ(p->size(), 0u);
+      EXPECT_EQ(p->headroom(), Packet::kDefaultHeadroom);
+      const Annotations& a = p->anno();
+      EXPECT_EQ(a.ingress_ns, 0u);
+      EXPECT_EQ(a.packet_id, 0u);
+      EXPECT_EQ(a.trace_id, 0u);
+      EXPECT_EQ(a.flow_hash, 0u);
+      EXPECT_EQ(a.l3_offset, 0u);
+      EXPECT_EQ(a.l4_offset, 0u);
+      EXPECT_EQ(a.payload_offset, 0u);
+      EXPECT_EQ(a.aux, 0u);
+      EXPECT_EQ(a.tseq, 0u);
+      EXPECT_FALSE(a.is_control);
+    }
+  }
+  EXPECT_EQ(distinct.size(), kCapacity);
+  EXPECT_EQ(pool.carved(), kCapacity);
+  EXPECT_EQ(pool.alloc_raw(), nullptr);
+  for (Packet* p : distinct) pool.free_raw(p);
+  EXPECT_EQ(pool.available_approx(), kCapacity);
+}
+
+TEST(PacketPool, ConstructionLeavesTheSlabUntouched) {
+  // 8192 packets are ~35 MB of slab; none of it may be faulted in before
+  // a packet is handed out.
+  const std::size_t before = rss_kb();
+  ASSERT_NE(before, 0u) << "no VmRSS in /proc/self/status";
+  PacketPool pool(8192);
+  const std::size_t after = rss_kb();
+  EXPECT_LT(after - std::min(after, before), 4u * 1024)
+      << "RSS grew from " << before << " kB to " << after << " kB";
+}
+
+TEST(PacketPool, IdleChainCarvesNoDataPackets) {
+  ftc::ChainRuntime::Spec spec;
+  for (int i = 0; i < 3; ++i) {
+    spec.mbox_factories.push_back([]() -> std::unique_ptr<mbox::Middlebox> {
+      return std::make_unique<mbox::Monitor>(1);
+    });
+  }
+  ftc::ChainRuntime chain(spec);
+  chain.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(chain.pool().carved(), 0u);
+  bool exported = false;
+  for (const auto& sample : chain.registry().snapshot()) {
+    if (sample.name != "pool.carved") continue;
+    if (sample.labels != obs::Labels{{"pool", "data"}}) continue;
+    exported = true;
+    EXPECT_EQ(sample.value, 0.0);
+  }
+  EXPECT_TRUE(exported) << "pool.carved{pool=data} not in the registry";
+  chain.stop();
 }
 
 }  // namespace

@@ -47,17 +47,10 @@ std::uint64_t monitor_count(FtcNode* node) {
 // replica's applier, so count comparisons against the pre-failure head are
 // only exact once nothing is in flight. A fixed sleep is not enough on a
 // slow host (e.g. under TSan, where draining the chain takes far longer
-// than 50 ms). quiescent() is a snapshot that an idle worker's empty poll
-// can flip back to false for an instant (its in-flight token is up while
-// it polls), so the barrier asserts the observation that ended the wait
-// rather than a second, racing read.
+// than 50 ms).
 void quiesce(ChainRuntime& chain) {
-  const auto deadline = rt::now_ns() + 15'000'000'000ull;
-  bool converged = false;
-  while (!(converged = chain.quiescent()) && rt::now_ns() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(converged);
+  const auto q = test::wait_until([&] { return chain.quiescent(); }, 15s);
+  ASSERT_TRUE(q) << q.to_string();
 }
 
 void pump(ChainRuntime& chain, tgen::TrafficSource& src, tgen::TrafficSink& sink,
@@ -444,10 +437,7 @@ TEST(Recovery, WanDelaysDominateRecoveryTime) {
   pump(chain, source, sink, 300);
   source.stop();
   // Drain in-flight packets so the pre-failure count is stable.
-  const auto drain_deadline = rt::now_ns() + 10'000'000'000ull;
-  while (!chain.quiescent() && rt::now_ns() < drain_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  (void)test::wait_until([&] { return chain.quiescent(); }, 10s);
 
   const std::uint64_t count1 = monitor_count(chain.ftc_node(1));
   chain.fail_position(1);

@@ -13,6 +13,7 @@
 #include "net/reliable.hpp"
 #include "packet/packet_io.hpp"
 #include "runtime/clock.hpp"
+#include "wait_until.hpp"
 #include "tgen/traffic.hpp"
 
 namespace sfc::net {
@@ -383,14 +384,9 @@ TEST(ReliableChain, FtcOverLossyReliableSegmentsLosesNothing) {
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   source.stop();
 
-  // Asserts the observation that ended the wait: a second quiescent()
-  // read can catch an idle worker's in-flight token raised for its poll.
-  const std::uint64_t deadline = rt::now_ns() + 15'000'000'000ull;
-  bool converged = false;
-  while (!(converged = chain.quiescent()) && rt::now_ns() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(converged);
+  const auto q = test::wait_until([&] { return chain.quiescent(); },
+                                  std::chrono::seconds(15));
+  EXPECT_TRUE(q) << q.to_string();
   // Let the sink drain the egress queue.
   const std::uint64_t sent = source.packets_sent();
   const std::uint64_t sink_deadline = rt::now_ns() + 5'000'000'000ull;
