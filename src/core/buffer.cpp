@@ -1,6 +1,7 @@
 #include "core/buffer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/span.hpp"
 #include "runtime/clock.hpp"
@@ -55,14 +56,53 @@ bool EgressBuffer::is_covered(const Held& held) const {
   return true;
 }
 
-void EgressBuffer::release_locked(Held& held) {
-  if (held.packet->anno().trace_id != 0) {
-    span_event(registry_, held.packet->anno().trace_id,
-               obs::SpanKind::kBufferRelease);
+EgressBuffer::Held& EgressBuffer::push_held() {
+  if (size_ == ring_.size()) {
+    // Full: double the ring, oldest entry first.
+    std::vector<Held> grown(std::max<std::size_t>(16, 2 * ring_.size()));
+    for (std::size_t i = 0; i < size_; ++i) grown[i] = std::move(slot(i));
+    ring_.swap(grown);
+    head_ = 0;
   }
-  release_stage_[n_stage_++] = held.packet;
-  held.packet = nullptr;
+  return slot(size_++);
+}
+
+void EgressBuffer::stage_release_locked(pkt::Packet* p) {
+  if (p->anno().trace_id != 0) {
+    span_event(registry_, p->anno().trace_id, obs::SpanKind::kBufferRelease);
+  }
+  release_stage_[n_stage_++] = p;
   if (n_stage_ == kMaxBurst) flush_releases_locked();
+}
+
+void EgressBuffer::release_locked(Held& held) {
+  stage_release_locked(held.packet);
+  held.packet = nullptr;  // Tombstone until it reaches the front.
+  held.pending.clear();
+  --live_;
+}
+
+void EgressBuffer::release_prefix_locked() {
+  // Commit vectors advance cumulatively per partition and packets arrive
+  // roughly in commit order, so prefix scanning is O(1) amortized where a
+  // full scan per submit would be quadratic at saturation.
+  while (size_ != 0) {
+    Held& front = slot(0);
+    if (front.packet != nullptr) {
+      if (!is_covered(front)) break;
+      release_locked(front);
+    }
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
+  }
+}
+
+void EgressBuffer::release_all_covered_locked() {
+  for (std::size_t i = 0; i < size_; ++i) {
+    Held& held = slot(i);
+    if (held.packet != nullptr && is_covered(held)) release_locked(held);
+  }
+  release_prefix_locked();  // Pops the tombstones now at the front.
 }
 
 void EgressBuffer::flush_releases_locked() {
@@ -81,6 +121,17 @@ void EgressBuffer::flush_releases_locked() {
   n_stage_ = 0;
 }
 
+FeedbackLogs EgressBuffer::ship_locked() {
+  flush_releases_locked();
+  held_gauge_->set(static_cast<std::int64_t>(live_));
+  if (feedback_stage_.empty()) return {};
+  return std::exchange(feedback_stage_, FeedbackLogs{});
+}
+
+void EgressBuffer::push_feedback(FeedbackLogs&& logs) {
+  if (!logs.empty()) feedback_.push(std::move(logs));
+}
+
 void EgressBuffer::absorb(std::span<const CommitVector> commits) {
   LockGuard lock(mutex_);
   for (const auto& c : commits) {
@@ -89,103 +140,87 @@ void EgressBuffer::absorb(std::span<const CommitVector> commits) {
   }
 }
 
-void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
+void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v,
+                               bool in_burst) {
   // Cache: the packet leaves our hands below (freed for control packets,
   // sent for released ones).
   const bool is_control = p->anno().is_control;
   const std::uint64_t trace_id = p->anno().trace_id;
-  rt::SmallVector<CommitVector, 2> commits;
-  std::vector<PendingLog> pending;
-  FeedbackLogs feedback;
-  if (v.ok()) {
-    for (std::size_t i = 0; i < v.commit_count(); ++i) {
-      CommitVector c;
-      c.mbox = v.commit(i, c.max);
-      commits.push_back(std::move(c));
-    }
-    const std::size_t n = v.log_count();
-    if (!is_control && n != 0) pending.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const WireLog log = v.log(i);
-      if (!is_control) pending.push_back(PendingLog{log.mbox, log.dep});
+  FeedbackLogs shipped;
+  {
+    LockGuard lock(mutex_);
+    submitted_->inc();
+    Held held{p, {}};
+    if (v.ok()) {
+      // Commit vectors end their journey here (tail -> ... -> buffer,
+      // paper §5.1): absorb the release knowledge they carry.
+      for (std::size_t i = 0; i < v.commit_count(); ++i) {
+        MaxVector max;
+        const MboxId mbox = v.commit(i, max);
+        auto [it, inserted] = known_commits_.try_emplace(mbox, max);
+        if (!inserted) it->second.merge(max);
+      }
       // Every log still on board travels on toward its wrap-around tail:
-      // its record bytes outlive the packet on the feedback channel.
-      feedback.add_record(v.log_bytes(i));
+      // its record bytes outlive the packet on the feedback channel. Only
+      // those logs feed back, so the idle propagation loop ends once every
+      // log is stripped at its tail. A burst's records stage into storage
+      // the head handed back.
+      if (v.log_count() != 0 && feedback_stage_.bytes.capacity() == 0) {
+        feedback_stage_ = feedback_.spare();
+      }
+      for (std::size_t i = 0; i < v.log_count(); ++i) {
+        const WireLog log = v.log(i);
+        if (!is_control) held.pending.push_back({log.mbox, log.dep});
+        feedback_stage_.add_record(v.log_bytes(i));
+      }
+      v.strip_tail();  // The packet leaves the chain bare.
     }
-    v.strip_tail();  // The packet leaves the chain bare.
-  }
-  // Commit vectors end their journey here (tail -> ... -> buffer, paper
-  // §5.1); only logs still traveling toward their wrap-around tails feed
-  // back to the forwarder. Dropping commits also terminates the idle
-  // propagation loop: once every log is stripped at its tail, nothing is
-  // fed back.
-  if (!feedback.empty()) feedback_.push(std::move(feedback));
 
-  LockGuard lock(mutex_);
-  submitted_->inc();
-
-  // Absorb the commit knowledge this packet carries.
-  for (const auto& c : commits) {
-    auto [it, inserted] = known_commits_.try_emplace(c.mbox, c.max);
-    if (!inserted) it->second.merge(c.max);
-  }
-
-  if (is_control) {
-    control_consumed_->inc();
-    pool_.free_raw(p);
-  } else {
-    Held held{p, std::move(pending)};
-    if (held.pending.empty() || is_covered(held)) {
+    if (is_control) {
+      control_consumed_->inc();
+      pool_.free_raw(p);
+    } else if (held.pending.empty() || is_covered(held)) {
       // Nothing outstanding (e.g. read-only path all along the chain, or
       // commits already caught up): release without holding.
-      release_locked(held);
+      stage_release_locked(p);
       released_immediately_->inc();
     } else {
       if (trace_id != 0) {
         span_event(registry_, trace_id, obs::SpanKind::kBufferHold);
       }
-      held_.push_back(std::move(held));
+      push_held() = std::move(held);
+      ++live_;
       high_water_->set(std::max<std::int64_t>(
-          high_water_->value(), static_cast<std::int64_t>(held_.size())));
+          high_water_->value(), static_cast<std::int64_t>(live_)));
     }
-  }
 
-  // Release the covered prefix. Commit vectors advance cumulatively per
-  // partition and packets arrive roughly in commit order, so prefix
-  // scanning is O(1) amortized where a full scan per submit would be
-  // quadratic at saturation. A non-prefix-eligible hold is released at the
-  // latest by the next commit for its partitions (or the periodic full
-  // scan on control packets below).
-  while (!held_.empty() && is_covered(held_.front())) {
-    release_locked(held_.front());
-    held_.pop_front();
+    // A non-prefix-eligible hold is released at the latest by the next
+    // commit for its partitions, or by the periodic full scan on control
+    // packets.
+    release_prefix_locked();
+    if (is_control && ++full_scans_ % 4 == 0) release_all_covered_locked();
+    if (!in_burst) shipped = ship_locked();
   }
-  if (is_control && ++full_scans_ % 4 == 0) {
-    for (auto it = held_.begin(); it != held_.end();) {
-      if (is_covered(*it)) {
-        release_locked(*it);
-        it = held_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+  push_feedback(std::move(shipped));
+}
+
+void EgressBuffer::end_burst() {
+  FeedbackLogs shipped;
+  {
+    LockGuard lock(mutex_);
+    shipped = ship_locked();
   }
-  flush_releases_locked();
-  held_gauge_->set(static_cast<std::int64_t>(held_.size()));
+  push_feedback(std::move(shipped));
 }
 
 void EgressBuffer::release_eligible() {
-  LockGuard lock(mutex_);
-  for (auto it = held_.begin(); it != held_.end();) {
-    if (is_covered(*it)) {
-      release_locked(*it);
-      it = held_.erase(it);
-    } else {
-      ++it;
-    }
+  FeedbackLogs shipped;
+  {
+    LockGuard lock(mutex_);
+    release_all_covered_locked();
+    shipped = ship_locked();
   }
-  flush_releases_locked();
-  held_gauge_->set(static_cast<std::int64_t>(held_.size()));
+  push_feedback(std::move(shipped));
 }
 
 }  // namespace sfc::ftc

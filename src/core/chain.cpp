@@ -213,7 +213,7 @@ std::string QuiescenceReport::to_string() const {
     case Blocker::kFeedback:
       return "feedback: " + n + " pending";
     case Blocker::kBuffer:
-      return "buffer: " + n + " held";
+      return "buffer: " + n + " held or staged";
     case Blocker::kParked:
       return "node pos " + pos + ": " + n + " parked";
     case Blocker::kHandoff:
@@ -258,8 +258,12 @@ QuiescenceReport ChainRuntime::quiescent() {
   if (feedback_ && feedback_->pending_approx() != 0) {
     return {Blocker::kFeedback, 0, feedback_->pending_approx()};
   }
-  if (buffer_ && buffer_->held_count() != 0) {
-    return {Blocker::kBuffer, 0, buffer_->held_count()};
+  if (buffer_) {
+    // Held packets, and releases or feedback a burst staged for its
+    // end_burst().
+    if (const std::size_t n = buffer_->held_count() + buffer_->staged_count()) {
+      return {Blocker::kBuffer, 0, n};
+    }
   }
   for (std::uint32_t pos = 0; pos < ftc_at_.size(); ++pos) {
     FtcNode* node = ftc_at_[pos].load(std::memory_order_acquire);

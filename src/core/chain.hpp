@@ -42,7 +42,8 @@ struct QuiescenceReport {
     kLink,       ///< Segment `position` (it feeds that ring position) holds packets.
     kFtmbLink,   ///< FTMB logger<->master link `position` holds packets.
     kFeedback,   ///< Feedback records wait for the forwarder.
-    kBuffer,     ///< The egress buffer holds packets for commits.
+    kBuffer,     ///< The egress buffer holds packets for commits, or has
+                 ///< releases or feedback staged for its burst end.
     kParked,     ///< The node at `position` has parked packets.
     kHandoff,    ///< The node at `position` has undrained handoff portions.
     kInFlight,   ///< A worker at `position` kept a burst in its hands.

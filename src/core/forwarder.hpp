@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <thread>
@@ -40,9 +39,23 @@ struct FeedbackLogs {
   bool empty() const noexcept { return sizes.empty(); }
   std::size_t count() const noexcept { return sizes.size(); }
 
+  /// Empties it and keeps the storage (a recycled hand-off).
+  void clear() noexcept {
+    bytes.clear();
+    sizes.clear();
+  }
+
   void add_record(std::span<const std::uint8_t> record) {
     bytes.insert(bytes.end(), record.begin(), record.end());
     sizes.push_back(static_cast<std::uint32_t>(record.size()));
+  }
+
+  /// Drops the first @p n records (@p n_bytes bytes), keeping the rest in
+  /// place.
+  void drop_front(std::size_t n, std::size_t n_bytes) {
+    bytes.erase(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(n_bytes));
+    for (std::size_t i = n; i < sizes.size(); ++i) sizes[i - n] = sizes[i];
+    while (n-- > 0) sizes.pop_back();
   }
 };
 
@@ -50,7 +63,12 @@ struct FeedbackLogs {
 /// the forwarder (their testbed used a separate 10 GbE link).
 class FeedbackChannel : rt::NonCopyable {
  public:
-  explicit FeedbackChannel(std::size_t capacity = 1024) : queue_(capacity) {}
+  /// Hand-offs kept for reuse: a few per burst in flight between the
+  /// buffer and the head is all a chain needs.
+  static constexpr std::size_t kSpares = 64;
+
+  explicit FeedbackChannel(std::size_t capacity = 1024)
+      : queue_(capacity), spares_(kSpares) {}
 
   void push(FeedbackLogs&& logs) {
     // The channel must not lose state: if the consumer lags, spin-yield.
@@ -62,10 +80,11 @@ class FeedbackChannel : rt::NonCopyable {
     }
   }
 
-  /// Returns records a collect could not fit; they leave first next time.
+  /// Returns records a collect could not fit; they leave first next time
+  /// (the latest returned first: a collect returns what it popped last).
   void push_front(FeedbackLogs&& logs) {
     LockGuard lock(mutex_);
-    returned_.push_front(std::move(logs));
+    returned_.push_back(std::move(logs));
     returned_count_.store(returned_.size(), std::memory_order_release);
   }
 
@@ -73,13 +92,28 @@ class FeedbackChannel : rt::NonCopyable {
     if (returned_count_.load(std::memory_order_acquire) != 0) {
       LockGuard lock(mutex_);
       if (!returned_.empty()) {
-        FeedbackLogs out = std::move(returned_.front());
-        returned_.pop_front();
+        FeedbackLogs out = std::move(returned_.back());
+        returned_.pop_back();
         returned_count_.store(returned_.size(), std::memory_order_release);
         return out;
       }
     }
     return queue_.try_pop();
+  }
+
+  /// Returns a hand-off whose records were consumed, so its storage
+  /// carries the next one (the buffer stages into spare()). Freed when
+  /// enough spares wait already.
+  void recycle(FeedbackLogs&& logs) noexcept {
+    if (logs.bytes.capacity() == 0) return;  // Nothing worth keeping.
+    logs.clear();
+    (void)spares_.try_push(std::move(logs));
+  }
+
+  /// An empty hand-off, with recycled storage when one is spare.
+  FeedbackLogs spare() noexcept {
+    if (auto s = spares_.try_pop()) return std::move(*s);
+    return {};
   }
 
   /// True while records a collect could not fit are waiting.
@@ -94,8 +128,10 @@ class FeedbackChannel : rt::NonCopyable {
 
  private:
   rt::MpmcQueue<FeedbackLogs> queue_;
+  rt::MpmcQueue<FeedbackLogs> spares_;
   mutable Mutex mutex_{ranks::kLeaf, "ftc.feedback_returned"};
-  std::deque<FeedbackLogs> returned_ SFC_GUARDED_BY(mutex_);
+  /// A stack that keeps its capacity: returning records allocates nothing.
+  std::vector<FeedbackLogs> returned_ SFC_GUARDED_BY(mutex_);
   std::atomic<std::size_t> returned_count_{0};
 };
 
@@ -121,6 +157,7 @@ class Forwarder : rt::NonCopyable {
   /// @p budget bytes — never more than a fresh propagating packet holds.
   /// Records past that bound stay pending, first in line, and make a
   /// propagating packet due at once so they do not wait for idleness.
+  /// Hand the result back with recycle() once its records are attached.
   FeedbackLogs collect(std::size_t budget = kFeedbackBudget) {
     budget = std::min(budget, kFeedbackBudget);
     FeedbackLogs out;
@@ -135,23 +172,34 @@ class Forwarder : rt::NonCopyable {
         ++fit;
       }
       if (fit == run->count() && out.empty()) {
-        out = std::move(*run);  // Common case: one hand-off, no copy.
+        // Common case: one hand-off, no copy. The empty `out` it replaces
+        // owns no storage yet.
+        out = std::move(*run);
         continue;
       }
-      FeedbackLogs rest;
-      std::size_t off = 0;
-      for (std::size_t r = 0; r < run->count(); ++r) {
-        (r < fit ? out : rest).add_record({run->bytes.data() + off, run->sizes[r]});
-        off += run->sizes[r];
+      if (fit != 0) {
+        // Merge: the fitting records join `out` (in recycled storage when
+        // `out` has none yet).
+        if (out.bytes.capacity() == 0) out = feedback_.spare();
+        out.bytes.insert(out.bytes.end(), run->bytes.begin(),
+                         run->bytes.begin() + static_cast<std::ptrdiff_t>(fit_bytes));
+        for (std::size_t r = 0; r < fit; ++r) out.sizes.push_back(run->sizes[r]);
       }
-      if (!rest.empty()) {
-        feedback_.push_front(std::move(rest));
-        break;
+      if (fit == run->count()) {
+        feedback_.recycle(std::move(*run));
+        continue;
       }
+      // The rest stays pending, first in line, in the hand-off's own storage.
+      run->drop_front(fit, fit_bytes);
+      feedback_.push_front(std::move(*run));
+      break;
     }
     note_activity();
     return out;
   }
+
+  /// Returns a collected hand-off's storage to the channel.
+  void recycle(FeedbackLogs&& logs) noexcept { feedback_.recycle(std::move(logs)); }
 
   /// True when pending state must be pushed with a propagating packet: the
   /// chain has been idle long enough, or a collect left records behind.

@@ -10,6 +10,7 @@
 #include "packet/packet_io.hpp"
 #include "runtime/worker.hpp"
 #include "wait_until.hpp"
+#include "wire_oracle.hpp"
 
 namespace sfc::ftc {
 namespace {
@@ -51,12 +52,38 @@ struct Rig {
   }
 
   /// Serializes @p msg onto @p p's tail and submits it through the wire
-  /// path, as the egress node does.
-  void submit(pkt::Packet* p, const PiggybackMessage& msg) {
+  /// path, as the egress node does (outside a burst unless @p in_burst).
+  void submit(pkt::Packet* p, const PiggybackMessage& msg,
+              bool in_burst = false) {
     ASSERT_TRUE(append_message(*p, msg, kParts));
     PiggybackView v = PiggybackView::open(*p);
     ASSERT_TRUE(v.ok());
-    buffer.submit_wire(p, v);
+    buffer.submit_wire(p, v, in_burst);
+  }
+
+  /// A data packet carrying one log of @p mbox.
+  void submit_holding(std::uint64_t id, MboxId mbox, std::size_t partition,
+                      std::uint64_t seq, bool in_burst = false) {
+    PiggybackMessage msg;
+    msg.logs.push_back(log_for(mbox, partition, seq));
+    submit(data_packet(id), msg, in_burst);
+  }
+
+  /// Ids of the packets on the egress link, in order (freed).
+  std::vector<std::uint64_t> released() {
+    std::vector<std::uint64_t> ids;
+    while (pkt::Packet* p = egress.poll()) {
+      ids.push_back(p->anno().packet_id);
+      pool.free_raw(p);
+    }
+    return ids;
+  }
+
+  void commit(MboxId mbox, std::size_t partition, std::uint64_t seq) {
+    MaxVector max;
+    max.seq[partition] = seq;
+    CommitVector cv{mbox, max};
+    buffer.absorb({&cv, 1});
   }
 
   PiggybackLog log_for(MboxId mbox, std::size_t partition, std::uint64_t seq) {
@@ -175,6 +202,116 @@ TEST(EgressBuffer, AbsorbWithoutSubmit) {
   rig.buffer.absorb({&cv, 1});
   rig.buffer.release_eligible();
   EXPECT_EQ(rig.buffer.held_count(), 0u);
+}
+
+TEST(EgressBuffer, RingReleasesInOrderAndSkipsTombstones) {
+  Rig rig;
+  // Four held packets, each waiting on its own partition of mbox 2.
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    rig.submit_holding(id, 2, id, 1);
+  }
+  EXPECT_EQ(rig.buffer.held_count(), 4u);
+
+  // The third one's commit arrives first: a full scan releases it from the
+  // middle of the ring and leaves a tombstone in its place.
+  rig.commit(2, 3, 1);
+  rig.buffer.release_eligible();
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{3}));
+  EXPECT_EQ(rig.buffer.held_count(), 3u);
+
+  // Then the first two: the prefix release after the next submit (which
+  // itself holds nothing and leaves first) passes the tombstone and stops
+  // at the fourth, still uncovered.
+  rig.commit(2, 1, 1);
+  rig.commit(2, 2, 1);
+  rig.submit(rig.data_packet(5), PiggybackMessage{});
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{5, 1, 2}));
+  EXPECT_EQ(rig.buffer.held_count(), 1u);
+
+  rig.commit(2, 4, 1);
+  rig.submit(rig.data_packet(6), PiggybackMessage{});
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{6, 4}));
+  EXPECT_EQ(rig.buffer.held_count(), 0u);
+
+  // The ring is reused past its first wrap and grows: more holds than its
+  // initial size, released in arrival order.
+  for (std::uint64_t id = 10; id < 60; ++id) {
+    rig.submit_holding(id, 3, 0, id);
+  }
+  rig.commit(3, 0, 200);
+  rig.buffer.release_eligible();
+  const auto ids = rig.released();
+  ASSERT_EQ(ids.size(), 50u);
+  for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], 10 + i);
+}
+
+TEST(EgressBuffer, BurstShipsNothingBeforeEndBurst) {
+  Rig rig;
+  // A burst: one packet released at once, one held (its log feeds back),
+  // then the commit that covers it on a third.
+  rig.submit(rig.data_packet(1), PiggybackMessage{}, /*in_burst=*/true);
+  rig.submit_holding(2, 2, 0, 1, /*in_burst=*/true);
+  PiggybackMessage covering;
+  MaxVector max;
+  max.seq[0] = 1;
+  covering.set_commit(2, max);
+  covering.logs.push_back(rig.log_for(2, 1, 7));
+  rig.submit(rig.data_packet(3), covering, /*in_burst=*/true);
+
+  EXPECT_EQ(rig.egress.poll(), nullptr);
+  EXPECT_EQ(rig.feedback.pending_approx(), 0u);
+  EXPECT_EQ(rig.buffer.staged_count(), 2u + 2u);  // Releases + records.
+
+  rig.buffer.end_burst();
+  EXPECT_EQ(rig.buffer.staged_count(), 0u);
+  // Releases leave in order, with one bulk send.
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(rig.buffer.held_count(), 1u);  // Packet 3 waits on its own log.
+  // Both feedback records travel as one hand-off.
+  EXPECT_EQ(rig.feedback.pending_approx(), 1u);
+  auto fed_back = rig.feedback.pop();
+  ASSERT_TRUE(fed_back.has_value());
+  ASSERT_EQ(fed_back->count(), 2u);
+  pkt::Packet p;
+  const PiggybackView v = attach(p, *fed_back);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(materialize_log(v.log(0)), rig.log_for(2, 0, 1));
+  EXPECT_EQ(materialize_log(v.log(1)), rig.log_for(2, 1, 7));
+}
+
+TEST(EgressBuffer, OutOfBurstSubmitShipsAtOnce) {
+  Rig rig;
+  rig.submit_holding(1, 2, 0, 1, /*in_burst=*/true);
+  rig.submit(rig.data_packet(2), PiggybackMessage{}, /*in_burst=*/true);
+  EXPECT_EQ(rig.egress.poll(), nullptr);
+
+  // A submit outside any burst (a propagating packet, the control thread's
+  // drain) ships its own work and whatever a burst staged before it.
+  PiggybackMessage commit_msg;
+  MaxVector max;
+  max.seq[0] = 1;
+  commit_msg.set_commit(2, max);
+  rig.submit(Forwarder::make_propagating_packet(rig.pool), commit_msg);
+  EXPECT_EQ(rig.buffer.staged_count(), 0u);
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(rig.feedback.pending_approx(), 1u);
+  EXPECT_EQ(rig.buffer.held_count(), 0u);
+}
+
+TEST(EgressBuffer, HandOffsReuseRecycledStorage) {
+  Rig rig;
+  rig.submit_holding(1, 2, 0, 1);
+  auto first = rig.feedback.pop();
+  ASSERT_TRUE(first.has_value());
+  const std::uint8_t* storage = first->bytes.data();
+  // The head attached the records and hands the storage back; the next
+  // hand-off carries its records in the same bytes.
+  rig.feedback.recycle(std::move(*first));
+  rig.submit_holding(2, 2, 0, 2);
+  rig.submit_holding(3, 2, 0, 3);
+  auto second = rig.feedback.pop();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->bytes.data(), storage);
 }
 
 TEST(Forwarder, CollectMergesPendingMessages) {

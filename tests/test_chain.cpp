@@ -222,14 +222,28 @@ void run_lossy_retransmission_case(std::size_t burst_size) {
   tgen::TrafficSink sink(chain.pool(), chain.egress());
   sink.start();
   source.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));  // Traffic.
   source.stop();
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
 
   // Some packets were lost (that is expected); state must stay consistent:
   // after convergence each replica matches its head exactly.
   wait_for_convergence(chain, 10'000'000'000ull);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto replicas_match_heads = [&] {
+    for (std::uint32_t m = 0; m < 3; ++m) {
+      const auto key = dynamic_cast<mbox::Monitor*>(
+                           chain.ftc_node(m)->middlebox())->counter_key(0);
+      const auto head = chain.ftc_node(m)->head()->store().get(key);
+      const auto replica = chain.ftc_node((m + 1) % chain.ring_size())
+                               ->applier(m)->store().get(key);
+      if (!head || !replica ||
+          head->as<std::uint64_t>() != replica->as<std::uint64_t>()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(test::wait_until(replicas_match_heads, std::chrono::seconds(10)))
+      << "replicas_match_heads never held";
 
   for (std::uint32_t m = 0; m < 3; ++m) {
     auto* head_node = chain.ftc_node(m);
@@ -334,10 +348,9 @@ TEST(FtcChain, FilteringMiddleboxEmitsPropagatingPackets) {
   tgen::TrafficSource src_allowed(chain.pool(), chain.ingress(), allowed, 20'000);
   src_denied.start();
   src_allowed.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // Traffic.
   src_denied.stop();
   src_allowed.stop();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
   wait_for_convergence(chain, 5'000'000'000ull);
 
   // Monitor 0 (before the firewall) counted everything and must be fully
@@ -345,6 +358,14 @@ TEST(FtcChain, FilteringMiddleboxEmitsPropagatingPackets) {
   auto* m0 = chain.ftc_node(0);
   auto* monitor = dynamic_cast<mbox::Monitor*>(m0->middlebox());
   const auto key = monitor->counter_key(0);
+  const auto replica_matches_head = [&] {
+    const auto head = m0->head()->store().get(key);
+    const auto replica = chain.ftc_node(1)->applier(0)->store().get(key);
+    return head && replica &&
+           head->as<std::uint64_t>() == replica->as<std::uint64_t>();
+  };
+  EXPECT_TRUE(test::wait_until(replica_matches_head, std::chrono::seconds(5)))
+      << "replica_matches_head never held";
   const auto head_count = m0->head()->store().get(key);
   ASSERT_TRUE(head_count.has_value());
   const auto replica_count = chain.ftc_node(1)->applier(0)->store().get(key);
@@ -378,15 +399,14 @@ TEST(FtcChain, OversizeStateDetoursWithoutLoss) {
   sink.start();
   tgen::TrafficSource source(chain.pool(), chain.ingress(), w, 5'000.0);
   source.start();
-  const auto deadline = rt::now_ns() + 20'000'000'000ull;
-  while (source.packets_sent() < 1000 && rt::now_ns() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  const auto sent_1000 = [&] { return source.packets_sent() >= 1000; };
+  EXPECT_TRUE(test::wait_until(sent_1000, std::chrono::seconds(20)))
+      << "sent_1000 never held";
   source.stop();
   const std::uint64_t sent = source.packets_sent();
-  while (sink.packets_received() < sent && rt::now_ns() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  const auto all_delivered = [&] { return sink.packets_received() >= sent; };
+  EXPECT_TRUE(test::wait_until(all_delivered, std::chrono::seconds(20)))
+      << "all_delivered never held";
   wait_for_convergence(chain, 10'000'000'000ull);
   EXPECT_EQ(sink.packets_received(), sent);
   sink.stop();
@@ -450,9 +470,13 @@ TEST(FtmbChain, SnapshotModeStalls) {
   tgen::TrafficSink sink(chain.pool(), chain.egress());
   sink.start();
   source.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // Traffic.
   source.stop();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto all_delivered = [&] {
+    return sink.packets_received() >= source.packets_sent();
+  };
+  EXPECT_TRUE(test::wait_until(all_delivered, std::chrono::seconds(5)))
+      << "all_delivered never held";
   sink.stop();
   EXPECT_GT(chain.ftmb_master(0)->snapshot_stalls(), 5u);
   chain.stop();
@@ -514,6 +538,9 @@ TEST(FtcChain, StopReturnsWhileTheTailWaitsOnAStoppedHead) {
   // not wait behind it.
   auto spec = spec_for(ChainMode::kFtc, 3);
   spec.cfg.pool_packets = 4096;
+  // The egress buffer hands feedback off once per burst: one-packet bursts
+  // make one hand-off per packet.
+  spec.cfg.burst_size = 1;
   ChainRuntime chain(spec);
   chain.start();
   chain.ftc_node(0)->stop();
@@ -544,6 +571,49 @@ TEST(FtcChain, StopReturnsWhileTheTailWaitsOnAStoppedHead) {
   }
   stopper.join();
   EXPECT_TRUE(in_time) << "stop() waited on the tail's feedback push";
+}
+
+TEST(FtcChain, NeverQuiescentWhileTheBufferStages) {
+  // Releases and feedback a burst staged at the egress buffer are in no
+  // link or channel: quiescent() must see them until end_burst() ships.
+  const auto spec = spec_for(ChainMode::kFtc, 3);
+  ChainRuntime chain(spec);
+  chain.start();
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+  ASSERT_TRUE(test::wait_until([&] { return chain.quiescent(); },
+                               std::chrono::seconds(5)));
+
+  // A data packet whose message carries one record of the wrap-around
+  // middlebox 2 (its tail, position 0, strips it) for the forwarder.
+  pkt::Packet* p = udp_packet(chain, 1);
+  ASSERT_NE(p, nullptr);
+  PiggybackView v = PiggybackView::create(*p, spec.cfg.num_partitions);
+  PiggybackLog log;
+  log.mbox = 2;
+  log.dep.mask = 1;
+  log.dep.seq[0] = 1;
+  ASSERT_TRUE(v.append_log(log));
+  // Covered already, so it releases at once rather than holding.
+  MaxVector max;
+  max.seq[0] = 1;
+  CommitVector cv{2, max};
+  chain.buffer()->absorb({&cv, 1});
+  chain.buffer()->submit_wire(p, v, /*in_burst=*/true);
+
+  for (int i = 0; i < 20; ++i) {
+    const auto q = chain.quiescent();
+    ASSERT_FALSE(q) << "quiescent with a staged release and hand-off";
+    EXPECT_EQ(q.blocker, QuiescenceReport::Blocker::kBuffer) << q.to_string();
+  }
+  chain.buffer()->end_burst();
+  const auto q = test::wait_until([&] { return chain.quiescent(); },
+                                  std::chrono::seconds(5));
+  EXPECT_TRUE(q) << q.to_string();
+  EXPECT_TRUE(test::wait_until([&] { return sink.packets_received() == 1; },
+                               std::chrono::seconds(5)));
+  sink.stop();
+  chain.stop();
 }
 
 TEST(FtcChain, QuiescentObservationsMatchReplicatedState) {

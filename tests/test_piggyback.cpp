@@ -4,6 +4,7 @@
 #include "core/dep_vector.hpp"
 #include "core/piggyback.hpp"
 #include "packet/packet_io.hpp"
+#include "wire_oracle.hpp"
 
 namespace sfc::ftc {
 namespace {
@@ -216,26 +217,43 @@ TEST(PiggybackMessage, MergeConcatenatesLogsAndMergesCommits) {
   EXPECT_EQ(a.commits[0].max.seq[7], 3u);
 }
 
+// Out-of-band bodies (NACK replies, fetched histories) are wire records
+// back to back: open_wire_records walks them with PiggybackView's bounds
+// checks and hands back cursors into the body.
 TEST(PiggybackWire, OutOfBandLogsRoundTrip) {
   const auto msg = sample_message();
   std::vector<std::uint8_t> blob;
-  serialize_logs({msg.logs.data(), msg.logs.size()}, blob);
-  std::span<const std::uint8_t> in(blob);
-  std::vector<PiggybackLog> out;
-  ASSERT_TRUE(deserialize_logs(in, out));
-  EXPECT_TRUE(in.empty());
+  for (const auto& log : msg.logs) {
+    const auto rec = wire_record(log);
+    blob.insert(blob.end(), rec.begin(), rec.end());
+  }
+  std::vector<WireLog> out;
+  ASSERT_TRUE(open_wire_records(blob, out));
   ASSERT_EQ(out.size(), msg.logs.size());
-  EXPECT_TRUE(std::equal(out.begin(), out.end(), msg.logs.begin()));
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].record, blob.data() + off);  // Zero-copy cursors.
+    EXPECT_EQ(materialize_log(out[i]), msg.logs[i]);
+    off += out[i].wire_size;
+  }
+  EXPECT_EQ(off, blob.size());
 }
 
 TEST(PiggybackWire, DeserializeLogsRejectsTruncation) {
   const auto msg = sample_message();
   std::vector<std::uint8_t> blob;
-  serialize_logs({msg.logs.data(), msg.logs.size()}, blob);
-  blob.resize(blob.size() / 2);
-  std::span<const std::uint8_t> in(blob);
-  std::vector<PiggybackLog> out;
-  EXPECT_FALSE(deserialize_logs(in, out));
+  for (const auto& log : msg.logs) {
+    const auto rec = wire_record(log);
+    blob.insert(blob.end(), rec.begin(), rec.end());
+  }
+  // Every cut inside a record is rejected; cuts on a record boundary are
+  // a shorter valid body.
+  const std::size_t first = wire_record(msg.logs[0]).size();
+  for (std::size_t cut = 1; cut < blob.size(); ++cut) {
+    std::vector<WireLog> out;
+    EXPECT_EQ(open_wire_records({blob.data(), cut}, out), cut == first)
+        << "cut at " << cut;
+  }
 }
 
 // Sweep: messages of growing size must round-trip as long as they fit.
