@@ -122,6 +122,30 @@ void BM_TxnCounterIncrement(benchmark::State& state) {
 }
 BENCHMARK(BM_TxnCounterIncrement);
 
+void BM_HeadCommit(benchmark::State& state) {
+  // The head's per-packet path at threads_per_node == 1: a Monitor-style
+  // counter transaction on the single-writer fast path, its log encoded
+  // once, recorded in the history and appended onto the packet's message.
+  ftc::ChainConfig cfg;
+  ftc::HeadStore head(0, cfg);
+  head.enable_shard_affine();
+  pkt::Packet p;
+  ftc::PiggybackView v = ftc::PiggybackView::create(p, cfg.num_partitions);
+  ftc::MaxVector commit;
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    const auto record = state::run_transaction(
+        head.txn_ctx(), [](state::Txn& t) { t.fetch_add(7, 1); });
+    ftc::LogRecordBuffer buf;
+    benchmark::DoNotOptimize(v.append_wire_log(head.record_log(record, buf)));
+    v.strip_logs_of(0);
+    // The tail's commits keep the history at its in-flight window.
+    commit.seq = record.seqs;
+    if ((++n & 255) == 0) head.prune(commit);
+  }
+}
+BENCHMARK(BM_HeadCommit);
+
 void BM_PiggybackAppendExtract(benchmark::State& state) {
   const auto value_size = static_cast<std::size_t>(state.range(0));
   pkt::Packet p;

@@ -48,12 +48,20 @@ BufferStats EgressBuffer::stats() const {
 
 bool EgressBuffer::is_covered(const Held& held) const {
   for (const auto& pending : held.pending) {
-    const auto it = known_commits_.find(pending.mbox);
-    if (it == known_commits_.end() || !it->second.covers(pending.dep)) {
+    if (pending.mbox >= known_commits_.size() ||
+        !known_commits_[pending.mbox].covers(pending.dep)) {
       return false;
     }
   }
   return true;
+}
+
+void EgressBuffer::learn_commit(MboxId mbox, const MaxVector& max) {
+  // MboxIds are ring positions; one beyond any chain is a corrupt record,
+  // not a reason to grow without bound.
+  if (mbox >= kMaxMboxes) return;
+  if (mbox >= known_commits_.size()) known_commits_.resize(mbox + 1);
+  known_commits_[mbox].merge(max);
 }
 
 EgressBuffer::Held& EgressBuffer::push_held() {
@@ -134,10 +142,7 @@ void EgressBuffer::push_feedback(FeedbackLogs&& logs) {
 
 void EgressBuffer::absorb(std::span<const CommitVector> commits) {
   LockGuard lock(mutex_);
-  for (const auto& c : commits) {
-    auto [it, inserted] = known_commits_.try_emplace(c.mbox, c.max);
-    if (!inserted) it->second.merge(c.max);
-  }
+  for (const auto& c : commits) learn_commit(c.mbox, c.max);
 }
 
 void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v,
@@ -157,8 +162,7 @@ void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v,
       for (std::size_t i = 0; i < v.commit_count(); ++i) {
         MaxVector max;
         const MboxId mbox = v.commit(i, max);
-        auto [it, inserted] = known_commits_.try_emplace(mbox, max);
-        if (!inserted) it->second.merge(max);
+        learn_commit(mbox, max);
       }
       // Every log still on board travels on toward its wrap-around tail:
       // its record bytes outlive the packet on the feedback channel. Only

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/mutex.hpp"
@@ -54,9 +53,9 @@ class EgressBuffer : rt::NonCopyable {
   /// feedback records as one hand-off.
   void end_burst() SFC_EXCLUDES(mutex_);
 
-  /// Absorbs commit vectors into the buffer's release knowledge (also
-  /// called by the egress node before message stripping).
-  void absorb(std::span<const CommitVector> commits);
+  /// Absorbs commit vectors into the buffer's release knowledge, as
+  /// submit_wire does with the commits a packet carries.
+  void absorb(std::span<const CommitVector> commits) SFC_EXCLUDES(mutex_);
 
   /// Re-checks every held packet against current commit knowledge and
   /// ships the covered ones (exposed for drain paths).
@@ -76,6 +75,9 @@ class EgressBuffer : rt::NonCopyable {
   }
 
  private:
+  /// Bound on the MboxIds whose commits the buffer tracks.
+  static constexpr MboxId kMaxMboxes = 4096;
+
   struct PendingLog {
     MboxId mbox;
     DepVector dep;
@@ -96,6 +98,8 @@ class EgressBuffer : rt::NonCopyable {
   /// Appends a ring entry (growing the ring when full) and returns it.
   Held& push_held() SFC_REQUIRES(mutex_);
   bool is_covered(const Held& held) const SFC_REQUIRES(mutex_);
+  /// Merges @p max into what the buffer knows is committed for @p mbox.
+  void learn_commit(MboxId mbox, const MaxVector& max) SFC_REQUIRES(mutex_);
   /// Stages @p p for release; flush_releases_locked() ships the staged
   /// batch with one bulk send.
   void stage_release_locked(pkt::Packet* p) SFC_REQUIRES(mutex_);
@@ -125,7 +129,10 @@ class EgressBuffer : rt::NonCopyable {
   std::size_t head_ SFC_GUARDED_BY(mutex_){0};
   std::size_t size_ SFC_GUARDED_BY(mutex_){0};
   std::size_t live_ SFC_GUARDED_BY(mutex_){0};
-  std::unordered_map<MboxId, MaxVector> known_commits_ SFC_GUARDED_BY(mutex_);
+  /// The merged commit vector per middlebox, indexed by MboxId (a ring
+  /// position, so a few entries); grown on first sight of a middlebox. A
+  /// middlebox not seen yet reads as all zeros, which covers no log.
+  std::vector<MaxVector> known_commits_ SFC_GUARDED_BY(mutex_);
   std::uint64_t full_scans_ SFC_GUARDED_BY(mutex_){0};
 
   // Release staging: packets released by the current burst (or submit),

@@ -626,13 +626,19 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   // adjacent stage instead of silently eroding reconciliation.
 
   // --- Phase B: tail duty, pruning, commit stripping, in place. A packet
-  // carries one commit per group tail it passed, plus ours. ---
-  rt::SmallVector<CommitVector, 4> commits;
+  // carries one commit per group tail it passed, plus ours; each prunes
+  // our histories. At the last position the buffer learns the same
+  // commits in submit_wire, off this packet or the propagating packets a
+  // detour moved them to. ---
+  const auto prune = [&](MboxId mbox, const MaxVector& max) {
+    if (head_ != nullptr && mbox == position_) head_->prune(max);
+    if (InOrderApplier* ca = applier(mbox)) ca->prune(max);
+  };
   if (v.ok()) {
     for (std::size_t i = 0; i < v.commit_count(); ++i) {
-      CommitVector c;
-      c.mbox = v.commit(i, c.max);
-      commits.push_back(std::move(c));
+      MaxVector max;
+      const MboxId mbox = v.commit(i, max);
+      prune(mbox, max);
     }
   }
   if (InOrderApplier* a = tail_applier_) {
@@ -656,22 +662,11 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
         detour(*p, v, [&](PiggybackView& t) { return t.set_commit(tail_mbox_, max); });
       }
       last_commit_attach_.store(applied, std::memory_order_relaxed);
-      commits.push_back(CommitVector{tail_mbox_, max});
+      prune(tail_mbox_, max);
       if (trace_id != 0) {
         span_event(registry_, obs::span_site_node(id_), trace_id,
                    obs::SpanKind::kCommitAttach, tail_mbox_);
       }
-    }
-  }
-  if (!commits.empty()) {
-    // The buffer is the last consumer of commit vectors before stripping.
-    if (buffer_ != nullptr) {
-      buffer_->absorb({commits.data(), commits.size()});
-    }
-    // Prune histories with every commit vector on board.
-    for (const auto& c : commits) {
-      if (head_ != nullptr && c.mbox == position_) head_->prune(c.max);
-      if (InOrderApplier* ca = applier(c.mbox)) ca->prune(c.max);
     }
   }
   b.prof.mark(obs::ProfStage::kTailCommit);
@@ -679,8 +674,10 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   // --- Phase C: the packet transaction (paper §4.2). The tail stays on
   // the packet; parse_packet is told where the wire bytes end. ---
   mbox::Verdict verdict = mbox::Verdict::kForward;
-  PiggybackLog new_log;
-  bool have_log = false;
+  // Our own log, encoded once: the history holds a copy, and the same
+  // bytes go onto the packet (or a propagating packet). Empty: no log.
+  LogRecordBuffer log_buf;
+  std::span<const std::uint8_t> new_log;
   if (mbox_ != nullptr && !p->anno().is_control) {
     auto parsed = pkt::parse_packet(*p, v.ok() ? v.wire_size() : 0);
     if (!parsed) {
@@ -694,14 +691,12 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
       if (mbox_->stateless()) {
         verdict = mbox_->process_stateless(*p, *parsed, pctx);
       } else {
-        auto record = state::run_transaction(head_->txn_ctx(), [&](state::Txn& txn) {
-          pctx.deferred_rewrite.reset();
-          verdict = mbox_->process(txn, *p, *parsed, pctx);
-        });
-        if (!record.read_only()) {
-          new_log = head_->make_log(std::move(record));
-          have_log = true;
-        }
+        const auto record =
+            state::run_transaction(head_->txn_ctx(), [&](state::Txn& txn) {
+              pctx.deferred_rewrite.reset();
+              verdict = mbox_->process(txn, *p, *parsed, pctx);
+            });
+        new_log = head_->record_log(record, log_buf);
       }
       if (pctx.deferred_rewrite) pkt::rewrite_flow(*parsed, *pctx.deferred_rewrite);
       // Chained from the Phase B mark: parse + dispatch glue count as
@@ -732,8 +727,9 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   }
 
   // --- Phase D: emit, appending our own log in place. ---
+  const bool have_log = !new_log.empty();
   const auto append_new_log = [&](PiggybackView& t) {
-    return !have_log || t.append_log(new_log);
+    return !have_log || t.append_wire_log(new_log);
   };
   if (verdict == mbox::Verdict::kDrop) {
     // A filtering middlebox must not swallow in-flight state: its head
@@ -747,7 +743,7 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   }
   if (have_log) {
     if (!v.ok()) v = PiggybackView::create(*p, cfg_.num_partitions);
-    if (!v.ok() || !v.append_log(new_log)) {
+    if (!v.ok() || !v.append_wire_log(new_log)) {
       // The log outgrew this packet's tailroom (paper: use jumbo frames).
       // The message and the log go on ahead; the data packet leaves with
       // an empty message (which always fits).

@@ -237,9 +237,9 @@ class FtcNode : rt::NonCopyable {
   /// Detour (the paper's oversize-message case, and a filtering
   /// middlebox's drop): moves the records of @p v — commit vectors and
   /// logs, as bytes — onto a propagating packet and runs @p finish (the
-  /// pending set_commit/append_log) there. A propagating packet that fills
-  /// up is emitted and the rest spills into a fresh one. @p p is left
-  /// with an empty message, reopened in @p v.
+  /// pending set_commit/append_wire_log) there. A propagating packet that
+  /// fills up is emitted and the rest spills into a fresh one. @p p is
+  /// left with an empty message, reopened in @p v.
   template <typename Fn>
   void detour(pkt::Packet& p, PiggybackView& v, Fn&& finish);
   /// Sends a propagating packet on, or hands it to the buffer at egress.

@@ -66,16 +66,20 @@ class Reader {
   const std::uint8_t* end_;
 };
 
-/// Serializes one log record (shared by append_message, encode_log and
-/// PiggybackView::append_log so every path is byte-identical).
-void write_log(Writer& w, const PiggybackLog& log) noexcept {
-  w.pod<std::uint32_t>(log.mbox);
-  w.pod<std::uint64_t>(log.dep.mask);
-  for (std::size_t i = 0; i < state::kMaxPartitions; ++i) {
-    if (log.dep.touches(i)) w.pod<std::uint64_t>(log.dep.seq[i]);
+/// Serializes one log record: the single encoder behind encode_log,
+/// append_message and PiggybackView::append_log, so every path is
+/// byte-identical.
+void write_log(Writer& w, MboxId mbox, std::uint64_t mask,
+               const std::array<std::uint64_t, state::kMaxPartitions>& seq,
+               std::span<const state::StateUpdate> writes) noexcept {
+  w.pod<std::uint32_t>(mbox);
+  w.pod<std::uint64_t>(mask);
+  constexpr std::uint64_t kPartitionBits = (1ULL << state::kMaxPartitions) - 1;
+  for (std::uint64_t m = mask & kPartitionBits; m != 0; m &= m - 1) {
+    w.pod<std::uint64_t>(seq[static_cast<std::size_t>(std::countr_zero(m))]);
   }
-  w.pod<std::uint16_t>(static_cast<std::uint16_t>(log.writes.size()));
-  for (const auto& wr : log.writes) {
+  w.pod<std::uint16_t>(static_cast<std::uint16_t>(writes.size()));
+  for (const auto& wr : writes) {
     w.pod<std::uint64_t>(wr.key);
     const auto len = static_cast<std::uint16_t>(wr.value.size());
     w.pod<std::uint16_t>(wr.erase ? static_cast<std::uint16_t>(len | kEraseFlag)
@@ -84,18 +88,30 @@ void write_log(Writer& w, const PiggybackLog& log) noexcept {
   }
 }
 
+void write_log(Writer& w, const PiggybackLog& log) noexcept {
+  write_log(w, log.mbox, log.dep.mask, log.dep.seq,
+            {log.writes.data(), log.writes.size()});
+}
+
+std::size_t record_size(const PiggybackLog& log) noexcept {
+  return ::sfc::ftc::log_size(log.dep.mask,
+                              {log.writes.data(), log.writes.size()});
+}
+
 }  // namespace
 
-std::size_t log_size(const PiggybackLog& log) noexcept {
-  std::size_t n = 4 + 8 +
-                  8 * static_cast<std::size_t>(std::popcount(log.dep.mask)) + 2;
-  for (const auto& w : log.writes) n += 8 + 2 + w.value.size();
+std::size_t log_size(std::uint64_t mask,
+                     std::span<const state::StateUpdate> writes) noexcept {
+  std::size_t n = 4 + 8 + 8 * static_cast<std::size_t>(std::popcount(mask)) + 2;
+  for (const auto& w : writes) n += 8 + 2 + w.value.size();
   return n;
 }
 
-void encode_log(std::uint8_t* out, const PiggybackLog& log) noexcept {
+void encode_log(std::uint8_t* out, MboxId mbox, std::uint64_t mask,
+                const std::array<std::uint64_t, state::kMaxPartitions>& seq,
+                std::span<const state::StateUpdate> writes) noexcept {
   Writer w(out);
-  write_log(w, log);
+  write_log(w, mbox, mask, seq, writes);
 }
 
 void PiggybackMessage::set_commit(MboxId mbox, const MaxVector& max) {
@@ -139,7 +155,7 @@ void PiggybackMessage::merge(PiggybackMessage&& other) {
 std::size_t serialized_size(const PiggybackMessage& msg,
                             std::size_t num_partitions) noexcept {
   std::size_t n = 8;  // Header.
-  for (const auto& log : msg.logs) n += log_size(log);
+  for (const auto& log : msg.logs) n += record_size(log);
   n += msg.commits.size() * (4 + 8 * num_partitions);
   return n + kFooterSize;
 }
@@ -404,7 +420,7 @@ std::uint8_t* PiggybackView::grow_logs(std::size_t need) {
 }
 
 bool PiggybackView::append_log(const PiggybackLog& log) {
-  std::uint8_t* at = grow_logs(log_size(log));
+  std::uint8_t* at = grow_logs(record_size(log));
   if (at == nullptr) return false;
   Writer w(at);
   write_log(w, log);

@@ -9,6 +9,7 @@
 // in-place append ("there is no need to actually strip and reattach it").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -133,12 +134,19 @@ struct WireLog {
   }
 };
 
-/// Size of @p log's wire record.
-std::size_t log_size(const PiggybackLog& log) noexcept;
+/// Size of the wire record of a log whose dependency vector touches the
+/// partitions in @p mask and whose write set is @p writes.
+std::size_t log_size(std::uint64_t mask,
+                     std::span<const state::StateUpdate> writes) noexcept;
 
-/// Writes @p log's wire record (log_size() bytes) to @p out, byte for byte
-/// as PiggybackView::append_log does.
-void encode_log(std::uint8_t* out, const PiggybackLog& log) noexcept;
+/// The log record encoder: writes the wire record (log_size() bytes) of
+/// @p mbox's log with dependency mask @p mask, sequence numbers @p seq
+/// (read where @p mask is set) and write set @p writes to @p out. Every
+/// path that encodes a record (a head's committed transaction,
+/// PiggybackView::append_log, append_message) goes through it.
+void encode_log(std::uint8_t* out, MboxId mbox, std::uint64_t mask,
+                const std::array<std::uint64_t, state::kMaxPartitions>& seq,
+                std::span<const state::StateUpdate> writes) noexcept;
 
 /// Bounds-checks the log record at the start of @p in: header, dependency
 /// mask, every write. Returns the record's size, or 0 when it is malformed

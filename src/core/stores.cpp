@@ -107,11 +107,6 @@ void LogHistory::record(std::span<const std::uint8_t> rec) {
   evict_over_capacity();
 }
 
-void LogHistory::record(const PiggybackLog& log) {
-  LockGuard lock(mutex_);
-  encode_log(push_record(log_size(log)), log);
-  evict_over_capacity();
-}
 
 std::uint8_t* LogHistory::push_record(std::size_t len) {
   if (count_ == index_.size()) {
@@ -176,6 +171,18 @@ void LogHistory::reserve_bytes(std::size_t need) {
     bytes_.swap(grown);
   }
   base_ = head_;
+}
+
+std::span<const std::uint8_t> HeadStore::record_log(
+    const state::TxnRecord& record, LogRecordBuffer& out) {
+  if (record.read_only()) return {};
+  const std::span<const state::StateUpdate> writes{record.writes.data(),
+                                                   record.writes.size()};
+  out.resize_uninitialized(log_size(record.touched_mask, writes));
+  encode_log(out.data(), mbox_, record.touched_mask, record.seqs, writes);
+  const std::span<const std::uint8_t> rec{out.data(), out.size()};
+  history_.record(rec);
+  return rec;
 }
 
 void HeadStore::serialize(std::vector<std::uint8_t>& out) {

@@ -17,6 +17,7 @@
 #include "core/dep_vector.hpp"
 #include "core/piggyback.hpp"
 #include "obs/registry.hpp"
+#include "runtime/small_vector.hpp"
 #include "state/handoff_ring.hpp"
 #include "state/shard_map.hpp"
 #include "state/txn.hpp"
@@ -55,12 +56,9 @@ class LogHistory {
       : capacity_(capacity), evicted_(evicted) {}
 
   /// Appends one wire record (copied): a replica keeps each applied log
-  /// as it arrived.
+  /// as it arrived, a head each log it emits, including one no frame can
+  /// carry.
   void record(std::span<const std::uint8_t> rec) SFC_EXCLUDES(mutex_);
-
-  /// Appends @p log's wire record, encoded straight into the FIFO: a head
-  /// keeps each log it emits, including one no frame can carry.
-  void record(const PiggybackLog& log) SFC_EXCLUDES(mutex_);
 
   /// Drops the covered prefix: every log from the oldest up to the first
   /// that @p commit does not cover. Reads the mask and sequence numbers
@@ -119,6 +117,11 @@ class LogHistory {
   std::size_t count_ SFC_GUARDED_BY(mutex_){0};
 };
 
+/// One head log record, encoded once per committed transaction. A Monitor
+/// or NAT record (a few dozen bytes) stays inline; a larger one spills to
+/// the heap.
+using LogRecordBuffer = rt::SmallVector<std::uint8_t, 256>;
+
 /// The head side of one middlebox's replication group (paper §4.1): the
 /// authoritative store, the transactional runtime, and the history of logs
 /// this head has emitted.
@@ -143,18 +146,15 @@ class HeadStore : rt::NonCopyable {
     txn_ctx_.enable_shard_affine();
   }
 
-  /// Converts a committed transaction into this middlebox's piggyback log
-  /// and records its wire encoding in the history, so a successor can
-  /// NACK for it wherever, and whether, the log travels.
-  PiggybackLog make_log(state::TxnRecord&& record) {
-    PiggybackLog log;
-    log.mbox = mbox_;
-    log.dep.mask = record.touched_mask;
-    log.dep.seq = record.seqs;
-    log.writes = std::move(record.writes);
-    history_.record(log);
-    return log;
-  }
+  /// Encodes a committed transaction as this middlebox's piggyback log
+  /// into @p out, once, and records those bytes in the history, so a
+  /// successor can NACK for the log wherever, and whether, it travels; the
+  /// node copies the same bytes onto the packet. Returns the record, empty
+  /// for a read-only transaction (it has no log). @p out is the caller's:
+  /// with several head workers the history is shared, so the record must
+  /// not be read back out of it.
+  std::span<const std::uint8_t> record_log(const state::TxnRecord& record,
+                                           LogRecordBuffer& out);
 
   void prune(const MaxVector& commit) { history_.prune(commit); }
 

@@ -12,6 +12,7 @@
 #include <initializer_list>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 namespace sfc::rt {
@@ -83,6 +84,15 @@ class SmallVector {
     if (ptr_ != inline_data()) ::operator delete(ptr_);
     ptr_ = heap;
     capacity_ = new_cap;
+  }
+
+  /// Sets the size to @p n, leaving new elements uninitialized: for a
+  /// byte buffer the caller fills in place (an encoder's output).
+  void resize_uninitialized(std::size_t n)
+    requires std::is_trivially_copyable_v<T>
+  {
+    reserve(n);
+    size_ = n;
   }
 
   template <typename... Args>

@@ -1,7 +1,5 @@
 #include "state/txn.hpp"
 
-#include <algorithm>
-
 #include "obs/prof.hpp"
 
 namespace sfc::state {
@@ -77,13 +75,16 @@ const StateUpdate* Txn::find_buffered(Key key) const noexcept {
   return nullptr;
 }
 
-std::optional<Bytes> Txn::read(Key key) {
+const Bytes* Txn::peek(Key key) {
   acquire(key);
   if (const StateUpdate* buffered = find_buffered(key)) {
-    if (buffered->erase) return std::nullopt;
-    return buffered->value;
+    return buffered->erase ? nullptr : &buffered->value;
   }
-  if (const Bytes* v = ctx_.store_.get_locked(key)) return *v;
+  return ctx_.store_.get_locked(key);
+}
+
+std::optional<Bytes> Txn::read(Key key) {
+  if (const Bytes* v = peek(key)) return *v;
   return std::nullopt;
 }
 
@@ -104,11 +105,24 @@ void Txn::erase(Key key) {
 }
 
 std::uint64_t Txn::fetch_add(Key key, std::uint64_t delta) {
-  const auto current = read(key);
+  // One read and one write, as the access count (and FTMB's PALs) see it;
+  // the read does not copy the stored value.
+  const Bytes* current = peek(key);
   const std::uint64_t next =
-      (current ? current->as<std::uint64_t>() : 0) + delta;
+      (current != nullptr ? current->as<std::uint64_t>() : 0) + delta;
   write(key, Bytes::of(next));
   return next;
+}
+
+void Txn::dedupe_writes() noexcept {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < writes_.size(); ++i) {
+    std::size_t j = 0;
+    while (j < kept && writes_[j].key != writes_[i].key) ++j;
+    if (j != i) writes_[j] = std::move(writes_[i]);
+    if (j == kept) ++kept;
+  }
+  while (writes_.size() > kept) writes_.pop_back();
 }
 
 TxnRecord Txn::commit() {
@@ -118,26 +132,16 @@ TxnRecord Txn::commit() {
   record.accesses = accesses_;
 
   if (!writes_.empty()) {
-    // Deduplicate the write set in place: only the final value per key is
-    // replicated (program order preserved for distinct keys).
-    WriteSet final_writes;
-    for (auto& w : writes_) {
-      if (auto it = std::find_if(
-              final_writes.begin(), final_writes.end(),
-              [&](const StateUpdate& f) { return f.key == w.key; });
-          it != final_writes.end()) {
-        *it = std::move(w);
-      } else {
-        final_writes.push_back(std::move(w));
-      }
-    }
+    // Only the final value per key is replicated (program order preserved
+    // for distinct keys). One write, the common case, has nothing to merge.
+    if (writes_.size() > 1) dedupe_writes();
 
     if (fast_) {
       // Owner-hit commit: no locks, no atomic RMW — apply inside the
       // seqlock write section so stats readers snapshot consistently and
       // get() readers inherit the happens-before from the version bump.
       ctx_.store_.owner_write_begin(record.touched_mask);
-      for (const auto& w : final_writes) {
+      for (const auto& w : writes_) {
         if (w.erase) {
           ctx_.store_.erase_owner(w.key);
         } else {
@@ -151,7 +155,7 @@ TxnRecord Txn::commit() {
       }
       ctx_.store_.owner_write_end(record.touched_mask);
     } else {
-      for (const auto& w : final_writes) {
+      for (const auto& w : writes_) {
         if (w.erase) {
           ctx_.store_.erase_locked(w.key);
         } else {
@@ -167,7 +171,7 @@ TxnRecord Txn::commit() {
         }
       }
     }
-    record.writes = std::move(final_writes);
+    record.writes = std::move(writes_);
   }
 
   committed_ = true;

@@ -174,6 +174,13 @@ class Txn : rt::NonCopyable {
   void check_wounded();
   void release_locks() noexcept;
   const StateUpdate* find_buffered(Key key) const noexcept;
+  /// The current value of @p key, buffered or stored, read in place (null
+  /// when absent or erased). Acquires the partition like read(); the
+  /// pointer is valid until the next write or commit.
+  const Bytes* peek(Key key);
+  /// Keeps only the final write per key, in place: each key stays where
+  /// it was first written and takes its last value.
+  void dedupe_writes() noexcept;
 
   TxnContext& ctx_;
   TxnSlot& slot_;

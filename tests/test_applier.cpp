@@ -215,17 +215,24 @@ TEST(HeadTransfer, HeadRestoresFromApplierBlob) {
   EXPECT_EQ(record.seqs[p], 4u);
 }
 
-TEST(HeadStore, MakeLogRecordsHistory) {
+TEST(HeadStore, RecordLogRecordsHistory) {
   const auto cfg = test_cfg();
   HeadStore head(3, cfg);
   auto record = state::run_transaction(head.txn_ctx(), [&](state::Txn& t) {
     t.write(1, state::Bytes::of<int>(5));
   });
-  auto log = head.make_log(std::move(record));
+  LogRecordBuffer buf;
+  const auto rec = head.record_log(record, buf);
+  const PiggybackLog log =
+      materialize_log(decode_record(rec.data(), static_cast<std::uint32_t>(rec.size())));
   EXPECT_EQ(log.mbox, 3u);
   EXPECT_EQ(log.writes.size(), 1u);
-  EXPECT_EQ(head.history().size(), 1u);
+  ASSERT_EQ(head.history().size(), 1u);
   EXPECT_EQ(logs_after(head.history(), MaxVector{}).front(), log);
+  // The history holds the very bytes the head hands to the packet.
+  std::vector<std::uint8_t> history_bytes;
+  head.history().append_after(MaxVector{}, history_bytes);
+  EXPECT_EQ(history_bytes, std::vector<std::uint8_t>(rec.begin(), rec.end()));
 
   // Commit covering the log prunes it.
   MaxVector commit;
@@ -241,6 +248,9 @@ TEST(HeadStore, ReadOnlyTxnProducesNoLog) {
     (void)t.read(1);
   });
   EXPECT_TRUE(record.read_only());
+  LogRecordBuffer buf;
+  EXPECT_TRUE(head.record_log(record, buf).empty());
+  EXPECT_EQ(head.history().size(), 0u);
 }
 
 }  // namespace

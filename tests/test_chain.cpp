@@ -616,6 +616,68 @@ TEST(FtcChain, NeverQuiescentWhileTheBufferStages) {
   chain.stop();
 }
 
+// The last position learns commit vectors only in the buffer's
+// submit_wire. A commit that reaches it on a data packet whose message then
+// detours (the packet has no room left for the last middlebox's own log)
+// rides a propagating packet into the buffer, and must still release the
+// packet held for it.
+TEST(FtcChain, DetouredCommitReleasesHeldPacket) {
+  auto spec = spec_for(ChainMode::kFtc, 3);
+  // No idle propagation: only the packets below carry commits.
+  spec.cfg.propagate_interval_ns = 60'000'000'000;
+  ChainRuntime chain(spec);
+  chain.start();
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+  const std::uint32_t last = chain.ring_size() - 1;
+  const auto packet = [&](std::uint64_t id, std::size_t frame_len) {
+    pkt::Packet* p = chain.pool().alloc_raw();
+    if (p != nullptr) {
+      pkt::PacketBuilder(*p).udp(
+          pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, frame_len);
+      p->anno().packet_id = id;
+      p->anno().ingress_ns = rt::now_ns();
+    }
+    return p;
+  };
+
+  // A carries the last middlebox's log, whose tail wraps around to
+  // position 0, so the buffer holds it until a commit covers that log.
+  pkt::Packet* a = packet(1, 128);
+  ASSERT_NE(a, nullptr);
+  const std::size_t a_tailroom = a->tailroom();
+  ASSERT_TRUE(chain.segment(last).send(a));
+  const auto a_held = [&] { return chain.buffer()->held_count() == 1; };
+  ASSERT_TRUE(test::wait_until(a_held, std::chrono::seconds(5)))
+      << "a_held never held";
+
+  // B carries a commit covering A's log, in a frame sized so that the
+  // commit fits and the last middlebox's own log does not.
+  const std::size_t message = kWireHeaderSize + 4 +
+                              8 * spec.cfg.num_partitions + kFooterSize;
+  constexpr std::size_t kSpare = 16;  // Less than any log record.
+  pkt::Packet* b = packet(2, 128 + a_tailroom - message - kSpare);
+  ASSERT_NE(b, nullptr);
+  PiggybackView v = PiggybackView::create(*b, spec.cfg.num_partitions);
+  ASSERT_TRUE(v.ok());
+  MaxVector covering;
+  covering.seq.fill(1);
+  ASSERT_TRUE(v.set_commit(last, covering));
+  ASSERT_EQ(b->tailroom(), kSpare);
+  ASSERT_TRUE(chain.segment(last).send(b));
+
+  const auto both_delivered = [&] { return sink.packets_received() == 2; };
+  EXPECT_TRUE(test::wait_until(both_delivered, std::chrono::seconds(5)))
+      << "both_delivered never held; received " << sink.packets_received()
+      << ", the buffer holds " << chain.buffer()->held_count() << ", released "
+      << chain.buffer()->stats().released << ", submitted "
+      << chain.buffer()->stats().submitted;
+  EXPECT_GE(chain.ftc_node(last)->stats().oversize_detours, 1u);
+  EXPECT_EQ(chain.buffer()->held_count(), 0u);
+  sink.stop();
+  chain.stop();
+}
+
 TEST(FtcChain, QuiescentObservationsMatchReplicatedState) {
   // One thread reads quiescent() in a tight loop while single bursts are
   // injected with gaps between them. Every quiescent observation must

@@ -154,17 +154,15 @@ TEST(Recovery, HeartbeatMonitorDetectsAndRecovers) {
   chain.fail_position(2);
 
   // The monitor must detect the silence and complete recovery on its own.
-  const auto deadline = rt::now_ns() + 15'000'000'000ull;
-  while (rt::now_ns() < deadline) {
-    // The monitor swaps the replacement in before appending its report —
-    // wait for both, or the assertions below race with the tail of the
-    // monitor's recovery pass.
-    if (chain.ftc_node(2)->id() != old_id && !chain.ftc_node(2)->has_failed() &&
-        !orch.reports().empty()) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  // It swaps the replacement in before appending its report — wait for
+  // both, or the assertions below race with the tail of the monitor's
+  // recovery pass.
+  const auto replaced_and_reported = [&] {
+    return chain.ftc_node(2)->id() != old_id &&
+           !chain.ftc_node(2)->has_failed() && !orch.reports().empty();
+  };
+  EXPECT_TRUE(test::wait_until(replaced_and_reported, 15s, 5ms))
+      << "the monitor never swapped in a live replacement and reported it";
   EXPECT_NE(chain.ftc_node(2)->id(), old_id);
   EXPECT_GE(orch.failures_detected(), 1u);
   ASSERT_FALSE(orch.reports().empty());
@@ -648,7 +646,7 @@ TEST(Recovery, NackServesALogLargerThanAFrame) {
     auto record = state::run_transaction(store->txn_ctx(), [&](state::Txn& t) {
       t.write(kKey, state::Bytes(value.data(), value.size()));
     });
-    return store->make_log(std::move(record));
+    return ftc::record_log(*store, record);
   };
   const ftc::PiggybackLog big = commit(4096);
   const ftc::PiggybackLog small = commit(8);
@@ -822,17 +820,18 @@ TEST(Recovery, TraceCapturesParkNackUnparkSequence) {
   sink.start();
   source.start();
 
-  bool found = false;
-  const auto deadline = rt::now_ns() + 15'000'000'000ull;
-  while (!found && rt::now_ns() < deadline) {
-    for (std::uint32_t pos = 0; pos < chain.ring_size() && !found; ++pos) {
-      found = chain.ftc_node(pos)->trace().contains_sequence(
-          {obs::Event::kPacketParked, obs::Event::kNackSent,
-           obs::Event::kPacketUnparked});
+  const auto some_node_traced_park_nack_unpark = [&] {
+    for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
+      if (chain.ftc_node(pos)->trace().contains_sequence(
+              {obs::Event::kPacketParked, obs::Event::kNackSent,
+               obs::Event::kPacketUnparked})) {
+        return true;
+      }
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(found) << "no node traced park -> nack_sent -> unpark";
+    return false;
+  };
+  EXPECT_TRUE(test::wait_until(some_node_traced_park_nack_unpark, 15s, 10ms))
+      << "no node traced park -> nack_sent -> unpark";
 
   source.stop();
   sink.stop();

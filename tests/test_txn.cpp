@@ -94,6 +94,72 @@ TEST(Txn, WriteSetDeduplicatesPerKey) {
   EXPECT_EQ(store.get(1)->as<int>(), 3);
 }
 
+TEST(Txn, WriteSetDedupeKeepsFirstPlaceAndLastValue) {
+  StateStore store(8);
+  TxnContext ctx(store);
+  run_transaction(ctx, [](Txn& t) { t.write(2, Bytes::of<int>(0)); });
+  auto rec = run_transaction(ctx, [](Txn& t) {
+    t.write(1, Bytes::of<int>(1));
+    t.write(2, Bytes::of<int>(2));
+    t.write(1, Bytes::of<int>(3));
+    t.write(3, Bytes::of<int>(4));
+    t.erase(2);
+  });
+  ASSERT_EQ(rec.writes.size(), 3u);
+  EXPECT_EQ(rec.writes[0], (StateUpdate{1, Bytes::of<int>(3), false}));
+  EXPECT_EQ(rec.writes[1], (StateUpdate{2, Bytes{}, true}));
+  EXPECT_EQ(rec.writes[2], (StateUpdate{3, Bytes::of<int>(4), false}));
+  EXPECT_EQ(store.get(1)->as<int>(), 3);
+  EXPECT_FALSE(store.get(2).has_value());
+  EXPECT_EQ(store.get(3)->as<int>(), 4);
+}
+
+TEST(Txn, FetchAddReadsBufferedWritesAndErases) {
+  StateStore store(8);
+  TxnContext ctx(store);
+  auto rec = run_transaction(ctx, [](Txn& t) {
+    t.write(4, Bytes::of<std::uint64_t>(7));
+    EXPECT_EQ(t.fetch_add(4, 1), 8u);
+    t.erase(4);
+    EXPECT_EQ(t.fetch_add(4, 2), 2u);
+  });
+  ASSERT_EQ(rec.writes.size(), 1u);
+  EXPECT_EQ(rec.writes[0], (StateUpdate{4, Bytes::of<std::uint64_t>(2), false}));
+  EXPECT_EQ(store.get(4)->as<std::uint64_t>(), 2u);
+}
+
+// TxnRecord::accesses is what FTMB sends one PAL per: a read, write,
+// erase or contains is one access and a fetch_add is a read plus a write,
+// on the locked path and on the single-writer fast path alike.
+TEST(Txn, AccessCountsPerOperation) {
+  for (const bool shard_affine : {false, true}) {
+    SCOPED_TRACE(shard_affine ? "shard-affine" : "locked");
+    StateStore store(8);
+    TxnContext ctx(store);
+    if (shard_affine) {
+      store.enable_shard_affine();
+      ctx.enable_shard_affine();
+    }
+    run_transaction(ctx, [](Txn& t) { t.write(9, Bytes::of<std::uint64_t>(1)); });
+    const auto accesses = [&](auto&& body) {
+      return run_transaction(ctx, body).accesses;
+    };
+    EXPECT_EQ(accesses([](Txn& t) { (void)t.read(9); }), 1u);
+    EXPECT_EQ(accesses([](Txn& t) { t.write(9, Bytes::of<std::uint64_t>(2)); }), 1u);
+    EXPECT_EQ(accesses([](Txn& t) { t.erase(8); }), 1u);
+    EXPECT_EQ(accesses([](Txn& t) { (void)t.contains(9); }), 1u);
+    EXPECT_EQ(accesses([](Txn& t) { (void)t.fetch_add(9, 1); }), 2u);
+    EXPECT_EQ(accesses([](Txn& t) {
+                (void)t.read(9);
+                (void)t.fetch_add(9, 1);
+                (void)t.fetch_add(7, 1);
+                (void)t.contains(7);
+              }),
+              6u);
+    EXPECT_EQ(ctx.owner_misses(), 0u);
+  }
+}
+
 TEST(Txn, ReadOnlyTxnDoesNotBumpSequences) {
   StateStore store(8);
   TxnContext ctx(store);

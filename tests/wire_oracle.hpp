@@ -37,12 +37,27 @@ inline PiggybackLog materialize_log(const WireLog& wire) {
   return log;
 }
 
-/// @p log's wire record, exactly as PiggybackView::append_log writes it.
-/// Unlike a view, it has no frame to fit.
+/// @p log's wire record from the record encoder a head uses, so exactly
+/// what a head records and appends for the same log. Unlike a view, it has
+/// no frame to fit.
 inline std::vector<std::uint8_t> wire_record(const PiggybackLog& log) {
-  std::vector<std::uint8_t> out(log_size(log));
-  encode_log(out.data(), log);
+  const std::span<const state::StateUpdate> writes{log.writes.data(),
+                                                   log.writes.size()};
+  std::vector<std::uint8_t> out(log_size(log.dep.mask, writes));
+  encode_log(out.data(), log.mbox, log.dep.mask, log.dep.seq, writes);
   return out;
+}
+
+/// Records @p record in @p head's history through HeadStore::record_log
+/// and returns the log decoded from the bytes it produced (a default log
+/// for a read-only transaction, which has none).
+inline PiggybackLog record_log(HeadStore& head,
+                               const state::TxnRecord& record) {
+  LogRecordBuffer buf;
+  const auto rec = head.record_log(record, buf);
+  if (rec.empty()) return {};
+  return materialize_log(
+      decode_record(rec.data(), static_cast<std::uint32_t>(rec.size())));
 }
 
 /// Records back to back (a NACK reply body, a fetched history section)
