@@ -1,6 +1,7 @@
 #include "core/buffer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "obs/span.hpp"
@@ -46,10 +47,10 @@ BufferStats EgressBuffer::stats() const {
   return s;
 }
 
-bool EgressBuffer::is_covered(const Held& held) const {
-  for (const auto& pending : held.pending) {
-    if (pending.mbox >= known_commits_.size() ||
-        !known_commits_[pending.mbox].covers(pending.dep)) {
+bool EgressBuffer::is_covered(std::span<const Pending> pending) const {
+  for (const Pending& w : pending) {
+    if (w.mbox >= known_commits_.size() ||
+        known_commits_[w.mbox].seq[w.partition] < w.seq) {
       return false;
     }
   }
@@ -86,7 +87,6 @@ void EgressBuffer::stage_release_locked(pkt::Packet* p) {
 void EgressBuffer::release_locked(Held& held) {
   stage_release_locked(held.packet);
   held.packet = nullptr;  // Tombstone until it reaches the front.
-  held.pending.clear();
   --live_;
 }
 
@@ -97,7 +97,7 @@ void EgressBuffer::release_prefix_locked() {
   while (size_ != 0) {
     Held& front = slot(0);
     if (front.packet != nullptr) {
-      if (!is_covered(front)) break;
+      if (!is_covered(front.pending)) break;
       release_locked(front);
     }
     head_ = (head_ + 1) & (ring_.size() - 1);
@@ -108,7 +108,9 @@ void EgressBuffer::release_prefix_locked() {
 void EgressBuffer::release_all_covered_locked() {
   for (std::size_t i = 0; i < size_; ++i) {
     Held& held = slot(i);
-    if (held.packet != nullptr && is_covered(held)) release_locked(held);
+    if (held.packet != nullptr && is_covered(held.pending)) {
+      release_locked(held);
+    }
   }
   release_prefix_locked();  // Pops the tombstones now at the front.
 }
@@ -129,102 +131,127 @@ void EgressBuffer::flush_releases_locked() {
   n_stage_ = 0;
 }
 
-FeedbackLogs EgressBuffer::ship_locked() {
-  flush_releases_locked();
-  held_gauge_->set(static_cast<std::int64_t>(live_));
-  if (feedback_stage_.empty()) return {};
-  return std::exchange(feedback_stage_, FeedbackLogs{});
-}
-
-void EgressBuffer::push_feedback(FeedbackLogs&& logs) {
-  if (!logs.empty()) feedback_.push(std::move(logs));
-}
-
-void EgressBuffer::absorb(std::span<const CommitVector> commits) {
-  LockGuard lock(mutex_);
-  for (const auto& c : commits) learn_commit(c.mbox, c.max);
-}
-
-void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v,
-                               bool in_burst) {
-  // Cache: the packet leaves our hands below (freed for control packets,
-  // sent for released ones).
+void EgressBuffer::submit_wire(Batch& batch, pkt::Packet* p,
+                               PiggybackView& v) {
+  if (batch.empty()) open_batches_.fetch_add(1, std::memory_order_acq_rel);
   const bool is_control = p->anno().is_control;
-  const std::uint64_t trace_id = p->anno().trace_id;
-  FeedbackLogs shipped;
-  {
-    LockGuard lock(mutex_);
-    submitted_->inc();
-    Held held{p, {}};
-    if (v.ok()) {
-      // Commit vectors end their journey here (tail -> ... -> buffer,
-      // paper §5.1): absorb the release knowledge they carry.
-      for (std::size_t i = 0; i < v.commit_count(); ++i) {
-        MaxVector max;
-        const MboxId mbox = v.commit(i, max);
-        learn_commit(mbox, max);
+  const auto first = static_cast<std::uint32_t>(batch.pending_.size());
+  if (v.ok()) {
+    // Commit vectors end their journey here (tail -> ... -> buffer, paper
+    // §5.1): the burst's merge is what end_burst() learns.
+    for (std::size_t i = 0; i < v.commit_count(); ++i) {
+      CommitVector c;
+      c.mbox = v.commit(i, c.max);
+      CommitVector* known = nullptr;
+      for (CommitVector& k : batch.commits_) {
+        if (k.mbox == c.mbox) known = &k;
       }
-      // Every log still on board travels on toward its wrap-around tail:
-      // its record bytes outlive the packet on the feedback channel. Only
-      // those logs feed back, so the idle propagation loop ends once every
-      // log is stripped at its tail. A burst's records stage into storage
-      // the head handed back.
-      if (v.log_count() != 0 && feedback_stage_.bytes.capacity() == 0) {
-        feedback_stage_ = feedback_.spare();
+      if (known != nullptr) {
+        known->max.merge(c.max);
+      } else {
+        batch.commits_.push_back(c);
       }
-      for (std::size_t i = 0; i < v.log_count(); ++i) {
+    }
+    // Every log still on board travels on toward its wrap-around tail:
+    // its record bytes outlive the packet on the feedback channel. Only
+    // those logs feed back, so the idle propagation loop ends once every
+    // log is stripped at its tail. A burst's records stage into storage
+    // the head handed back.
+    if (v.log_count() != 0 && batch.feedback_.bytes.capacity() == 0) {
+      batch.feedback_ = feedback_.spare();
+    }
+    for (std::size_t i = 0; i < v.log_count(); ++i) {
+      if (!is_control) {
         const WireLog log = v.log(i);
-        if (!is_control) held.pending.push_back({log.mbox, log.dep});
-        feedback_stage_.add_record(v.log_bytes(i));
+        for (std::uint64_t m = log.dep.mask; m != 0; m &= m - 1) {
+          const auto part = static_cast<std::uint32_t>(std::countr_zero(m));
+          batch.pending_.push_back(Pending{log.dep.seq[part], log.mbox, part});
+        }
       }
-      v.strip_tail();  // The packet leaves the chain bare.
+      batch.feedback_.add_record(v.log_bytes(i));
     }
-
-    if (is_control) {
-      control_consumed_->inc();
-      pool_.free_raw(p);
-    } else if (held.pending.empty() || is_covered(held)) {
-      // Nothing outstanding (e.g. read-only path all along the chain, or
-      // commits already caught up): release without holding.
-      stage_release_locked(p);
-      released_immediately_->inc();
-    } else {
-      if (trace_id != 0) {
-        span_event(registry_, trace_id, obs::SpanKind::kBufferHold);
-      }
-      push_held() = std::move(held);
-      ++live_;
-      high_water_->set(std::max<std::int64_t>(
-          high_water_->value(), static_cast<std::int64_t>(live_)));
-    }
-
-    // A non-prefix-eligible hold is released at the latest by the next
-    // commit for its partitions, or by the periodic full scan on control
-    // packets.
-    release_prefix_locked();
-    if (is_control && ++full_scans_ % 4 == 0) release_all_covered_locked();
-    if (!in_burst) shipped = ship_locked();
+    v.strip_tail();  // The packet leaves the chain bare.
   }
-  push_feedback(std::move(shipped));
+  if (is_control) {
+    ++batch.n_control_;
+    pool_.free_raw(p);
+    return;
+  }
+  batch.entries_.push_back(Batch::Entry{
+      p, first, static_cast<std::uint32_t>(batch.pending_.size()) - first});
 }
 
-void EgressBuffer::end_burst() {
-  FeedbackLogs shipped;
+void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
+  // Outside a burst nothing else shares the batch: one per thread keeps
+  // its storage.
+  thread_local Batch one;
+  submit_wire(one, p, v);
+  end_burst(one);
+}
+
+void EgressBuffer::end_burst(Batch& batch) {
+  if (batch.empty()) return;
+  FeedbackLogs shipped = std::move(batch.feedback_);
+  batch.feedback_.clear();
   {
     LockGuard lock(mutex_);
-    shipped = ship_locked();
+    submitted_->add(batch.entries_.size() + batch.n_control_);
+    if (batch.n_control_ != 0) control_consumed_->add(batch.n_control_);
+    // Learn first: a commit vector certifies f+1 replication whenever the
+    // buffer reads it, so a packet it covers may leave even if the commit
+    // arrived on a later packet of the same burst.
+    for (const CommitVector& c : batch.commits_) learn_commit(c.mbox, c.max);
+    // Older holds the commits now cover leave ahead of the burst.
+    release_prefix_locked();
+    std::size_t most_held = live_;
+    std::uint64_t immediate = 0;
+    for (const Batch::Entry& e : batch.entries_) {
+      const std::span<const Pending> pending{batch.pending_.data() + e.first,
+                                             e.count};
+      if (is_covered(pending)) {
+        // Nothing outstanding (e.g. read-only path all along the chain, or
+        // commits already caught up): release without holding.
+        stage_release_locked(e.packet);
+        ++immediate;
+        continue;
+      }
+      if (e.packet->anno().trace_id != 0) {
+        span_event(registry_, e.packet->anno().trace_id,
+                   obs::SpanKind::kBufferHold);
+      }
+      Held& held = push_held();
+      held.packet = e.packet;
+      held.pending.clear();
+      for (const Pending& w : pending) held.pending.push_back(w);
+      most_held = std::max(most_held, ++live_);
+    }
+    // A hold the prefix release cannot reach leaves at the latest by the
+    // full scan every fourth control packet.
+    if (batch.n_control_ != 0) {
+      const std::uint64_t scans = full_scans_;
+      full_scans_ += batch.n_control_;
+      if (full_scans_ / 4 != scans / 4) release_all_covered_locked();
+    }
+    if (immediate != 0) released_immediately_->add(immediate);
+    flush_releases_locked();
+    held_gauge_->set(static_cast<std::int64_t>(live_));
+    if (static_cast<std::int64_t>(most_held) > high_water_->value()) {
+      high_water_->set(static_cast<std::int64_t>(most_held));
+    }
   }
-  push_feedback(std::move(shipped));
+  batch.entries_.clear();
+  batch.pending_.clear();
+  batch.commits_.clear();
+  batch.n_control_ = 0;
+  open_batches_.fetch_sub(1, std::memory_order_acq_rel);
+  if (!shipped.empty()) feedback_.push(std::move(shipped));
 }
 
 void EgressBuffer::release_eligible() {
-  FeedbackLogs shipped;
-  {
-    LockGuard lock(mutex_);
-    release_all_covered_locked();
-    shipped = ship_locked();
-  }
-  push_feedback(std::move(shipped));
+  LockGuard lock(mutex_);
+  release_all_covered_locked();
+  flush_releases_locked();
+  held_gauge_->set(static_cast<std::int64_t>(live_));
 }
 
 }  // namespace sfc::ftc

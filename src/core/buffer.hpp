@@ -7,8 +7,10 @@
 // to the forwarder via the feedback channel.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "base/mutex.hpp"
@@ -30,32 +32,65 @@ struct BufferStats {
 
 class EgressBuffer : rt::NonCopyable {
  public:
+  /// One partition a held packet's log touched: the packet waits until
+  /// the commit vector of `mbox` reaches `seq` there.
+  struct Pending {
+    std::uint64_t seq;
+    MboxId mbox;
+    std::uint32_t partition;
+  };
+
+  /// One burst's packets at the egress buffer. submit_wire() fills it with
+  /// packet-local work and no lock; end_burst() takes the buffer's lock
+  /// once for all of it. Owned by the caller (a data worker keeps one per
+  /// thread); its storage keeps its capacity across bursts.
+  class Batch : rt::NonCopyable {
+   public:
+    bool empty() const noexcept { return entries_.empty() && n_control_ == 0; }
+
+   private:
+    friend class EgressBuffer;
+    /// A data packet and its range of pending_.
+    struct Entry {
+      pkt::Packet* packet;
+      std::uint32_t first;
+      std::uint32_t count;
+    };
+    std::vector<Entry> entries_;
+    std::vector<Pending> pending_;
+    /// The burst's commit vectors, merged per middlebox.
+    rt::SmallVector<CommitVector, 4> commits_;
+    /// The burst's feedback records, shipped as one hand-off.
+    FeedbackLogs feedback_;
+    std::uint64_t n_control_{0};
+  };
+
   /// @param egress  Link carrying released packets out of the chain.
   /// @param registry Metrics sink; a private registry is used when null.
   EgressBuffer(pkt::PacketPool& pool, net::Port& egress,
                FeedbackChannel& feedback, obs::Registry* registry = nullptr);
 
   /// Accepts a packet at the end of the chain with its final piggyback
-  /// message, read in place through @p v: commits and pending-log headers
-  /// come straight off the packet tail, and the surviving log records go
-  /// back to the forwarder as wire bytes. The tail is stripped before the
-  /// packet is held or released, so packets leave the chain bare. Control
-  /// (propagating) packets deliver their commits and are freed. @p v may
-  /// be invalid (packet without a message) and is consumed.
-  ///
-  /// Inside a burst (@p in_burst) the releases and feedback records this
-  /// submit produces are staged, and the caller's end_burst() ships them
-  /// all at once; outside one they ship before submit_wire returns.
-  void submit_wire(pkt::Packet* p, PiggybackView& v, bool in_burst = false)
-      SFC_EXCLUDES(mutex_);
+  /// message, read in place through @p v, into @p batch: the commits merge
+  /// into the batch's, the logs' touched (mbox, partition, seq) become the
+  /// packet's pending set, the surviving log records are copied for the
+  /// forwarder, and the tail is stripped, so packets leave the chain bare.
+  /// Control (propagating) packets deliver their commits and are freed.
+  /// Takes no lock: nothing is held or released before end_burst(@p
+  /// batch). @p v may be invalid (packet without a message) and is
+  /// consumed.
+  void submit_wire(Batch& batch, pkt::Packet* p, PiggybackView& v);
 
-  /// Ships what the burst staged: released packets with one bulk send,
-  /// feedback records as one hand-off.
-  void end_burst() SFC_EXCLUDES(mutex_);
+  /// A batch of one, shipped before it returns (a submit outside a
+  /// data worker's burst: the control thread's drain, propagating packets
+  /// it emits).
+  void submit_wire(pkt::Packet* p, PiggybackView& v) SFC_EXCLUDES(mutex_);
 
-  /// Absorbs commit vectors into the buffer's release knowledge, as
-  /// submit_wire does with the commits a packet carries.
-  void absorb(std::span<const CommitVector> commits) SFC_EXCLUDES(mutex_);
+  /// Ships @p batch under one lock: learns all of its commits, then holds
+  /// or releases its packets in arrival order, sends the releases with one
+  /// bulk send and the feedback records as one hand-off. @p batch is empty
+  /// afterwards.
+  void end_burst(Batch& batch) SFC_EXCLUDES(mutex_);
 
   /// Re-checks every held packet against current commit knowledge and
   /// ships the covered ones (exposed for drain paths).
@@ -68,28 +103,22 @@ class EgressBuffer : rt::NonCopyable {
     return live_;
   }
 
-  /// Released packets and feedback records waiting for end_burst().
-  std::size_t staged_count() const {
-    LockGuard lock(mutex_);
-    return n_stage_ + feedback_stage_.count();
+  /// Batches that submit_wire() filled and end_burst() has not shipped
+  /// yet: their packets and records sit in no queue.
+  std::size_t staged_count() const noexcept {
+    return open_batches_.load(std::memory_order_acquire);
   }
 
  private:
   /// Bound on the MboxIds whose commits the buffer tracks.
   static constexpr MboxId kMaxMboxes = 4096;
 
-  struct PendingLog {
-    MboxId mbox;
-    DepVector dep;
-  };
-
-  /// A held packet and the logs it waits for: one per wrap-around
-  /// middlebox, so f of them (a Monitor or NAT chain at f=1 carries one),
-  /// inline up to f=2. A null packet is a tombstone (released from the
-  /// middle of the ring).
+  /// A held packet and the partitions it waits for: a Monitor or NAT log
+  /// at f=1 touches one or two, inline. A null packet is a tombstone
+  /// (released from the middle of the ring).
   struct Held {
     pkt::Packet* packet{nullptr};
-    rt::SmallVector<PendingLog, 2> pending;
+    rt::SmallVector<Pending, 2> pending;
   };
 
   Held& slot(std::size_t i) SFC_REQUIRES(mutex_) {
@@ -97,7 +126,7 @@ class EgressBuffer : rt::NonCopyable {
   }
   /// Appends a ring entry (growing the ring when full) and returns it.
   Held& push_held() SFC_REQUIRES(mutex_);
-  bool is_covered(const Held& held) const SFC_REQUIRES(mutex_);
+  bool is_covered(std::span<const Pending> pending) const SFC_REQUIRES(mutex_);
   /// Merges @p max into what the buffer knows is committed for @p mbox.
   void learn_commit(MboxId mbox, const MaxVector& max) SFC_REQUIRES(mutex_);
   /// Stages @p p for release; flush_releases_locked() ships the staged
@@ -110,10 +139,6 @@ class EgressBuffer : rt::NonCopyable {
   /// Releases every covered entry, wherever it sits.
   void release_all_covered_locked() SFC_REQUIRES(mutex_);
   void flush_releases_locked() SFC_REQUIRES(mutex_);
-  /// Ships the staged releases; returns the staged feedback hand-off for
-  /// the caller to push once the mutex is released.
-  FeedbackLogs ship_locked() SFC_REQUIRES(mutex_);
-  void push_feedback(FeedbackLogs&& logs) SFC_EXCLUDES(mutex_);
 
   pkt::PacketPool& pool_;
   net::Port& egress_;
@@ -135,12 +160,12 @@ class EgressBuffer : rt::NonCopyable {
   std::vector<MaxVector> known_commits_ SFC_GUARDED_BY(mutex_);
   std::uint64_t full_scans_ SFC_GUARDED_BY(mutex_){0};
 
-  // Release staging: packets released by the current burst (or submit),
-  // shipped in order with one send_burst.
+  // Release staging: packets released under one hold of the lock, shipped
+  // in order with one send_burst.
   std::size_t n_stage_ SFC_GUARDED_BY(mutex_){0};
   pkt::Packet* release_stage_[kMaxBurst] SFC_GUARDED_BY(mutex_);
-  /// Feedback records of the current burst, shipped as one hand-off.
-  FeedbackLogs feedback_stage_ SFC_GUARDED_BY(mutex_);
+
+  std::atomic<std::size_t> open_batches_{0};
 
   std::unique_ptr<obs::Registry> own_registry_;
   obs::Counter* submitted_;

@@ -259,8 +259,8 @@ QuiescenceReport ChainRuntime::quiescent() {
     return {Blocker::kFeedback, 0, feedback_->pending_approx()};
   }
   if (buffer_) {
-    // Held packets, and releases or feedback a burst staged for its
-    // end_burst().
+    // Held packets, and batches of packets and feedback records that
+    // submit_wire() filled and end_burst() has not shipped yet.
     if (const std::size_t n = buffer_->held_count() + buffer_->staged_count()) {
       return {Blocker::kBuffer, 0, n};
     }

@@ -35,6 +35,8 @@ inline void span_event(obs::Registry* reg, std::uint32_t site,
 struct BurstScope {
   sfc::ftc::FtcNode* owner{nullptr};
   sfc::net::Port* out{nullptr};
+  /// The burst's egress-buffer batch (last position only).
+  sfc::ftc::EgressBuffer::Batch* egress{nullptr};
   std::size_t n_tx{0};
   std::uint64_t data_packets{0};
   std::uint64_t data_bytes{0};
@@ -43,6 +45,18 @@ struct BurstScope {
   pkt::Packet* tx[sfc::ftc::kMaxBurst];
 };
 thread_local BurstScope t_burst;
+
+/// Starts fetching what opening @p p's view touches: the frame's first
+/// line (the parser's headers) and the last two lines, where the
+/// piggyback footer and the end of its body sit and where the head writes
+/// its feedback. Reads only the header line (data offset and size).
+inline void prefetch_frame(const pkt::Packet& p) noexcept {
+  const std::uint8_t* const d = p.data();
+  const std::size_t n = p.size();
+  __builtin_prefetch(d);
+  __builtin_prefetch(d + n - (n > 64 ? 64 : 0));
+  __builtin_prefetch(d + n);
+}
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
@@ -357,7 +371,20 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
       // below.
       b.owner = this;
       b.out = out_link_.load(std::memory_order_acquire);
+      if (buffer_ != nullptr) {
+        // The batch this burst's packets reach the egress buffer in: made
+        // on the thread's first burst, and its storage kept.
+        thread_local std::unique_ptr<EgressBuffer::Batch> t_egress;
+        if (SFC_UNLIKELY(t_egress == nullptr)) {
+          t_egress = std::make_unique<EgressBuffer::Batch>();
+        }
+        b.egress = t_egress.get();
+      }
       b.prof.mark(obs::ProfStage::kPoll);
+      // The burst's packets were last written on another core: start
+      // every header line's fetch now, so the misses overlap instead of
+      // queueing one behind the other in the loop below.
+      for (std::size_t i = 0; i < got; ++i) __builtin_prefetch(rx[i]);
       // In-place processing (paper §5.1), the same at every hop: open
       // every tail once (the chain ingress first writes the feedback it
       // attaches), apply the whole burst's logs grouped per applier and
@@ -373,17 +400,43 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
       }
       ViewWork* const vw = t_views.get();
       bool any_traced = false;
+      // Frame and tail lines are fetched kPrefetchAhead packets before
+      // their view opens; the header line they hang off is on its way.
+      constexpr std::size_t kPrefetchAhead = 4;
+      for (std::size_t i = 0; i < std::min(got, kPrefetchAhead); ++i) {
+        prefetch_frame(*rx[i]);
+      }
+      // Head ingress: the channel is polled until it comes back empty in
+      // this burst, and the piggyback distributions record runs of equal
+      // per-packet values, so both cost once per burst, not per packet.
+      bool feedback_dry = false;
+      Attached run;
+      std::uint64_t run_len = 0;
+      const auto record_run = [&] {
+        pb_bytes_hist_.record_n(run.bytes, run_len);
+        pb_logs_hist_.record_n(run.logs, run_len);
+      };
       for (std::size_t i = 0; i < got; ++i) {
+        if (i + kPrefetchAhead < got) prefetch_frame(*rx[i + kPrefetchAhead]);
         if (SFC_UNLIKELY(rx[i]->anno().trace_id != 0)) {
           any_traced = true;
           span_event(registry_, obs::span_site_node(id_),
                      rx[i]->anno().trace_id, obs::SpanKind::kNodeIngress,
                      position_);
         }
-        if (forwarder_ != nullptr) attach_feedback(rx[i]);
+        if (forwarder_ != nullptr) {
+          const Attached a = attach_feedback(rx[i], feedback_dry);
+          if (run_len != 0 && a != run) {
+            record_run();
+            run_len = 0;
+          }
+          run = a;
+          ++run_len;
+        }
         vw[i].view = PiggybackView::open(*rx[i]);
         vw[i].held_at = kNoHeldLog;
       }
+      if (run_len != 0) record_run();
       b.prof.mark(obs::ProfStage::kViewWalk);
       const std::uint64_t span_t0 = any_traced ? rt::now_ns() : 0;
       apply_logs_burst(vw, got);
@@ -418,7 +471,10 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
       // per-packet mark) and its closing mark ends the burst wall, so no
       // per-burst glue goes missing.
       flush_tx();
-      if (buffer_ != nullptr) buffer_->end_burst();
+      if (b.egress != nullptr) {
+        buffer_->end_burst(*b.egress);
+        b.egress = nullptr;
+      }
       // One meter/counter update per burst instead of per packet.
       if (b.data_packets != 0) {
         meter_.add(b.data_packets, b.data_bytes);
@@ -502,19 +558,24 @@ std::size_t FtcNode::drain_handoff(std::uint32_t thread_id) {
   return resolved;
 }
 
-void FtcNode::attach_feedback(pkt::Packet* p) {
+FtcNode::Attached FtcNode::attach_feedback(pkt::Packet* p, bool& dry) {
+  const std::size_t overhead = kWireHeaderSize + kFooterSize;
+  if (dry) {
+    append_wire_logs(*p, {}, 0, cfg_.num_partitions);
+    return Attached{overhead, 0};
+  }
   // Only records this frame's tailroom holds ride along; the rest stay
   // pending and go out on a propagating packet right after this burst.
-  const std::size_t overhead = kWireHeaderSize + kFooterSize;
   const std::size_t room = p->tailroom() > overhead ? p->tailroom() - overhead : 0;
   FeedbackLogs fb = forwarder_->collect(room);
+  dry = fb.empty();
+  append_wire_logs(*p, fb.bytes, fb.count(), cfg_.num_partitions);
   // Head-ingress distributions (the paper's state-size axis): what the
   // attached message occupies on the wire, and how many logs ride along.
-  pb_bytes_hist_.record(overhead + fb.bytes.size());
-  pb_logs_hist_.record(fb.count());
-  append_wire_logs(*p, fb.bytes, fb.count(), cfg_.num_partitions);
+  const Attached attached{overhead + fb.bytes.size(), fb.count()};
   // The records now ride the packet: the storage carries the next hand-off.
   forwarder_->recycle(std::move(fb));
+  return attached;
 }
 
 bool FtcNode::reoffer_held(ViewWork& w) {
@@ -755,13 +816,7 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
     span_event(registry_, obs::span_site_node(id_), trace_id,
                obs::SpanKind::kNodeEgress);
   }
-  if (buffer_ != nullptr) {
-    buffer_->submit_wire(p, v, b.owner == this);
-    b.prof.mark(obs::ProfStage::kAppend);
-    return;
-  }
-  // The tail already rides the packet: no append, just stage or send.
-  forward(p);
+  emit(p, v);
   b.prof.mark(obs::ProfStage::kAppend);
 }
 
@@ -773,7 +828,7 @@ void FtcNode::detour(pkt::Packet& p, PiggybackView& v, Fn&& finish) {
   // emits that packet and retries on a fresh one.
   const auto place = [&](auto&& put) {
     if (prop != nullptr && put(pv)) return;
-    if (prop != nullptr) emit_propagating(prop, pv);
+    if (prop != nullptr) emit(prop, pv);
     prop = Forwarder::make_propagating_packet(pool_);
     // Pool exhausted: NACK recovery refills what is lost here.
     if (prop == nullptr) return;
@@ -793,16 +848,19 @@ void FtcNode::detour(pkt::Packet& p, PiggybackView& v, Fn&& finish) {
     }
   }
   place(finish);
-  if (prop != nullptr) emit_propagating(prop, pv);
+  if (prop != nullptr) emit(prop, pv);
   if (v.ok()) v.strip_tail();
   v = PiggybackView::create(p, cfg_.num_partitions);
 }
 
-void FtcNode::emit_propagating(pkt::Packet* p, PiggybackView& v) {
-  if (buffer_ != nullptr) {
-    buffer_->submit_wire(p, v, t_burst.owner == this);
-  } else {
+void FtcNode::emit(pkt::Packet* p, PiggybackView& v) {
+  if (buffer_ == nullptr) {
+    // The tail already rides the packet: no append, just stage or send.
     forward(p);
+  } else if (t_burst.owner == this) {
+    buffer_->submit_wire(*t_burst.egress, p, v);
+  } else {
+    buffer_->submit_wire(p, v);
   }
 }
 

@@ -220,9 +220,18 @@ class FtcNode : rt::NonCopyable {
   };
 
   bool worker_body(std::uint32_t thread_id);
+  /// What attach_feedback() put on a packet: the message's wire bytes and
+  /// its log count (the head-ingress piggyback distributions).
+  struct Attached {
+    std::uint64_t bytes{0};
+    std::uint64_t logs{0};
+    friend bool operator==(const Attached&, const Attached&) = default;
+  };
   /// Chain ingress: writes pending feedback records into @p p's tailroom
-  /// as its message — always, an empty one when nothing is pending.
-  void attach_feedback(pkt::Packet* p);
+  /// as its message — always, an empty one when nothing is pending. Once
+  /// a collect comes back empty it sets @p dry, and later calls with
+  /// @p dry set skip the channel (the rest of the burst).
+  Attached attach_feedback(pkt::Packet* p, bool& dry);
   /// Phase A over a whole rx burst of tail views: logs are grouped per
   /// applier so each MAX mutex and each touched store partition is taken
   /// once per burst, and applicable writes are copied straight from the
@@ -242,8 +251,10 @@ class FtcNode : rt::NonCopyable {
   /// left with an empty message, reopened in @p v.
   template <typename Fn>
   void detour(pkt::Packet& p, PiggybackView& v, Fn&& finish);
-  /// Sends a propagating packet on, or hands it to the buffer at egress.
-  void emit_propagating(pkt::Packet* p, PiggybackView& v);
+  /// Sends @p p on, or at the last position hands it to the egress
+  /// buffer: into this thread's burst batch while its burst is open, else
+  /// as a batch of one.
+  void emit(pkt::Packet* p, PiggybackView& v);
   /// Sends @p p to the ring successor: staged into this thread's open
   /// burst, else sent at once (retries bill to the profiler's
   /// kSendBlocked stage).

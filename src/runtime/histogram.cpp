@@ -80,11 +80,12 @@ std::vector<std::pair<std::uint64_t, double>> Histogram::cdf() const {
   return out;
 }
 
-void AtomicHistogram::record(std::uint64_t value) noexcept {
+void AtomicHistogram::record_n(std::uint64_t value,
+                               std::uint64_t count) noexcept {
   constexpr auto kRelaxed = std::memory_order_relaxed;
-  buckets_[Histogram::bucket_index(value)].fetch_add(1, kRelaxed);
-  count_.fetch_add(1, kRelaxed);
-  sum_.fetch_add(value, kRelaxed);
+  buckets_[Histogram::bucket_index(value)].fetch_add(count, kRelaxed);
+  count_.fetch_add(count, kRelaxed);
+  sum_.fetch_add(value * count, kRelaxed);
   std::uint64_t seen = min_.load(kRelaxed);
   while (value < seen && !min_.compare_exchange_weak(seen, value, kRelaxed)) {
   }

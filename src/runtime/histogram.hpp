@@ -81,7 +81,8 @@ class Histogram {
 /// sample in one field before another; it never reads a torn value.
 class AtomicHistogram {
  public:
-  void record(std::uint64_t value) noexcept;
+  /// Records @p count occurrences of @p value, one update per field.
+  void record_n(std::uint64_t value, std::uint64_t count) noexcept;
   Histogram snapshot() const;
 
  private:

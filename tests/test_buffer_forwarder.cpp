@@ -2,7 +2,11 @@
 // semantics, commit absorption, feedback, propagating packets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <deque>
+#include <random>
 #include <thread>
 
 #include "core/buffer.hpp"
@@ -37,10 +41,12 @@ PiggybackView attach(pkt::Packet& p, const FeedbackLogs& fb) {
 }
 
 struct Rig {
-  pkt::PacketPool pool{64};
+  pkt::PacketPool pool{256};
   net::Link egress{pool, net::LinkConfig{}};
   FeedbackChannel feedback;
   EgressBuffer buffer{pool, egress, feedback};
+  /// The burst a data worker would own.
+  EgressBuffer::Batch batch;
 
   pkt::Packet* data_packet(std::uint64_t id) {
     pkt::Packet* p = pool.alloc_raw();
@@ -52,14 +58,21 @@ struct Rig {
   }
 
   /// Serializes @p msg onto @p p's tail and submits it through the wire
-  /// path, as the egress node does (outside a burst unless @p in_burst).
+  /// path, as the egress node does: into the rig's batch if @p in_burst,
+  /// else as a batch of one.
   void submit(pkt::Packet* p, const PiggybackMessage& msg,
               bool in_burst = false) {
     ASSERT_TRUE(append_message(*p, msg, kParts));
     PiggybackView v = PiggybackView::open(*p);
     ASSERT_TRUE(v.ok());
-    buffer.submit_wire(p, v, in_burst);
+    if (in_burst) {
+      buffer.submit_wire(batch, p, v);
+    } else {
+      buffer.submit_wire(p, v);
+    }
   }
+
+  void end_burst() { buffer.end_burst(batch); }
 
   /// A data packet carrying one log of @p mbox.
   void submit_holding(std::uint64_t id, MboxId mbox, std::size_t partition,
@@ -79,11 +92,21 @@ struct Rig {
     return ids;
   }
 
-  void commit(MboxId mbox, std::size_t partition, std::uint64_t seq) {
+  /// The commit for @p mbox's @p partition up to @p seq, as a message.
+  static PiggybackMessage commit_msg(MboxId mbox, std::size_t partition,
+                                     std::uint64_t seq) {
+    PiggybackMessage msg;
     MaxVector max;
     max.seq[partition] = seq;
-    CommitVector cv{mbox, max};
-    buffer.absorb({&cv, 1});
+    msg.set_commit(mbox, max);
+    return msg;
+  }
+
+  /// Delivers a commit as the chain does once no data packet carries it:
+  /// on a propagating packet, a batch of one.
+  void commit(MboxId mbox, std::size_t partition, std::uint64_t seq) {
+    submit(Forwarder::make_propagating_packet(pool),
+           commit_msg(mbox, partition, seq));
   }
 
   PiggybackLog log_for(MboxId mbox, std::size_t partition, std::uint64_t seq) {
@@ -189,21 +212,6 @@ TEST(EgressBuffer, FeedsLogsBackWithoutCommits) {
   EXPECT_EQ(materialize_log(v.log(0)), rig.log_for(2, 0, 1));
 }
 
-TEST(EgressBuffer, AbsorbWithoutSubmit) {
-  Rig rig;
-  PiggybackMessage msg;
-  msg.logs.push_back(rig.log_for(2, 0, 1));
-  rig.submit(rig.data_packet(1), msg);
-  EXPECT_EQ(rig.buffer.held_count(), 1u);
-
-  MaxVector commit;
-  commit.seq[0] = 1;
-  CommitVector cv{2, commit};
-  rig.buffer.absorb({&cv, 1});
-  rig.buffer.release_eligible();
-  EXPECT_EQ(rig.buffer.held_count(), 0u);
-}
-
 TEST(EgressBuffer, RingReleasesInOrderAndSkipsTombstones) {
   Rig rig;
   // Four held packets, each waiting on its own partition of mbox 2.
@@ -212,25 +220,27 @@ TEST(EgressBuffer, RingReleasesInOrderAndSkipsTombstones) {
   }
   EXPECT_EQ(rig.buffer.held_count(), 4u);
 
-  // The third one's commit arrives first: a full scan releases it from the
-  // middle of the ring and leaves a tombstone in its place.
+  // The third one's commit arrives first: the prefix release stops at the
+  // first, so a full scan releases it from the middle of the ring and
+  // leaves a tombstone in its place.
   rig.commit(2, 3, 1);
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{}));
   rig.buffer.release_eligible();
   EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{3}));
   EXPECT_EQ(rig.buffer.held_count(), 3u);
 
-  // Then the first two: the prefix release after the next submit (which
-  // itself holds nothing and leaves first) passes the tombstone and stops
-  // at the fourth, still uncovered.
+  // Then the first two: the prefix release passes the tombstone and stops
+  // at the fourth, still uncovered. The next submit holds nothing and
+  // leaves at once.
   rig.commit(2, 1, 1);
   rig.commit(2, 2, 1);
   rig.submit(rig.data_packet(5), PiggybackMessage{});
-  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{5, 1, 2}));
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{1, 2, 5}));
   EXPECT_EQ(rig.buffer.held_count(), 1u);
 
   rig.commit(2, 4, 1);
   rig.submit(rig.data_packet(6), PiggybackMessage{});
-  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{6, 4}));
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{4, 6}));
   EXPECT_EQ(rig.buffer.held_count(), 0u);
 
   // The ring is reused past its first wrap and grows: more holds than its
@@ -239,7 +249,6 @@ TEST(EgressBuffer, RingReleasesInOrderAndSkipsTombstones) {
     rig.submit_holding(id, 3, 0, id);
   }
   rig.commit(3, 0, 200);
-  rig.buffer.release_eligible();
   const auto ids = rig.released();
   ASSERT_EQ(ids.size(), 50u);
   for (std::size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], 10 + i);
@@ -251,18 +260,17 @@ TEST(EgressBuffer, BurstShipsNothingBeforeEndBurst) {
   // then the commit that covers it on a third.
   rig.submit(rig.data_packet(1), PiggybackMessage{}, /*in_burst=*/true);
   rig.submit_holding(2, 2, 0, 1, /*in_burst=*/true);
-  PiggybackMessage covering;
-  MaxVector max;
-  max.seq[0] = 1;
-  covering.set_commit(2, max);
+  PiggybackMessage covering = Rig::commit_msg(2, 0, 1);
   covering.logs.push_back(rig.log_for(2, 1, 7));
   rig.submit(rig.data_packet(3), covering, /*in_burst=*/true);
 
   EXPECT_EQ(rig.egress.poll(), nullptr);
   EXPECT_EQ(rig.feedback.pending_approx(), 0u);
-  EXPECT_EQ(rig.buffer.staged_count(), 2u + 2u);  // Releases + records.
+  EXPECT_EQ(rig.buffer.held_count(), 0u);  // Nothing held before end_burst.
+  EXPECT_EQ(rig.buffer.staged_count(), 1u);
+  EXPECT_EQ(rig.buffer.stats().submitted, 0u);
 
-  rig.buffer.end_burst();
+  rig.end_burst();
   EXPECT_EQ(rig.buffer.staged_count(), 0u);
   // Releases leave in order, with one bulk send.
   EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{1, 2}));
@@ -279,23 +287,167 @@ TEST(EgressBuffer, BurstShipsNothingBeforeEndBurst) {
   EXPECT_EQ(materialize_log(v.log(1)), rig.log_for(2, 1, 7));
 }
 
+TEST(EgressBuffer, LaterCommitInBurstReleasesEarlierHeld) {
+  Rig rig;
+  // Packet 1 is held from an earlier burst.
+  rig.submit_holding(1, 2, 0, 5, /*in_burst=*/true);
+  rig.end_burst();
+  EXPECT_EQ(rig.buffer.held_count(), 1u);
+  // In the next burst packets 2 and 3 carry logs the commit on packet 4,
+  // the burst's last, covers along with packet 1's.
+  rig.submit_holding(2, 2, 0, 6, /*in_burst=*/true);
+  rig.submit_holding(3, 2, 1, 3, /*in_burst=*/true);
+  PiggybackMessage covering = Rig::commit_msg(2, 0, 6);
+  MaxVector max = covering.commits[0].max;
+  max.seq[1] = 3;
+  covering.set_commit(2, max);
+  rig.submit(rig.data_packet(4), covering, /*in_burst=*/true);
+  rig.end_burst();
+  // The older hold leaves first, then the burst in arrival order; none of
+  // the burst's packets was ever held.
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(rig.buffer.held_count(), 0u);
+  const BufferStats st = rig.buffer.stats();
+  EXPECT_EQ(st.submitted, 4u);
+  EXPECT_EQ(st.released, 4u);
+  EXPECT_EQ(st.released_immediately, 3u);
+  EXPECT_EQ(st.high_water, 1u);
+}
+
+TEST(EgressBuffer, UncoveredPacketStaysHeldAcrossBursts) {
+  Rig rig;
+  rig.submit_holding(1, 2, 0, 5, /*in_burst=*/true);
+  rig.end_burst();
+  // Bursts whose commits fall one short, on data and control packets:
+  // packets behind the hold may leave, the hold may not.
+  for (std::uint64_t id = 2; id < 10; ++id) {
+    rig.submit(rig.data_packet(id), Rig::commit_msg(2, 0, 4),
+               /*in_burst=*/true);
+    pkt::Packet* prop = Forwarder::make_propagating_packet(rig.pool);
+    rig.submit(prop, Rig::commit_msg(2, 1, id), /*in_burst=*/true);
+    rig.end_burst();
+    EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{id}));
+    EXPECT_EQ(rig.buffer.held_count(), 1u) << "burst " << id;
+  }
+  rig.buffer.release_eligible();
+  EXPECT_EQ(rig.buffer.held_count(), 1u);
+  rig.commit(2, 0, 5);
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(rig.buffer.held_count(), 0u);
+}
+
 TEST(EgressBuffer, OutOfBurstSubmitShipsAtOnce) {
   Rig rig;
-  rig.submit_holding(1, 2, 0, 1, /*in_burst=*/true);
-  rig.submit(rig.data_packet(2), PiggybackMessage{}, /*in_burst=*/true);
-  EXPECT_EQ(rig.egress.poll(), nullptr);
-
-  // A submit outside any burst (a propagating packet, the control thread's
-  // drain) ships its own work and whatever a burst staged before it.
-  PiggybackMessage commit_msg;
-  MaxVector max;
-  max.seq[0] = 1;
-  commit_msg.set_commit(2, max);
-  rig.submit(Forwarder::make_propagating_packet(rig.pool), commit_msg);
-  EXPECT_EQ(rig.buffer.staged_count(), 0u);
-  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{2, 1}));
+  // Each submit outside a burst (a propagating packet, the control
+  // thread's drain) is a batch of one: held or released, and its records
+  // handed to the forwarder, before it returns.
+  rig.submit_holding(1, 2, 0, 1);
+  EXPECT_EQ(rig.buffer.held_count(), 1u);
   EXPECT_EQ(rig.feedback.pending_approx(), 1u);
+  rig.submit(rig.data_packet(2), PiggybackMessage{});
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{2}));
+  rig.commit(2, 0, 1);
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(rig.buffer.staged_count(), 0u);
   EXPECT_EQ(rig.buffer.held_count(), 0u);
+  const BufferStats st = rig.buffer.stats();
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.released, 2u);
+  EXPECT_EQ(st.released_immediately, 1u);
+  EXPECT_EQ(st.control_consumed, 1u);
+  // A burst the rig left open is not shipped by them.
+  rig.submit(rig.data_packet(3), PiggybackMessage{}, /*in_burst=*/true);
+  rig.submit(rig.data_packet(4), PiggybackMessage{});
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{4}));
+  rig.end_burst();
+  EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{3}));
+}
+
+// Seeded bursts of packets, each holding one log of one partition, with
+// commits advancing on some of them. A per-packet model predicts each
+// burst's releases, in order, and the counters: learn the burst's commits,
+// release the covered prefix of the holds, then take each packet in
+// arrival order (leave if covered, else hold). release_eligible() then
+// frees the covered holds behind an uncovered one. No packet may leave
+// before a commit covers its log.
+TEST(EgressBuffer, CountersMatchPerPacketCounting) {
+  Rig rig;
+  std::mt19937_64 rng(0xb0f);
+  struct Model {
+    std::uint64_t id;
+    std::size_t part;
+    std::uint64_t seq;
+  };
+  std::array<std::uint64_t, 4> head_seq{};  // Per partition: last issued.
+  std::array<std::uint64_t, 4> committed{};
+  std::deque<Model> held;
+  std::uint64_t next_id = 1;
+  std::uint64_t submitted = 0, released = 0, immediate = 0, high_water = 0;
+  const auto covered = [&](const Model& m) {
+    return committed[m.part] >= m.seq;
+  };
+  for (int burst = 0; burst < 200; ++burst) {
+    const std::size_t n = 1 + rng() % 8;
+    std::vector<Model> arrivals;
+    for (std::size_t i = 0; i < n; ++i) {
+      Model m{next_id++, rng() % 4, 0};
+      m.seq = ++head_seq[m.part];
+      PiggybackMessage msg;
+      msg.logs.push_back(rig.log_for(2, m.part, m.seq));
+      if (rng() % 3 == 0) {
+        // A commit a little behind what the head issued.
+        MaxVector max;
+        for (std::size_t p = 0; p < 4; ++p) {
+          max.seq[p] = head_seq[p] - std::min<std::uint64_t>(head_seq[p], rng() % 6);
+          committed[p] = std::max(committed[p], max.seq[p]);
+        }
+        msg.set_commit(2, max);
+      }
+      rig.submit(rig.data_packet(m.id), msg, /*in_burst=*/true);
+      arrivals.push_back(m);
+    }
+    rig.end_burst();
+
+    std::vector<std::uint64_t> expect;
+    while (!held.empty() && covered(held.front())) {
+      expect.push_back(held.front().id);
+      held.pop_front();
+    }
+    for (const Model& m : arrivals) {
+      ++submitted;
+      if (covered(m)) {
+        expect.push_back(m.id);
+        ++immediate;
+      } else {
+        held.push_back(m);
+        high_water = std::max<std::uint64_t>(high_water, held.size());
+      }
+    }
+    ASSERT_EQ(rig.released(), expect) << "burst " << burst;
+    released += expect.size();
+
+    expect.clear();
+    std::deque<Model> still;
+    for (const Model& m : held) {
+      if (covered(m)) {
+        expect.push_back(m.id);
+      } else {
+        still.push_back(m);
+      }
+    }
+    held.swap(still);
+    rig.buffer.release_eligible();
+    ASSERT_EQ(rig.released(), expect) << "burst " << burst;
+    released += expect.size();
+    ASSERT_EQ(rig.buffer.held_count(), held.size()) << "burst " << burst;
+  }
+  const BufferStats st = rig.buffer.stats();
+  EXPECT_EQ(st.submitted, submitted);
+  EXPECT_EQ(st.released, released);
+  EXPECT_EQ(st.released_immediately, immediate);
+  EXPECT_EQ(st.high_water, high_water);
+  EXPECT_GT(immediate, 0u);
+  EXPECT_GT(released, immediate);
 }
 
 TEST(EgressBuffer, HandOffsReuseRecycledStorage) {

@@ -144,6 +144,33 @@ TEST(FtcChain, DeliversAllPacketsAndReplicates) {
   chain.stop();
 }
 
+// The head records its piggyback distributions once per run of equal
+// per-packet values, and stops polling the feedback channel once it runs
+// dry within a burst: still one sample per packet it attached a message
+// to, the smallest an empty message. (Whether any feedback rides a data
+// packet rather than a propagating one depends on timing.)
+TEST(FtcChain, HeadIngressHistogramsCountEveryPacket) {
+  ChainRuntime chain(spec_for(ChainMode::kFtc, 3));
+  chain.start();
+  tgen::Workload w;
+  pump_and_wait(chain, 2000, w);
+  wait_for_convergence(chain, 5'000'000'000ull);
+
+  rt::Histogram bytes;
+  rt::Histogram logs;
+  for (const obs::Sample& s : chain.registry().snapshot()) {
+    if (s.name == "piggyback.bytes_per_packet") bytes.merge(s.hist);
+    if (s.name == "piggyback.logs_per_packet") logs.merge(s.hist);
+  }
+  const std::uint64_t head_packets = chain.ftc_node(0)->stats().packets_processed;
+  EXPECT_GE(head_packets, 2000u);
+  EXPECT_EQ(bytes.count(), head_packets);
+  EXPECT_EQ(logs.count(), head_packets);
+  EXPECT_EQ(bytes.min(), kWireHeaderSize + kFooterSize);
+  EXPECT_EQ(logs.min(), 0u);
+  chain.stop();
+}
+
 TEST(FtcChain, SingleMiddleboxChainExtendsRing) {
   // Chain of 1 middlebox with f=1 must extend to a ring of 2 (paper §5.1).
   ChainRuntime chain(spec_for(ChainMode::kFtc, 1));
@@ -594,19 +621,24 @@ TEST(FtcChain, NeverQuiescentWhileTheBufferStages) {
   log.dep.mask = 1;
   log.dep.seq[0] = 1;
   ASSERT_TRUE(v.append_log(log));
-  // Covered already, so it releases at once rather than holding.
+  // Covered already by a commit a propagating packet delivered, so it
+  // releases at once rather than holding.
+  pkt::Packet* prop = Forwarder::make_propagating_packet(chain.pool());
+  ASSERT_NE(prop, nullptr);
+  PiggybackView pv = PiggybackView::create(*prop, spec.cfg.num_partitions);
   MaxVector max;
   max.seq[0] = 1;
-  CommitVector cv{2, max};
-  chain.buffer()->absorb({&cv, 1});
-  chain.buffer()->submit_wire(p, v, /*in_burst=*/true);
+  ASSERT_TRUE(pv.set_commit(2, max));
+  chain.buffer()->submit_wire(prop, pv);
+  EgressBuffer::Batch batch;
+  chain.buffer()->submit_wire(batch, p, v);
 
   for (int i = 0; i < 20; ++i) {
     const auto q = chain.quiescent();
     ASSERT_FALSE(q) << "quiescent with a staged release and hand-off";
     EXPECT_EQ(q.blocker, QuiescenceReport::Blocker::kBuffer) << q.to_string();
   }
-  chain.buffer()->end_burst();
+  chain.buffer()->end_burst(batch);
   const auto q = test::wait_until([&] { return chain.quiescent(); },
                                   std::chrono::seconds(5));
   EXPECT_TRUE(q) << q.to_string();

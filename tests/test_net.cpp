@@ -124,9 +124,11 @@ TEST(Link, LossDropsRoughlyAtConfiguredRate) {
       static_cast<double>(stats.dropped_loss) / kPackets;
   EXPECT_NEAR(loss_rate, 0.3, 0.05);
   // Lost packets were returned to the pool, not leaked: drain and count.
-  while (pkt::Packet* p = link.poll()) pool.free_raw(p);
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  while (pkt::Packet* p = link.poll()) pool.free_raw(p);
+  const auto drained = [&] {
+    while (pkt::Packet* p = link.poll()) pool.free_raw(p);
+    return link.drained();
+  };
+  ASSERT_TRUE(test::wait_until(drained, 5s));
   EXPECT_EQ(pool.available_approx(), 64u);
 }
 
@@ -256,15 +258,18 @@ TEST(Link, BurstTimedPathKeepsPerPacketLossSemantics) {
     for (std::uint64_t i = 0; i < kPackets; ++i) {
       ASSERT_TRUE(link.send(make_packet(pool, i)));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    pkt::Packet* rx[64];
-    std::size_t got;
-    while ((got = link.poll_burst(rx, 64)) != 0) {
-      for (std::size_t i = 0; i < got; ++i) {
-        singleton_survivors.push_back(rx[i]->anno().packet_id);
-        pool.free_raw(rx[i]);
+    const auto all_delivered = [&] {
+      pkt::Packet* rx[64];
+      std::size_t got;
+      while ((got = link.poll_burst(rx, 64)) != 0) {
+        for (std::size_t i = 0; i < got; ++i) {
+          singleton_survivors.push_back(rx[i]->anno().packet_id);
+          pool.free_raw(rx[i]);
+        }
       }
-    }
+      return link.drained();
+    };
+    ASSERT_TRUE(test::wait_until(all_delivered, 5s));
   }
   std::vector<std::uint64_t> burst_survivors;
   {
@@ -275,11 +280,14 @@ TEST(Link, BurstTimedPathKeepsPerPacketLossSemantics) {
       for (std::uint64_t i = 0; i < 64; ++i) tx[i] = make_packet(pool, base + i);
       ASSERT_EQ(link.send_burst({tx, 64}), 64u);
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    while (pkt::Packet* p = link.poll()) {
-      burst_survivors.push_back(p->anno().packet_id);
-      pool.free_raw(p);
-    }
+    const auto all_delivered = [&] {
+      while (pkt::Packet* p = link.poll()) {
+        burst_survivors.push_back(p->anno().packet_id);
+        pool.free_raw(p);
+      }
+      return link.drained();
+    };
+    ASSERT_TRUE(test::wait_until(all_delivered, 5s));
   }
   EXPECT_FALSE(singleton_survivors.empty());
   EXPECT_LT(singleton_survivors.size(), kPackets);
@@ -634,12 +642,14 @@ TEST(Link, CounterInvariantHoldsOnLossyPath) {
     }
     accepted += link.send_burst({burst, 32});
   }
-  std::this_thread::sleep_for(std::chrono::microseconds(100));
-  pkt::Packet* rx[64];
-  while (std::size_t n = link.poll_burst(rx, 64)) {
-    for (std::size_t i = 0; i < n; ++i) pool.free_raw(rx[i]);
-  }
-  ASSERT_TRUE(link.drained());
+  const auto drained = [&] {
+    pkt::Packet* rx[64];
+    while (std::size_t n = link.poll_burst(rx, 64)) {
+      for (std::size_t i = 0; i < n; ++i) pool.free_raw(rx[i]);
+    }
+    return link.drained();
+  };
+  ASSERT_TRUE(test::wait_until(drained, 5s));
   const LinkStats s = link.stats();
   EXPECT_EQ(s.sent, accepted);
   EXPECT_EQ(s.sent, s.delivered + s.dropped_loss);

@@ -209,7 +209,7 @@ TEST(ShardApplier, CrossPartitionBurstsAcrossThreads) {
 
 // --- Differential: shard apply == materializing oracle --------------------
 
-TEST(ShardApplier, DifferentialMatchesLockedOracle) {
+TEST(ShardApplier, DifferentialMatchesMaterializingOracle) {
   const auto cfg = test_cfg();
   MaterializingApplier oracle(cfg);  // Decoded logs, one at a time.
   InOrderApplier shard(0, cfg);

@@ -6,15 +6,16 @@ Usage (from the repository root):
 
     python3 tools/record_trajectory.py --pr NN --change "one-line summary" \\
         [--parent REV] [--pairs 6] [--seconds 10] [--traced-pairs 3] \\
-        [--fig9-probes 3] [--workloads monitor-closed,nat-failover] \\
+        [--fig9-probes 3] [--micro-probes 3] \\
+        [--workloads monitor-closed,nat-failover] \\
         [--workdir DIR] [--out PATH]
 
 The parent side is REV (default: HEAD when the working tree has changes,
 else HEAD^), exported with `git archive` into a temporary directory, so a
 run leaves no worktree entry in the repository's .git. The change side is
 the working tree. Each side builds its own binaries inside its own tree
-(perfbench/run.py into .bench_build/perfbench, the fig9 probe into
-.bench_build/fig9, both Release).
+(perfbench/run.py into .bench_build/perfbench, the fig9 probe and
+bench_micro_ops into .bench_build/fig9, all Release).
 
 Every workload of BENCHMARK.json runs --pairs times per side with
 `perfbench/run.py --trace 0`, parent and change alternating and the order
@@ -22,12 +23,15 @@ flipped every pair, with the same seed within a pair (100 + pair index).
 Then monitor-closed runs --traced-pairs pairs with --trace 1 for the stage
 split, and the fig9 Ch-3 budget probe (FTC_FIG9_BUDGET_ONLY=1
 FTC_BENCH_SECONDS=1.0, as CI's budget gate runs it) --fig9-probes times per
-side, alternating too.
+side, alternating too, and bench_micro_ops' BM_HeadCommit and
+BM_PiggybackViewWalk/1/64 (ns per op, one packet each) --micro-probes
+times per side, alternating.
 
 Writes bench/trajectory/pr<NN>.json (or --out) in the schema of
 bench/trajectory/pr19.json: per workload a summary (median and quartiles
 by linear interpolation per side, and in how many pairs the change read
-better) next to the raw runs, the traced stage split, and the fig9 probe.
+better) next to the raw runs, the traced stage split, the fig9 probe and
+the micro-ops probe.
 Keep the machine otherwise idle while it runs: the pairs share its CPUs.
 """
 import argparse
@@ -41,6 +45,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACED_WORKLOAD = "monitor-closed"
+MICRO_OPS = ("BM_HeadCommit", "BM_PiggybackViewWalk/1/64")
 FIG9_STAGES = ("poll", "view_walk", "log_apply", "tail_commit", "process",
                "append", "egress_flush", "park_drain", "handoff_drain",
                "link_send", "link_poll", "store_apply", "pool_alloc",
@@ -154,16 +159,17 @@ def summarize(runs, directions):
     return summary
 
 
-def fig9_binary(root):
+def bench_binary(root, target):
+    """Builds bench/@target (Release) in @root's .bench_build/fig9 tree."""
     build = os.path.join(root, ".bench_build", "fig9")
     if not os.path.exists(os.path.join(build, "CMakeCache.txt")):
         subprocess.run(["cmake", "-S", root, "-B", build,
                         "-DCMAKE_BUILD_TYPE=Release"], check=True,
                        stdout=sys.stderr, stderr=sys.stderr)
     subprocess.run(["cmake", "--build", build, "-j", str(min(4, os.cpu_count() or 1)),
-                    "--target", "bench_fig9_chain_tput"], check=True,
+                    "--target", target], check=True,
                    stdout=sys.stderr, stderr=sys.stderr)
-    return os.path.join(build, "bench", "bench_fig9_chain_tput")
+    return os.path.join(build, "bench", target)
 
 
 def fig9_probe(binary, run):
@@ -205,7 +211,8 @@ def fig9_probe(binary, run):
 
 
 def fig9_section(roots, probes):
-    binaries = {side: fig9_binary(root) for side, root in roots.items()}
+    binaries = {side: bench_binary(root, "bench_fig9_chain_tput")
+                for side, root in roots.items()}
     runs = {"parent": [], "change": []}
     for i in range(probes):
         for side in ordered_sides(i):
@@ -232,6 +239,47 @@ def fig9_section(roots, probes):
     }
 
 
+def micro_probe(binary, run):
+    """One bench_micro_ops run of MICRO_OPS: ns per op, by benchmark."""
+    pattern = "|".join(f"^{re.escape(name)}$" for name in MICRO_OPS)
+    with tempfile.TemporaryDirectory() as out_dir:
+        env = dict(os.environ, FTC_BENCH_JSON_DIR=out_dir)
+        proc = subprocess.run([binary, f"--benchmark_filter={pattern}"],
+                              cwd=out_dir, env=env, capture_output=True,
+                              text=True)
+        path = os.path.join(out_dir, "BENCH_micro_ops.json")
+        if not os.path.exists(path):
+            return {"run": run, "error": f"exit {proc.returncode}"}
+        with open(path) as f:
+            doc = json.load(f)
+    ns = {m["labels"]["benchmark"]: round(m["value"], 2)
+          for m in doc["metrics"] if m["name"] == "ns_per_op"}
+    return {"run": run, "ns_per_op": {n: ns[n] for n in MICRO_OPS if n in ns}}
+
+
+def micro_section(roots, probes):
+    binaries = {side: bench_binary(root, "bench_micro_ops")
+                for side, root in roots.items()}
+    runs = {"parent": [], "change": []}
+    for i in range(probes):
+        for side in ordered_sides(i):
+            log(f"micro-ops probe {i} {side}")
+            runs[side].append(micro_probe(binaries[side], i + 1))
+    summary = {}
+    for side, rs in runs.items():
+        ok = [r for r in rs if "error" not in r]
+        summary[side] = {
+            name: quartiles([r["ns_per_op"][name] for r in ok])
+            for name in MICRO_OPS if any(name in r["ns_per_op"] for r in ok)}
+    return {
+        "probe": "bench_micro_ops (Release), ns per op = ns per packet: "
+                 "the head's commit into its log record and a one-log view "
+                 "walk over 64-byte values",
+        "runs": runs,
+        "summary": summary,
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
@@ -243,6 +291,7 @@ def main():
                         help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--traced-pairs", type=int, default=3)
     parser.add_argument("--fig9-probes", type=int, default=3)
+    parser.add_argument("--micro-probes", type=int, default=3)
     parser.add_argument("--workloads", default=None,
                         help="comma-separated subset of BENCHMARK.json's workloads")
     parser.add_argument("--host", default="",
@@ -288,10 +337,12 @@ def main():
             f"{seconds:g} s runs, --trace 0 for end-to-end metrics and --trace 1 "
             f"for the stage split; fig9: bench_fig9_chain_tput (Release) with "
             f"FTC_FIG9_BUDGET_ONLY=1 FTC_BENCH_SECONDS=1.0, as CI's budget gate "
-            f"runs it. Medians and quartiles use linear interpolation; "
-            f"change_better_in counts the pairs in which the change read better. "
-            f"{args.pairs} pairs per workload, {args.traced_pairs} traced pairs, "
-            f"{args.fig9_probes} fig9 probes per side."),
+            f"runs it; micro-ops: bench_micro_ops (Release) filtered to "
+            f"{', '.join(MICRO_OPS)}. Medians and quartiles use linear "
+            f"interpolation; change_better_in counts the pairs in which the "
+            f"change read better. {args.pairs} pairs per workload, "
+            f"{args.traced_pairs} traced pairs, {args.fig9_probes} fig9 probes "
+            f"and {args.micro_probes} micro-ops runs per side."),
         "perfbench": {},
     }
     for workload in workloads:
@@ -308,6 +359,8 @@ def main():
         }
     if args.fig9_probes > 0:
         doc["fig9_budget_probe"] = fig9_section(roots, args.fig9_probes)
+    if args.micro_probes > 0:
+        doc["micro_ops"] = micro_section(roots, args.micro_probes)
 
     out = args.out or os.path.join(ROOT, "bench", "trajectory", f"pr{args.pr}.json")
     with open(out, "w") as f:
