@@ -11,9 +11,7 @@
 // Environment knobs for the large-state sweep:
 //   FTC_FIG5_MFLOW_ONLY=1   run only the million-flow sweep (CI smoke)
 //   FTC_FIG5_FLOWS=N        flow count (default 1048576; CI uses ~20000)
-//   FTC_FIG5_OWNERSHIP=     "shard" (default) or "locked" apply path
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "common.hpp"
@@ -31,31 +29,21 @@ std::size_t mflow_flows() {
   return 1'048'576;
 }
 
-ftc::Ownership mflow_ownership() {
-  if (const char* env = std::getenv("FTC_FIG5_OWNERSHIP")) {
-    if (std::strcmp(env, "locked") == 0) return ftc::Ownership::kLocked;
-  }
-  return ftc::Ownership::kShardAffine;
-}
-
 /// Million-flow state sweep: fill the Gen store with one 64 B entry per
 /// flow, then measure saturated throughput and a paced quiet-mode budget
 /// probe while the workload churns (fresh flows keep inserting keys).
-/// The shard-affine path must stay quiet with zero partition-lock
-/// contention: the single data worker owns every partition.
+/// The chain must stay quiet with zero partition-lock contention: the
+/// single data worker owns every partition.
 bool run_mflow_sweep(obs::Report& report) {
   const std::size_t flows = mflow_flows();
-  const ftc::Ownership own = mflow_ownership();
   const std::uint32_t state_size = 64;
   const obs::Labels point{{"probe", "mflow"},
-                          {"ownership", ftc::to_string(own)},
                           {"flows", std::to_string(flows)}};
 
-  std::printf("\nlarge-state sweep: %zu flows x %uB entries, ownership=%s\n",
-              flows, state_size, ftc::to_string(own));
+  std::printf("\nlarge-state sweep: %zu flows x %uB entries\n", flows,
+              state_size);
 
   auto spec = base_spec(ChainMode::kFtc, {gen(state_size, /*per_flow=*/true)});
-  spec.cfg.ownership = own;
   spec.cfg.profile = true;
   spec.cfg.quiet_assert = true;
   ChainRuntime chain(spec);
@@ -102,7 +90,7 @@ bool run_mflow_sweep(obs::Report& report) {
 
   // Phase 3: paced quiet-mode budget probe. Steady state on the full
   // store must hold the hot-path contract: no partition-lock contention
-  // (shard mode: the owner commits lock-free), no owner misses, no
+  // (the owner commits lock-free), no owner misses, no
   // steady-state allocation or blocking-send slow paths.
   obs::HotProfiler* prof = chain.profiler();
   (void)tgen::run_load(chain.pool(), chain.ingress(), chain.egress(), churn,
@@ -132,11 +120,8 @@ bool run_mflow_sweep(obs::Report& report) {
               static_cast<unsigned long long>(owner_miss));
   chain.stop();
 
-  bool ok = filled && r.delivered_mpps > 0;
-  if (own == ftc::Ownership::kShardAffine) {
-    ok = ok && quiet_ok && contended == 0 && owner_miss == 0;
-  }
-  return ok;
+  return filled && r.delivered_mpps > 0 && quiet_ok && contended == 0 &&
+         owner_miss == 0;
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "packet/packet_pool.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/spsc_queue.hpp"
+#include "runtime/worker.hpp"
+#include "state/shard_map.hpp"
 #include "state/txn.hpp"
 
 namespace {
@@ -249,8 +251,13 @@ void BM_PiggybackViewWalk(benchmark::State& state) {
 BENCHMARK(BM_PiggybackViewWalk)->ArgsProduct({{1, 2, 4, 8}, {8, 64, 256}});
 
 void BM_ApplierOffer(benchmark::State& state) {
+  // A replica on a one-worker node, offered by its worker: the owner path
+  // every log a chain replicates takes (classify, apply in place).
   ftc::ChainConfig cfg;
-  ftc::InOrderApplier applier(0, cfg);
+  const state::ShardMap map(cfg.num_partitions, 1);
+  ftc::StateHandoffMesh mesh(2, 1, cfg.handoff_capacity);
+  ftc::InOrderApplier applier(0, cfg, map, mesh);
+  rt::set_current_shard(0);
   std::uint64_t seq = 0;
   ftc::PiggybackLog log;
   log.mbox = 0;
@@ -266,9 +273,10 @@ void BM_ApplierOffer(benchmark::State& state) {
   for (auto _ : state) {
     ++seq;
     std::memcpy(record.data() + 12, &seq, 8);
-    benchmark::DoNotOptimize(applier.offer_wire(ftc::decode_record(
+    benchmark::DoNotOptimize(applier.offer(ftc::decode_record(
         record.data(), static_cast<std::uint32_t>(record.size()))));
   }
+  rt::set_current_shard(rt::kNoShard);
 }
 BENCHMARK(BM_ApplierOffer);
 

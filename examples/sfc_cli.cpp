@@ -28,6 +28,7 @@
 #include "mbox/nat.hpp"
 #include "orch/orchestrator.hpp"
 #include "packet/pcap.hpp"
+#include "state/shard_map.hpp"
 #include "tgen/traffic.hpp"
 
 using namespace sfc;
@@ -73,7 +74,7 @@ void usage() {
       "  --chain a,b,c       middleboxes: monitor[:sharing] nat simplenat\n"
       "                      gen[:statesize] firewall lb (default monitor,nat)\n"
       "  --f N               failures tolerated (default 1)\n"
-      "  --threads N         threads per server (default 1)\n"
+      "  --threads N         threads per server, 1..16 (default 1)\n"
       "  --rate PPS          offered load, 0 = max (default 50000)\n"
       "  --duration SEC      run time (default 2)\n"
       "  --flows N           concurrent flows (default 64)\n"
@@ -191,7 +192,14 @@ bool parse_args(int argc, char** argv, Options& opt) {
     } else if (arg == "--threads") {
       const char* v = next("--threads");
       if (v == nullptr) return false;
-      opt.threads = static_cast<std::size_t>(std::atoi(v));
+      const int threads = std::atoi(v);
+      constexpr int kMaxThreads = state::ShardMap::kMaxWorkers;
+      if (threads < 1 || threads > kMaxThreads) {
+        std::fprintf(stderr, "--threads must be in 1..%d\n", kMaxThreads);
+        usage();
+        return false;
+      }
+      opt.threads = static_cast<std::size_t>(threads);
     } else if (arg == "--rate") {
       const char* v = next("--rate");
       if (v == nullptr) return false;

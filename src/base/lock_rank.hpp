@@ -43,7 +43,6 @@ inline constexpr LockRank kProfRegister = 12;   ///< prof slot registration (fir
 inline constexpr LockRank kSpanRegister = 15;   ///< span ring registration (first record under node locks).
 inline constexpr LockRank kLeaf         = 20;   ///< self-contained leaves: histograms, traces, pcap, log history.
 inline constexpr LockRank kPartition    = 30;   ///< state::PartitionLock (wound-wait).
-inline constexpr LockRank kApplier      = 40;   ///< InOrderApplier MAX mutex (held across partition apply).
 inline constexpr LockRank kLink         = 50;   ///< net::Link timed queue.
 inline constexpr LockRank kTransport    = 60;   ///< net::ReliableChannel window (drives its Link under lock).
 inline constexpr LockRank kControl      = 70;   ///< net::ControlPlane inboxes.

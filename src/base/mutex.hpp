@@ -86,14 +86,6 @@ class SFC_SCOPED_CAPABILITY UniqueLock {
   }
   UniqueLock(const UniqueLock&) = delete;
   UniqueLock& operator=(const UniqueLock&) = delete;
-  /// Move transfers ownership (factory-return pattern, e.g. the applier's
-  /// lock_max_mutex helper). Excluded from analysis: TSA attributes
-  /// capability state to the function that performed the acquire.
-  UniqueLock(UniqueLock&& other) noexcept SFC_NO_THREAD_SAFETY_ANALYSIS
-      : m_(other.m_), owned_(other.owned_) {
-    other.owned_ = false;
-  }
-  UniqueLock& operator=(UniqueLock&&) = delete;
 
   void lock() SFC_ACQUIRE() {
     m_->lock();

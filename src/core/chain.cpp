@@ -6,6 +6,7 @@
 
 #include "obs/span.hpp"
 #include "runtime/clock.hpp"
+#include "state/shard_map.hpp"
 
 namespace sfc::ftc {
 
@@ -19,6 +20,9 @@ constexpr std::uint64_t kInFlightWaitNs = 1'000'000;
 
 ChainRuntime::ChainRuntime(Spec spec) : spec_(std::move(spec)) {
   assert(!spec_.mbox_factories.empty());
+  // Every worker owns a share of each replica store's partitions.
+  assert(spec_.cfg.threads_per_node >= 1 &&
+         spec_.cfg.threads_per_node <= state::ShardMap::kMaxWorkers);
   const auto n = static_cast<std::uint32_t>(spec_.mbox_factories.size());
   // Chains shorter than f+1 are extended with pure replica positions
   // before the buffer (paper §5.1).

@@ -46,23 +46,6 @@ constexpr const char* to_string(TransportMode t) noexcept {
   return "?";
 }
 
-/// State-store concurrency discipline.
-enum class Ownership : std::uint8_t {
-  kLocked,       ///< Wound-wait partition locks + applier MAX mutex
-                 ///< everywhere (the PR-7 behavior; differential oracle).
-  kShardAffine,  ///< Partition→worker ownership: owner-hit applies are
-                 ///< lock-free single-writer, cross-shard writes go through
-                 ///< SPSC handoff rings drained at burst boundaries.
-};
-
-constexpr const char* to_string(Ownership o) noexcept {
-  switch (o) {
-    case Ownership::kLocked: return "locked";
-    case Ownership::kShardAffine: return "shard";
-  }
-  return "?";
-}
-
 struct ChainConfig {
   /// Failures tolerated: each middlebox's state is replicated on f+1
   /// servers along the chain.
@@ -81,17 +64,15 @@ struct ChainConfig {
   /// core count to reduce lock contention). Power of two, <= 64.
   std::size_t num_partitions{16};
 
-  /// Packet-processing threads per server.
+  /// Packet-processing threads per server, in [1, ShardMap::kMaxWorkers]:
+  /// each worker owns a share of every replica store's partitions. The
+  /// head's transaction fast path engages only at 1 (multi-threaded heads
+  /// keep wound-wait 2PL, which IS the concurrency control there).
   std::size_t threads_per_node{1};
 
-  /// State concurrency model. Shard-affine is the default; appliers shard
-  /// at any thread count, while the head store's transaction fast path
-  /// engages only at threads_per_node == 1 (multi-threaded heads keep
-  /// wound-wait 2PL, which IS the concurrency control there).
-  Ownership ownership{Ownership::kShardAffine};
-
-  /// Per-ring entry capacity of the cross-shard handoff mesh (shard-affine
-  /// mode). A full target ring holds the whole log (all-or-nothing), so
+  /// Per-ring entry capacity of the cross-shard handoff mesh that carries
+  /// a replica's writes to their partition's owning worker (shard_map.hpp).
+  /// A full target ring holds the whole log (all-or-nothing), so
   /// undersizing converts cross-shard bursts into parks, not corruption.
   std::size_t handoff_capacity{512};
 
@@ -145,9 +126,8 @@ struct ChainConfig {
 
   /// Quiet mode: the profiler is installed and, once armed (after warmup,
   /// via HotProfiler::arm_quiet), any data-path allocation failure, pool
-  /// free-retry, contended partition-lock or applier-mutex acquisition, or
-  /// blocking-send retry is recorded as a steady-state violation. Implies
-  /// `profile`.
+  /// free-retry, contended partition-lock acquisition, or blocking-send
+  /// retry is recorded as a steady-state violation. Implies `profile`.
   bool quiet_assert{false};
 };
 

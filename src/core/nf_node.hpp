@@ -44,7 +44,7 @@ class NfNode : rt::NonCopyable {
     // Single-threaded NF baseline gets the same lock-free commit path as
     // the FTC head, so fig5/fig9 comparisons isolate protocol cost rather
     // than locking discipline.
-    if (cfg.ownership == Ownership::kShardAffine && cfg.threads_per_node == 1) {
+    if (cfg.threads_per_node == 1) {
       store_.enable_shard_affine();
       txn_ctx_.enable_shard_affine();
     }

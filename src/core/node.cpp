@@ -141,12 +141,23 @@ FtcNode::FtcNode(Params params)
                           return static_cast<double>(h->history().size());
                         });
   }
-  // Appliers for the f preceding ring positions that carry middleboxes.
+  // Appliers for the f preceding ring positions that carry middleboxes,
+  // sharing one partition ownership map and handoff mesh. The map spans
+  // every worker; the mesh has one producer row per data worker plus one
+  // for the control thread (NACK replay offers from there and owns no
+  // shard).
+  const auto workers = static_cast<std::uint32_t>(cfg_.threads_per_node);
   for (std::uint32_t k = 1; k <= cfg_.f && k < ring_size_; ++k) {
     const std::uint32_t m = (position_ + ring_size_ - k) % ring_size_;
-    if (m < num_mboxes_) {
-      appliers_.emplace(m, std::make_unique<InOrderApplier>(m, cfg_, evicted(m)));
+    if (m >= num_mboxes_) continue;
+    if (shard_map_ == nullptr) {
+      shard_map_ =
+          std::make_unique<state::ShardMap>(cfg_.num_partitions, workers);
+      handoff_mesh_ = std::make_unique<StateHandoffMesh>(
+          workers + 1, workers, cfg_.handoff_capacity);
     }
+    appliers_.emplace(m, std::make_unique<InOrderApplier>(
+                             m, cfg_, *shard_map_, *handoff_mesh_, evicted(m)));
   }
   // Hot-path caches (appliers_ is immutable from here on).
   for (const auto& [m, a] : appliers_) {
@@ -159,25 +170,10 @@ FtcNode::FtcNode(Params params)
   tail_applier_ = tail_mbox_ != ring_size_ ? applier(tail_mbox_) : nullptr;
   burst_size_ = std::clamp<std::size_t>(cfg_.burst_size, 1, kMaxBurst);
 
-  // Shard-affine state (cfg.ownership): partition ownership + handoff
-  // mesh, enabled before any worker exists. Appliers shard at any thread
-  // count; the head's transaction fast path engages only when exactly one
-  // thread transacts (multi-threaded heads keep wound-wait 2PL — that IS
-  // their concurrency control).
-  const auto workers = static_cast<std::uint32_t>(cfg_.threads_per_node);
-  if (cfg_.ownership == Ownership::kShardAffine &&
-      workers <= state::ShardMap::kMaxWorkers && !appliers_.empty()) {
-    shard_map_ = std::make_unique<state::ShardMap>(cfg_.num_partitions, workers);
-    // One producer row per data worker plus one for the control thread
-    // (NACK replay offers from there and owns no shard).
-    handoff_mesh_ = std::make_unique<StateHandoffMesh>(
-        workers + 1, workers, cfg_.handoff_capacity);
-    for (auto& [m, a] : appliers_) {
-      a->enable_shard_affine(shard_map_.get(), handoff_mesh_.get());
-    }
-  }
-  if (cfg_.ownership == Ownership::kShardAffine && head_ != nullptr &&
-      cfg_.threads_per_node == 1) {
+  // The head's transaction fast path engages only when exactly one thread
+  // transacts (multi-threaded heads keep wound-wait 2PL — that IS their
+  // concurrency control).
+  if (head_ != nullptr && cfg_.threads_per_node == 1) {
     head_->enable_shard_affine();
   }
   const obs::Labels slabels{{"node", std::to_string(id_)},
@@ -584,7 +580,7 @@ bool FtcNode::reoffer_held(ViewWork& w) {
     const WireLog log = w.view.log(j);
     InOrderApplier* a = applier(log.mbox);
     if (a == nullptr) continue;  // Relay-only for this store.
-    switch (a->offer_wire(log)) {
+    switch (a->offer(log)) {
       case InOrderApplier::Offer::kApplied:
         stats_.logs_applied->inc();
         break;
@@ -602,51 +598,27 @@ bool FtcNode::reoffer_held(ViewWork& w) {
 
 void FtcNode::apply_logs_burst(ViewWork* vw, std::size_t n) {
   if (applier_cache_.empty()) return;
-  struct Origin {
-    std::uint32_t pkt;
-    std::uint32_t idx;
-  };
-  // Per-thread scratch that keeps its capacity: a burst's logs of one
-  // store, merged feedback included, outnumber any fixed inline size once
-  // a feedback backlog drains.
-  thread_local std::vector<WireLog> logs;
-  thread_local std::vector<Origin> origin;
-  thread_local std::vector<InOrderApplier::Offer> results;
   std::uint64_t applied = 0;
   std::uint64_t duplicate = 0;
-  for (const auto& [mbox, a] : applier_cache_) {
-    logs.clear();
-    origin.clear();
-    results.clear();
-    // Gather this applier's logs across the whole burst in rx order, so
-    // one offer_burst takes the MAX mutex (and each touched store
-    // partition lock) once instead of once per log.
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const PiggybackView& v = vw[i].view;
-      if (!v.ok()) continue;
-      const std::size_t count = v.log_count();
-      for (std::uint32_t j = 0; j < count; ++j) {
-        WireLog log = v.log(j);
-        if (log.mbox != mbox) continue;
-        logs.push_back(log);
-        origin.push_back(Origin{i, j});
-        results.push_back(InOrderApplier::Offer::kHeld);
-      }
-    }
-    if (logs.empty()) continue;
-    a->offer_burst({logs.data(), logs.size()}, results.data());
-    for (std::size_t k = 0; k < logs.size(); ++k) {
-      auto offer = results[k];
-      if (offer == InOrderApplier::Offer::kHeld &&
-          cfg_.threads_per_node > 1) {
+  // Each packet's logs in rx order, straight to their applier: per-applier
+  // order is the burst's arrival order.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const PiggybackView& v = vw[i].view;
+    if (!v.ok()) continue;
+    const std::size_t count = v.log_count();
+    for (std::uint32_t j = 0; j < count; ++j) {
+      const WireLog log = v.log(j);
+      InOrderApplier* a = applier(log.mbox);
+      if (a == nullptr) continue;  // Relay-only for this store.
+      auto offer = a->offer(log);
+      if (offer == InOrderApplier::Offer::kHeld && cfg_.threads_per_node > 1) {
         // With sibling threads the missing predecessor is usually in
         // flight right now: a couple of yields beat the full park/drain
-        // round trip, and retrying k in order lets a successful retry
-        // unblock k+1 below.
+        // round trip.
         for (int spin = 0; spin < 4 && offer == InOrderApplier::Offer::kHeld;
              ++spin) {
           std::this_thread::yield();
-          offer = a->offer_wire(logs[k]);
+          offer = a->offer(log);
         }
       }
       switch (offer) {
@@ -656,14 +628,12 @@ void FtcNode::apply_logs_burst(ViewWork* vw, std::size_t n) {
         case InOrderApplier::Offer::kDuplicate:
           ++duplicate;
           break;
-        case InOrderApplier::Offer::kHeld: {
+        case InOrderApplier::Offer::kHeld:
           // Remember the earliest held log (in message order): the packet
-          // parks and resumes from there; logs already applied above
-          // re-offer as duplicates.
-          std::uint32_t& held = vw[origin[k].pkt].held_at;
-          held = std::min(held, origin[k].idx);
+          // parks and resumes from there; logs already applied re-offer
+          // as duplicates.
+          vw[i].held_at = std::min(vw[i].held_at, j);
           break;
-        }
       }
     }
   }
@@ -1166,18 +1136,15 @@ void FtcNode::handle_nack_resp(const net::Message& resp) {
   if (!take_u32(in, mbox) || !open_wire_records(in, logs)) return;
   InOrderApplier* a = applier(mbox);
   if (a == nullptr) return;
-  std::vector<InOrderApplier::Offer> results(logs.size(),
-                                             InOrderApplier::Offer::kHeld);
-  a->offer_burst({logs.data(), logs.size()}, results.data());
-  const auto applied = static_cast<std::uint64_t>(
-      std::count(results.begin(), results.end(), InOrderApplier::Offer::kApplied));
+  std::uint64_t applied = 0;
+  for (const WireLog& log : logs) {
+    if (a->offer(log) == InOrderApplier::Offer::kApplied) ++applied;
+  }
   stats_.logs_applied->add(applied);
   trace_->emit(obs::Event::kNackApplied, mbox, applied);
-  // Shard mode: the replayed logs were routed into the owners' handoff
-  // rings above; the unblocked parked packets must also re-run on a data
-  // worker (their transactions are shard-owned), so leave the drain to the
-  // workers' idle path instead of transacting from the control thread.
-  if (handoff_mesh_ == nullptr) drain_parked();
+  // The replayed logs were routed into the owners' handoff rings above;
+  // the unblocked parked packets must also re-run on a data worker (their
+  // transactions are shard-owned), so the workers' idle path drains them.
 }
 
 void FtcNode::quiesce_and(const std::function<void()>& fn) {

@@ -181,8 +181,8 @@ class FtcNode : rt::NonCopyable {
   std::uint64_t bursts_done() const noexcept {
     return bursts_done_.load(std::memory_order_acquire);
   }
-  /// True while any cross-shard handoff ring holds an un-drained portion
-  /// (shard-affine mode). Quiescence checks must consult this: an enqueued
+  /// True while any cross-shard handoff ring holds an un-drained portion.
+  /// Quiescence checks must consult this: an enqueued
   /// portion's log counted as applied at classification but its writes
   /// reach the store only at the owner's drain.
   bool handoff_pending() const noexcept {
@@ -232,10 +232,10 @@ class FtcNode : rt::NonCopyable {
   /// a collect comes back empty it sets @p dry, and later calls with
   /// @p dry set skip the channel (the rest of the burst).
   Attached attach_feedback(pkt::Packet* p, bool& dry);
-  /// Phase A over a whole rx burst of tail views: logs are grouped per
-  /// applier so each MAX mutex and each touched store partition is taken
-  /// once per burst, and applicable writes are copied straight from the
-  /// wire. Marks packets with still-held logs in @p vw.
+  /// Phase A over a whole rx burst of tail views: each packet's logs are
+  /// offered, in rx order, to their applier, which copies applicable
+  /// writes straight from the wire. Marks packets with still-held logs in
+  /// @p vw.
   void apply_logs_burst(ViewWork* vw, std::size_t n);
   /// Re-offers @p w's logs from its held index. True once all applied.
   bool reoffer_held(ViewWork& w);
@@ -307,9 +307,9 @@ class FtcNode : rt::NonCopyable {
   std::unique_ptr<HeadStore> head_;
   std::map<MboxId, std::unique_ptr<InOrderApplier>> appliers_;
 
-  // Shard-affine mode (cfg.ownership): partition→worker ownership map and
-  // the SPSC handoff mesh carrying cross-shard portions to their owner.
-  // Null in locked mode (and when threads_per_node exceeds the shard cap).
+  // The appliers' partition→worker ownership map and the SPSC handoff
+  // mesh carrying cross-shard portions to their owner. Null on a node
+  // that replicates no store.
   std::unique_ptr<state::ShardMap> shard_map_;
   std::unique_ptr<StateHandoffMesh> handoff_mesh_;
   /// Per-owner parking lot for drained handoff entries whose predecessor
@@ -341,9 +341,9 @@ class FtcNode : rt::NonCopyable {
   std::vector<Parked> parked_ SFC_GUARDED_BY(park_mutex_);
   std::map<MboxId, std::uint64_t> last_nack_ns_ SFC_GUARDED_BY(park_mutex_);
   /// Mirror of parked_.size(), updated under park_mutex_, read lock-free
-  /// by idle data workers: in shard mode the control thread must not run
-  /// drain_parked (its transactions would dodge shard ownership), so
-  /// workers poll this to pick up control-replayed unblocks.
+  /// by idle data workers: the control thread must not run drain_parked
+  /// (its transactions would dodge shard ownership), so workers poll this
+  /// to pick up control-replayed unblocks.
   std::atomic<std::size_t> parked_size_{0};
 
   // Threads.

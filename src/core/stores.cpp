@@ -11,27 +11,6 @@ namespace sfc::ftc {
 
 namespace {
 
-// Locks @p m, attributing contention to the applier MAX mutex when the
-// hot-path profiler is installed (a failed try_lock means another worker
-// held the mutex). One load + branch when disabled.
-// TSA sees the returned scoped lock through the ACQUIRE annotation; the
-// body is excluded because the defer/try/lock dance is not expressible.
-UniqueLock lock_max_mutex(Mutex& m)
-    SFC_ACQUIRE(m) SFC_NO_THREAD_SAFETY_ANALYSIS {
-  UniqueLock lock(m, std::defer_lock);
-  if (SFC_UNLIKELY(obs::hot_profiler() != nullptr)) {
-    const bool uncontended = lock.try_lock();
-    if (!uncontended) {
-      obs::prof_count(obs::ProfCounter::kApplierMutexContended);
-      lock.lock();
-    }
-    obs::prof_count(obs::ProfCounter::kApplierMutexAcquire);
-  } else {
-    lock.lock();
-  }
-  return lock;
-}
-
 // Failover transfer blob: store contents, then the MAX / dependency
 // vector, then the retained log history as wire records (put_history). The
 // format is shared by HeadStore and InOrderApplier because a failed head is
@@ -209,20 +188,6 @@ bool HeadStore::deserialize(std::span<const std::uint8_t> in) {
   return restore_history(in, history_);
 }
 
-void InOrderApplier::enable_shard_affine(const state::ShardMap* map,
-                                         StateHandoffMesh* mesh) {
-  shard_map_ = map;
-  mesh_ = mesh;
-  store_.enable_shard_affine();
-  // Carry any pre-enable MAX into the per-partition sequences. Enable runs
-  // before the node's workers start, so there is no concurrent offer.
-  LockGuard lock(mutex_);
-  for (std::size_t p = 0; p < state::kMaxPartitions; ++p) {
-    pseq_[p].store(max_.seq[p], std::memory_order_relaxed);
-    enq_seq_[p].store(max_.seq[p], std::memory_order_relaxed);
-  }
-}
-
 LogFit InOrderApplier::classify_pending(const DepVector& dep,
                                         std::uint64_t& pending) const noexcept {
   pending = 0;
@@ -247,7 +212,7 @@ bool InOrderApplier::route_portions(const WireLog& log, std::uint64_t pending,
   const DepVector& dep = log.dep;
   const std::uint32_t self = rt::current_shard();
   const std::size_t producer =
-      self == rt::kNoShard ? mesh_->producers() - 1 : self;
+      self == rt::kNoShard ? mesh_.producers() - 1 : self;
 
   // Split the pending portion by owning worker. One handoff entry per
   // foreign owner aggregates all of that owner's partitions. An owned
@@ -259,7 +224,7 @@ bool InOrderApplier::route_portions(const WireLog& log, std::uint64_t pending,
   std::uint64_t theirs[state::ShardMap::kMaxWorkers] = {};
   for (std::uint64_t m = pending; m != 0; m &= m - 1) {
     const auto p = static_cast<std::size_t>(std::countr_zero(m));
-    const auto owner = shard_map_->owner_of(p);
+    const auto owner = shard_map_.owner_of(p);
     if (owner == self &&
         enq_seq_[p].load(std::memory_order_relaxed) <=
             pseq_[p].load(std::memory_order_relaxed)) {
@@ -273,10 +238,10 @@ bool InOrderApplier::route_portions(const WireLog& log, std::uint64_t pending,
   // All-or-nothing admission: as this thread is each target ring's only
   // producer, a positive free-slot pre-check cannot be invalidated before
   // our push, so either every portion is admitted or the whole log holds.
-  for (std::uint32_t o = 0; o < shard_map_->num_workers(); ++o) {
-    if (theirs[o] != 0 && !mesh_->can_push(producer, o)) return false;
+  for (std::uint32_t o = 0; o < shard_map_.num_workers(); ++o) {
+    if (theirs[o] != 0 && !mesh_.can_push(producer, o)) return false;
   }
-  for (std::uint32_t o = 0; o < shard_map_->num_workers(); ++o) {
+  for (std::uint32_t o = 0; o < shard_map_.num_workers(); ++o) {
     if (theirs[o] == 0) continue;
     StateHandoff h;
     h.applier = this;
@@ -289,7 +254,7 @@ bool InOrderApplier::route_portions(const WireLog& log, std::uint64_t pending,
             u.key, state::Bytes(u.value.data(), u.value.size()), u.erase});
       }
     });
-    mesh_->push(producer, o, std::move(h));
+    mesh_.push(producer, o, std::move(h));
     obs::prof_count(obs::ProfCounter::kHandoffPush);
     // Advance the enqueued frontier AFTER the push: a thread that observes
     // the new frontier and enqueues seq+1 is guaranteed the seq entry is
@@ -308,7 +273,7 @@ bool InOrderApplier::route_portions(const WireLog& log, std::uint64_t pending,
   return true;
 }
 
-InOrderApplier::Offer InOrderApplier::offer_shard_wire(const WireLog& log) {
+InOrderApplier::Offer InOrderApplier::offer(const WireLog& log) {
   std::uint64_t pending = 0;
   switch (classify_pending(log.dep, pending)) {
     case LogFit::kDuplicate:
@@ -363,56 +328,6 @@ bool InOrderApplier::apply_handoff(StateHandoff& h) {
   return future == 0;
 }
 
-void InOrderApplier::offer_burst(std::span<const WireLog> logs,
-                                 Offer* results) {
-  if (shard_map_ != nullptr) {
-    // Shard mode has no burst-wide mutex to amortize: each log classifies
-    // against pseq and applies through the owner path (or routes through
-    // the mesh) independently.
-    for (std::size_t i = 0; i < logs.size(); ++i) {
-      results[i] = offer_shard_wire(logs[i]);
-    }
-    return;
-  }
-  // Applicable writes across the burst, collected in log order so
-  // same-key writes land newest-last, exactly as per-log applies would.
-  rt::SmallVector<state::WireUpdate, 16> updates;
-  std::uint64_t n_applied = 0;
-  {
-    auto lock = lock_max_mutex(mutex_);
-    for (std::size_t i = 0; i < logs.size(); ++i) {
-      switch (classify(max_, logs[i].dep)) {
-        case LogFit::kDuplicate:
-          results[i] = Offer::kDuplicate;
-          continue;
-        case LogFit::kFuture:
-          results[i] = Offer::kHeld;
-          continue;
-        case LogFit::kApplicable:
-          break;
-      }
-      max_.advance(logs[i].dep);
-      for_each_wire_write(logs[i], [&](const state::WireUpdate& u) {
-        updates.push_back(u);
-      });
-      results[i] = Offer::kApplied;
-      ++n_applied;
-    }
-    // Apply inside the MAX mutex, and advance max_ only alongside: the
-    // writes must be in the store before the mutex releases, or a
-    // dependent log offered by a sibling thread could overtake them.
-    if (!updates.empty()) store_.apply_wire({updates.data(), updates.size()});
-  }
-  if (n_applied != 0) {
-    // The history copies each applied record's bytes as they are (logs
-    // must outlive the packet); relayed logs are never copied.
-    for (std::size_t i = 0; i < logs.size(); ++i) {
-      if (results[i] == Offer::kApplied) history_.record(logs[i].bytes());
-    }
-    applied_.fetch_add(n_applied, std::memory_order_release);
-  }
-}
-
 void InOrderApplier::serialize(std::vector<std::uint8_t>& out) {
   std::vector<std::uint8_t> store_blob;
   store_.serialize(store_blob);
@@ -430,17 +345,11 @@ bool InOrderApplier::deserialize(std::span<const std::uint8_t> in) {
   MaxVector restored;
   if (!take_vector(in, restored)) return false;
   if (!restore_history(in, history_)) return false;
-  {
-    LockGuard lock(mutex_);
-    max_ = restored;
-  }
-  if (shard_map_ != nullptr) {
-    // Recovery runs quiesced (workers drained, control has exclusivity);
-    // the restored vector seeds the per-partition sequences directly.
-    for (std::size_t p = 0; p < state::kMaxPartitions; ++p) {
-      pseq_[p].store(restored.seq[p], std::memory_order_release);
-      enq_seq_[p].store(restored.seq[p], std::memory_order_release);
-    }
+  // Recovery runs quiesced (workers drained, control has exclusivity);
+  // the restored vector seeds the per-partition sequences directly.
+  for (std::size_t p = 0; p < state::kMaxPartitions; ++p) {
+    pseq_[p].store(restored.seq[p], std::memory_order_release);
+    enq_seq_[p].store(restored.seq[p], std::memory_order_release);
   }
   applied_.fetch_add(1, std::memory_order_release);
   return true;

@@ -175,45 +175,42 @@ class HeadStore : rt::NonCopyable {
 
 /// The replica side: applies piggyback logs to a local store in the
 /// partial order defined by dependency vectors (paper §4.3, Fig. 3).
+///
+/// The MAX vector is exploded into per-partition atomic sequences (pseq),
+/// so classification never blocks, and each partition has one writer: its
+/// owning worker in @p map. Threading contract: offer() is called by the
+/// node's data workers, each identified by its shard id
+/// (rt::current_shard), and by the node's one control thread (NACK
+/// replay, identified by rt::kNoShard, owning no shard). An offering
+/// worker applies the portion of a log it owns straight from the wire,
+/// lock-free; every other portion travels through @p mesh to its owner,
+/// whose drain calls apply_handoff. max() and applied_count() are safe
+/// from any thread; serialize/deserialize run only while the node is
+/// quiesced.
 class InOrderApplier : rt::NonCopyable {
  public:
   InOrderApplier(MboxId mbox, const ChainConfig& cfg,
+                 const state::ShardMap& map, StateHandoffMesh& mesh,
                  obs::Counter* history_evicted = nullptr)
       : mbox_(mbox),
         store_(cfg.num_partitions),
-        history_(cfg.history_capacity, history_evicted) {}
+        history_(cfg.history_capacity, history_evicted),
+        shard_map_(map),
+        mesh_(mesh) {
+    store_.enable_shard_affine();
+  }
 
   MboxId mbox() const noexcept { return mbox_; }
   state::StateStore& store() noexcept { return store_; }
 
-  /// Switches this applier to shard-affine apply: the MAX mutex retires in
-  /// favor of per-partition atomic sequence tracking (pseq), owner-hit
-  /// portions apply lock-free through the store's owner path, and portions
-  /// owned by other workers — or everything, when offered from the control
-  /// thread (NACK replay) — travel through @p mesh to their owner, drained
-  /// at burst boundaries. Call before the node's workers start.
-  void enable_shard_affine(const state::ShardMap* map, StateHandoffMesh* mesh);
-  bool shard_affine() const noexcept { return shard_map_ != nullptr; }
-
   enum class Offer : std::uint8_t { kApplied, kDuplicate, kHeld };
 
-  /// Offers a whole burst's logs (cursors into packet bytes or a NACK
-  /// reply, in arrival order): classifies them under one MAX-mutex
-  /// acquisition and copies every applicable write straight from the wire
-  /// into the store with one partition-lock round — each touched partition
-  /// is locked once per burst instead of once per log. Writes one Offer per
-  /// log into @p results. kHeld means a predecessor log is missing: the
-  /// caller's park/drain machinery re-offers it. Applied logs' records are
-  /// recorded in the history for retransmission to this replica's own
-  /// successor.
-  void offer_burst(std::span<const WireLog> logs, Offer* results);
-
-  /// Single-log wire offer (held-log retry path).
-  Offer offer_wire(const WireLog& log) {
-    Offer r = Offer::kHeld;
-    offer_burst({&log, 1}, &r);
-    return r;
-  }
+  /// Offers one log (a cursor into packet bytes or a NACK reply). kHeld
+  /// means a predecessor log is missing, or a target handoff ring is full:
+  /// nothing advanced, and the caller's park/drain machinery re-offers it.
+  /// An applied log's record is kept in the history for retransmission to
+  /// this replica's own successor.
+  Offer offer(const WireLog& log);
 
   /// Applies the ready portion of a drained handoff entry and clears the
   /// applied/stale bits from h.portion. Returns true when the entry is
@@ -225,24 +222,20 @@ class InOrderApplier : rt::NonCopyable {
   bool apply_handoff(StateHandoff& h);
 
   /// Current MAX vector (the tail's commit vector when this replica is the
-  /// tail of its group). Shard mode assembles it lock-free from the
-  /// per-partition sequences, INCLUDING the enqueued frontier: a portion
-  /// admitted into a handoff ring is durably in this node and guaranteed
-  /// to apply at the owner's drain, so announcing it keeps the commit a
-  /// packet carries covering the logs that very packet delivered — the
-  /// invariant the egress buffer's release depends on. (NACKs built from
-  /// this vector correctly skip in-flight logs: they are already here.)
-  MaxVector max() const {
-    if (shard_map_ != nullptr) {
-      MaxVector out;
-      for (std::size_t p = 0; p < state::kMaxPartitions; ++p) {
-        out.seq[p] = std::max(pseq_[p].load(std::memory_order_acquire),
-                              enq_seq_[p].load(std::memory_order_acquire));
-      }
-      return out;
+  /// tail of its group), assembled lock-free from the per-partition
+  /// sequences INCLUDING the enqueued frontier: a portion admitted into a
+  /// handoff ring is durably in this node and guaranteed to apply at the
+  /// owner's drain, so announcing it keeps the commit a packet carries
+  /// covering the logs that very packet delivered — the invariant the
+  /// egress buffer's release depends on. (NACKs built from this vector
+  /// correctly skip in-flight logs: they are already here.)
+  MaxVector max() const noexcept {
+    MaxVector out;
+    for (std::size_t p = 0; p < state::kMaxPartitions; ++p) {
+      out.seq[p] = std::max(pseq_[p].load(std::memory_order_acquire),
+                            enq_seq_[p].load(std::memory_order_acquire));
     }
-    LockGuard lock(mutex_);
-    return max_;
+    return out;
   }
 
   void prune(const MaxVector& commit) { history_.prune(commit); }
@@ -267,14 +260,12 @@ class InOrderApplier : rt::NonCopyable {
   LogFit classify_pending(const DepVector& dep,
                           std::uint64_t& pending) const noexcept;
 
-  /// Shard-mode offer core: routes @p pending by owner, pre-checks ring
-  /// capacity (all-or-nothing), enqueues foreign portions and returns the
+  /// Offer core: routes @p pending by owner, pre-checks ring capacity
+  /// (all-or-nothing), enqueues foreign portions and returns the
   /// caller-owned sub-mask to apply directly (in @p mine). Returns false
   /// when a target ring is full (caller reports kHeld, nothing advanced).
   bool route_portions(const WireLog& log, std::uint64_t pending,
                       std::uint64_t& mine);
-
-  Offer offer_shard_wire(const WireLog& log);
 
   /// Advances pseq for @p mask to the log's sequence numbers (release:
   /// published only after the store apply).
@@ -287,17 +278,11 @@ class InOrderApplier : rt::NonCopyable {
 
   MboxId mbox_;
   state::StateStore store_;
-  /// The MAX mutex (paper Fig. 3): held across classify/advance AND the
-  /// store partition apply, so it outranks the partition locks. Unused on
-  /// the data path in shard-affine mode.
-  mutable Mutex mutex_{ranks::kApplier, "ftc.applier_max"};
-  MaxVector max_ SFC_GUARDED_BY(mutex_){};
   LogHistory history_;
   std::atomic<std::uint64_t> applied_{0};
-  /// Shard-affine state: per-partition applied sequence numbers (the MAX,
-  /// exploded into atomics so classification never blocks).
-  const state::ShardMap* shard_map_{nullptr};
-  StateHandoffMesh* mesh_{nullptr};
+  const state::ShardMap& shard_map_;
+  StateHandoffMesh& mesh_;
+  /// Per-partition applied sequence numbers: the MAX vector.
   std::array<std::atomic<std::uint64_t>, state::kMaxPartitions> pseq_{};
   /// Enqueued frontier: highest seq per partition admitted into a handoff
   /// ring (>= pseq while portions are in flight). Classification treats

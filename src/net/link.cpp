@@ -149,7 +149,7 @@ std::size_t Link::send_burst(std::span<pkt::Packet*> ps) {
   obs::ProfStageTimer pt{obs::prof_slot(), obs::ProfStage::kLinkSend,
                          ps.size()};
   if (fast_path_) {
-    // Ownership transfers at the push: the consumer may pop, free and
+    // The packets change hands at the push: the consumer may pop, free and
     // recycle a packet before this function returns, so trace ids and the
     // enter time must be snapshotted BEFORE try_push_n (same ordering as
     // send()).

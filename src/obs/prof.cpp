@@ -36,7 +36,6 @@ constexpr const char* kStageNames[kProfStageCount] = {
 
 constexpr const char* kCounterNames[kProfCounterCount] = {
     "partition_lock_acquire", "partition_lock_contended",
-    "applier_mutex_acquire",  "applier_mutex_contended",
     "pool_alloc_failure",     "pool_free_retry",
     "send_retry",             "owner_miss",
     "handoff_push",

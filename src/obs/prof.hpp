@@ -14,8 +14,8 @@
 //
 // Quiet mode turns steady-state invariants into hard assertions: once
 // armed (after warmup), any pool-allocation failure, pool free-retry,
-// contended partition-lock acquisition, contended applier MAX-mutex
-// acquisition, or blocking-send retry is recorded as a violation. Callers
+// contended partition-lock acquisition, or blocking-send retry is
+// recorded as a violation. Callers
 // (sfc_cli --quiet-assert, the budget-gate bench) dump the span flight
 // recorder and fail the run when violations exist.
 #pragma once
@@ -49,17 +49,17 @@ enum class ProfStage : std::uint8_t {
   // Primary (non-overlapping; sum ~= busy wall time of the worker):
   kPoll = 0,     // ingress poll_burst on the in port
   kViewWalk,     // piggyback view open / frame classification
-  kLogApply,     // per-burst replica log apply (grouped per applier)
+  kLogApply,     // per-burst replica log apply
   kTailCommit,   // tail duty: strip logs, attach commits, prune history
   kProcess,      // middlebox packet transaction
   kAppend,       // log append + egress staging / emit
   kEgressFlush,  // burst egress flush (send_burst + blocking stragglers)
   kParkDrain,    // parked-work drain + park bookkeeping
-  kHandoffDrain, // cross-shard handoff ring drain (shard-affine mode)
+  kHandoffDrain, // cross-shard handoff ring drain
   // Auxiliary (nested inside primary stages or on non-worker threads):
   kLinkSend,   // Port::send / send_burst internals (Link, ReliableChannel)
   kLinkPoll,   // Port::poll / poll_burst internals
-  kStoreApply, // StateStore::apply_wire (inside kLogApply)
+  kStoreApply, // StateStore owner-path apply (inside kLogApply)
   kPoolAlloc,  // PacketPool::alloc_raw
   kPoolFree,   // PacketPool::free_raw
   kSendBlocked,  // send_blocking retries on a full downstream port; the
@@ -81,21 +81,18 @@ inline constexpr bool prof_stage_primary(ProfStage stage) noexcept {
 enum class ProfCounter : std::uint8_t {
   kPartitionLockAcquire = 0,
   kPartitionLockContended,  // violation: first CAS lost to another owner
-  kApplierMutexAcquire,
-  kApplierMutexContended,  // violation: MAX-mutex try_lock failed
   kPoolAllocFailure,       // violation: pool exhausted, alloc returned null
   kPoolFreeRetry,          // violation: free raced a concurrent alloc
   kSendRetry,              // violation: send_blocking spun on a full ring
   kOwnerMiss,              // violation: shard-affine txn on a non-owner thread
   kHandoffPush,            // cross-shard write handed to the owning worker
 };
-inline constexpr std::size_t kProfCounterCount = 9;
+inline constexpr std::size_t kProfCounterCount = 7;
 
 const char* prof_counter_name(ProfCounter c) noexcept;
 
 inline constexpr bool prof_counter_is_violation(ProfCounter c) noexcept {
   return c != ProfCounter::kPartitionLockAcquire &&
-         c != ProfCounter::kApplierMutexAcquire &&
          c != ProfCounter::kHandoffPush;
 }
 
@@ -348,8 +345,8 @@ class HotProfiler : rt::NonCopyable {
   std::atomic<bool> quiet_was_armed_{false};
   std::atomic<std::uint64_t> quiet_violations_{0};
   /// Violations are recorded from arbitrary hot-path lock contexts
-  /// (contended partition lock, applier MAX mutex), so this is nearly the
-  /// innermost rank in the tree.
+  /// (a contended partition lock), so this is nearly the innermost rank
+  /// in the tree.
   mutable Mutex violation_mutex_{ranks::kProfViolation, "prof.violation"};
   std::vector<ProfViolation> violation_records_
       SFC_GUARDED_BY(violation_mutex_);

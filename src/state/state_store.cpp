@@ -80,27 +80,6 @@ void StateStore::apply(std::span<const StateUpdate> updates) {
   }
 }
 
-void StateStore::apply_wire(std::span<const WireUpdate> updates) {
-  obs::ProfStageTimer pt{obs::prof_slot(), obs::ProfStage::kStoreApply};
-  std::uint64_t mask = 0;
-  for (const auto& u : updates) mask |= 1ULL << partition_of(u.key);
-
-  TxnSlot& slot = this_thread_slot();
-  for (std::size_t p = 0; p < num_partitions_; ++p) {
-    if (mask & (1ULL << p)) partitions_[p].lock.lock_apply(&slot);
-  }
-  for (const auto& u : updates) {
-    if (u.erase) {
-      erase_locked(u.key);
-    } else {
-      put_locked(u.key, Bytes(u.value.data(), u.value.size()));
-    }
-  }
-  for (std::size_t p = 0; p < num_partitions_; ++p) {
-    if (mask & (1ULL << p)) partitions_[p].lock.unlock();
-  }
-}
-
 std::optional<Bytes> StateStore::get(Key key) {
   const auto pidx = partition_of(key);
   auto& part = partitions_[pidx];

@@ -92,16 +92,11 @@ class StateStore : rt::NonCopyable {
   void put_locked(Key key, Bytes value);
   bool erase_locked(Key key) noexcept;
 
-  /// Applies a batch of updates (replica path): takes the touched
-  /// partitions' locks in index order, applies, releases.
+  /// Applies a batch of updates under partition locks: takes the touched
+  /// partitions' locks in index order, applies, releases. Replicas apply
+  /// through the owner path instead (apply_wire_owner); this serves the
+  /// tests' materializing oracle.
   void apply(std::span<const StateUpdate> updates);
-
-  /// apply() for updates referencing wire bytes in place: values are
-  /// copied straight from the packet into the store under the partition
-  /// lock, with no intermediate StateUpdate materialization. Callers
-  /// batch a whole burst's writes so each touched partition is locked
-  /// once per burst.
-  void apply_wire(std::span<const WireUpdate> updates);
 
   /// Convenience point read. Locked mode takes the partition lock;
   /// shard-affine mode is a seqlock reader: version-stable retry loop,

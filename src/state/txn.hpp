@@ -89,7 +89,7 @@ class TxnContext : rt::NonCopyable {
   /// Enables the lock-free single-writer commit: transactions from the
   /// owning thread skip the partition locks and wound-wait entirely, and
   /// commit through the store's seqlock write section. The store must be
-  /// shard-affine. Ownership is claimed lazily by the first transacting
+  /// shard-affine. The owner is claimed lazily by the first transacting
   /// thread (one CAS, then a plain load+compare per transaction) and reset
   /// by the node at (re)start; a transaction from any OTHER thread falls
   /// back to the locked path and counts an owner miss — unreachable in

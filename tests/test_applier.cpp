@@ -5,6 +5,8 @@
 #include <thread>
 
 #include "core/stores.hpp"
+#include "runtime/worker.hpp"
+#include "state/shard_map.hpp"
 #include "wire_oracle.hpp"
 
 namespace sfc::ftc {
@@ -30,7 +32,7 @@ PiggybackLog log_for(state::StateStore& store, state::Key key,
 
 TEST(InOrderApplier, AppliesInOrder) {
   const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
+  SoloApplier a(0, cfg);
   const state::Key k = 7;
   EXPECT_EQ(offer(a, log_for(a.store(), k, 1, 10)), InOrderApplier::Offer::kApplied);
   EXPECT_EQ(offer(a, log_for(a.store(), k, 2, 20)), InOrderApplier::Offer::kApplied);
@@ -40,7 +42,7 @@ TEST(InOrderApplier, AppliesInOrder) {
 
 TEST(InOrderApplier, HoldsFutureAppliesAfterGapFilled) {
   const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
+  SoloApplier a(0, cfg);
   const state::Key k = 7;
   const auto second = log_for(a.store(), k, 2, 20);
   const auto first = log_for(a.store(), k, 1, 10);
@@ -53,7 +55,7 @@ TEST(InOrderApplier, HoldsFutureAppliesAfterGapFilled) {
 
 TEST(InOrderApplier, DuplicateDetected) {
   const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
+  SoloApplier a(0, cfg);
   const state::Key k = 7;
   const auto first = log_for(a.store(), k, 1, 10);
   EXPECT_EQ(offer(a, first), InOrderApplier::Offer::kApplied);
@@ -63,7 +65,7 @@ TEST(InOrderApplier, DuplicateDetected) {
 
 TEST(InOrderApplier, DisjointPartitionsApplyInAnyOrder) {
   const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
+  SoloApplier a(0, cfg);
   state::Key k1 = 0, k2 = 1;
   while (a.store().partition_of(k1) == a.store().partition_of(k2)) ++k2;
   const auto la = log_for(a.store(), k1, 1, 111);
@@ -76,7 +78,7 @@ TEST(InOrderApplier, DisjointPartitionsApplyInAnyOrder) {
 
 TEST(InOrderApplier, MaxTracksAppliedLogs) {
   const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
+  SoloApplier a(0, cfg);
   const state::Key k = 3;
   const auto p = a.store().partition_of(k);
   offer(a, log_for(a.store(), k, 1, 1));
@@ -85,22 +87,27 @@ TEST(InOrderApplier, MaxTracksAppliedLogs) {
 }
 
 TEST(InOrderApplier, ConcurrentDisjointAppliesAllLand) {
+  // Four workers of a four-worker node, each offering logs for partitions
+  // it owns: every log applies in place on its owner, concurrently.
   const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 2000;
+  const state::ShardMap map(cfg.num_partitions, kThreads);
+  StateHandoffMesh mesh(kThreads + 1, kThreads, cfg.handoff_capacity);
+  InOrderApplier a(0, cfg, map, mesh);
 
-  // Pick one key per thread, all in distinct partitions.
+  // One key per thread, in a partition that thread owns.
   std::vector<state::Key> keys;
-  for (state::Key k = 0; keys.size() < kThreads; ++k) {
-    bool dup = false;
-    for (auto e : keys) dup |= a.store().partition_of(e) == a.store().partition_of(k);
-    if (!dup) keys.push_back(k);
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    state::Key k = 0;
+    while (map.owner_of(a.store().partition_of(k)) != t) ++k;
+    keys.push_back(k);
   }
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      rt::set_current_shard(static_cast<std::uint32_t>(t));
       for (std::uint64_t s = 1; s <= kPerThread; ++s) {
         ASSERT_EQ(offer(a, log_for(a.store(), keys[t], s, s)),
                   InOrderApplier::Offer::kApplied);
@@ -108,6 +115,7 @@ TEST(InOrderApplier, ConcurrentDisjointAppliesAllLand) {
     });
   }
   for (auto& th : threads) th.join();
+  EXPECT_TRUE(mesh.empty());  // Owner hits only: nothing was handed off.
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(a.store().get(keys[t])->as<std::uint64_t>(), kPerThread);
   }
@@ -116,7 +124,7 @@ TEST(InOrderApplier, ConcurrentDisjointAppliesAllLand) {
 
 TEST(InOrderApplier, EraseLogsApply) {
   const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
+  SoloApplier a(0, cfg);
   const state::Key k = 5;
   offer(a, log_for(a.store(), k, 1, 10));
   PiggybackLog erase_log;
@@ -162,7 +170,7 @@ TEST(LogHistory, CapacityBounded) {
 
 TEST(ApplierTransfer, SerializeDeserializeRestoresStoreAndMax) {
   const auto cfg = test_cfg();
-  InOrderApplier src(0, cfg);
+  SoloApplier src(0, cfg);
   // Five keys in distinct partitions, each with its own sequence run.
   std::vector<state::Key> keys;
   for (state::Key k = 0; keys.size() < 5; ++k) {
@@ -181,7 +189,7 @@ TEST(ApplierTransfer, SerializeDeserializeRestoresStoreAndMax) {
   std::vector<std::uint8_t> blob;
   src.serialize(blob);
 
-  InOrderApplier dst(0, cfg);
+  SoloApplier dst(0, cfg);
   ASSERT_TRUE(dst.deserialize(blob));
   EXPECT_EQ(dst.max(), src.max());
   for (state::Key k : keys) {
@@ -194,7 +202,7 @@ TEST(HeadTransfer, HeadRestoresFromApplierBlob) {
   // Paper §5.2: a failed head is restored FROM its successor's applier:
   // store, MAX (as the new dependency vector), and the log history.
   const auto cfg = test_cfg();
-  InOrderApplier successor(0, cfg);
+  SoloApplier successor(0, cfg);
   const state::Key k = 9;
   const auto p = successor.store().partition_of(k);
   for (std::uint64_t s = 1; s <= 3; ++s) {

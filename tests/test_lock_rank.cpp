@@ -76,19 +76,21 @@ TEST_F(LockRankDeathTest, RecursiveAcquisitionAborts) {
 TEST(LockRankTest, CorrectOrderStaysSilent) {
   if (!checks_enabled()) GTEST_SKIP();
   // The full decreasing chain across layer ranks, as the data path nests
-  // them: obs > node > control > transport > link > applier > partition.
+  // them: obs > node > control > transport > link > leaf.
   Mutex obs{ranks::kObs, "test.obs"};
   Mutex node{ranks::kNode, "test.node"};
   Mutex ctrl{ranks::kControl, "test.ctrl"};
+  Mutex transport{ranks::kTransport, "test.transport"};
   Mutex link{ranks::kLink, "test.link"};
-  Mutex applier{ranks::kApplier, "test.applier"};
+  Mutex leaf{ranks::kLeaf, "test.leaf"};
   {
     LockGuard l1(obs);
     LockGuard l2(node);
     LockGuard l3(ctrl);
-    LockGuard l4(link);
-    LockGuard l5(applier);
-    EXPECT_GE(lockrank::held_depth(), 5u);
+    LockGuard l4(transport);
+    LockGuard l5(link);
+    LockGuard l6(leaf);
+    EXPECT_GE(lockrank::held_depth(), 6u);
   }
   EXPECT_EQ(lockrank::held_depth(), 0u);
 }

@@ -278,14 +278,15 @@ TEST(PiggybackView, SetCommitAndAppendRejectedWhenTailroomExhausted) {
   EXPECT_EQ(materialize_log(v.log(0)), log);
 }
 
-// Replica apply differential: the burst wire path must leave the store,
-// the MAX vector, the applied count and the fetch blob exactly as the
-// materializing apply of the decoded logs does, one log at a time.
+// Replica apply differential: offering a packet's logs one by one, as a
+// replica's burst apply does, must leave the store, the MAX vector, the
+// applied count and the fetch blob exactly as the materializing apply of
+// the decoded logs does.
 TEST(PiggybackView, OfferBurstMatchesOffer) {
   ChainConfig cfg;
   std::mt19937_64 rng(0xf7c3);
   MaterializingApplier legacy(cfg);
-  InOrderApplier wire(0, cfg);
+  SoloApplier wire(0, cfg);
 
   std::array<std::uint64_t, state::kMaxPartitions> next{};
   std::vector<PiggybackLog> logs;
@@ -319,21 +320,13 @@ TEST(PiggybackView, OfferBurstMatchesOffer) {
     ASSERT_TRUE(append_message(p, msg, cfg.num_partitions));
     PiggybackView v = PiggybackView::open(p);
     ASSERT_TRUE(v.ok());
-    std::vector<WireLog> wire_logs;
     for (std::size_t i = 0; i < v.log_count(); ++i) {
-      wire_logs.push_back(v.log(i));
-    }
-    std::vector<InOrderApplier::Offer> results(wire_logs.size(),
-                                               InOrderApplier::Offer::kHeld);
-    wire.offer_burst({wire_logs.data(), wire_logs.size()}, results.data());
-    for (const auto r : results) {
-      EXPECT_EQ(r, InOrderApplier::Offer::kApplied);
+      EXPECT_EQ(wire.offer(v.log(i)), InOrderApplier::Offer::kApplied);
     }
     // Re-offering the same packet's logs must classify as duplicates and
     // change nothing (parked packets re-enter this way).
-    wire.offer_burst({wire_logs.data(), wire_logs.size()}, results.data());
-    for (const auto r : results) {
-      EXPECT_EQ(r, InOrderApplier::Offer::kDuplicate);
+    for (std::size_t i = 0; i < v.log_count(); ++i) {
+      EXPECT_EQ(wire.offer(v.log(i)), InOrderApplier::Offer::kDuplicate);
     }
   }
 
@@ -347,7 +340,8 @@ TEST(PiggybackView, OfferBurstMatchesOffer) {
 
 TEST(PiggybackView, OfferBurstHoldsFutureLogs) {
   ChainConfig cfg;
-  InOrderApplier a(0, cfg);
+  MaterializingApplier legacy(cfg);
+  SoloApplier a(0, cfg);
   const std::uint64_t key = 9;
   const std::size_t part = a.store().partition_of(key);
 
@@ -363,19 +357,29 @@ TEST(PiggybackView, OfferBurstHoldsFutureLogs) {
   PiggybackMessage msg;
   msg.logs.push_back(make(1));
   msg.logs.push_back(make(3));  // Gap: seq 2 is missing.
-  msg.logs.push_back(make(2));  // Arrives later in the same burst.
+  msg.logs.push_back(make(2));  // Arrives later in the same packet.
   ASSERT_TRUE(append_message(p, msg, cfg.num_partitions));
   PiggybackView v = PiggybackView::open(p);
   ASSERT_TRUE(v.ok());
-  WireLog wire_logs[3] = {v.log(0), v.log(1), v.log(2)};
-  InOrderApplier::Offer results[3];
-  a.offer_burst({wire_logs, 3}, results);
-  EXPECT_EQ(results[0], InOrderApplier::Offer::kApplied);
-  EXPECT_EQ(results[1], InOrderApplier::Offer::kHeld);
-  EXPECT_EQ(results[2], InOrderApplier::Offer::kApplied);
-  // The held log becomes applicable now that seq 2 landed.
-  EXPECT_EQ(a.offer_wire(wire_logs[1]), InOrderApplier::Offer::kApplied);
+  const InOrderApplier::Offer expected[3] = {InOrderApplier::Offer::kApplied,
+                                             InOrderApplier::Offer::kHeld,
+                                             InOrderApplier::Offer::kApplied};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(legacy.offer(msg.logs[i]), expected[i]) << "log " << i;
+    EXPECT_EQ(a.offer(v.log(i)), expected[i]) << "log " << i;
+  }
+  // The held log becomes applicable now that seq 2 landed; a second offer
+  // of any of them is a duplicate.
+  EXPECT_EQ(legacy.offer(msg.logs[1]), InOrderApplier::Offer::kApplied);
+  EXPECT_EQ(a.offer(v.log(1)), InOrderApplier::Offer::kApplied);
+  EXPECT_EQ(legacy.offer(msg.logs[2]), InOrderApplier::Offer::kDuplicate);
+  EXPECT_EQ(a.offer(v.log(2)), InOrderApplier::Offer::kDuplicate);
   EXPECT_EQ(a.applied_count(), 3u);
+  EXPECT_EQ(a.store().get(key)->as<std::uint64_t>(), 3u);
+  std::vector<std::uint8_t> blob_legacy, blob_wire;
+  legacy.serialize(blob_legacy);
+  a.serialize(blob_wire);
+  EXPECT_EQ(blob_legacy, blob_wire);
 }
 
 // --- Malformed tails: open() must reject without touching the packet. ---

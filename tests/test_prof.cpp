@@ -46,9 +46,7 @@ TEST(ProfNames, StagesAndCountersNamed) {
   EXPECT_FALSE(prof_stage_primary(ProfStage::kPoolFree));
   // Plain acquisitions are bookkeeping; everything else trips quiet mode.
   EXPECT_FALSE(prof_counter_is_violation(ProfCounter::kPartitionLockAcquire));
-  EXPECT_FALSE(prof_counter_is_violation(ProfCounter::kApplierMutexAcquire));
   EXPECT_TRUE(prof_counter_is_violation(ProfCounter::kPartitionLockContended));
-  EXPECT_TRUE(prof_counter_is_violation(ProfCounter::kApplierMutexContended));
   EXPECT_TRUE(prof_counter_is_violation(ProfCounter::kPoolAllocFailure));
   EXPECT_TRUE(prof_counter_is_violation(ProfCounter::kPoolFreeRetry));
   EXPECT_TRUE(prof_counter_is_violation(ProfCounter::kSendRetry));
@@ -298,7 +296,6 @@ TEST(ProfQuiet, InjectedViolationFiresOnlyWhenArmed) {
   EXPECT_TRUE(prof.quiet_armed());
   // Plain acquisitions stay quiet...
   prof_count(ProfCounter::kPartitionLockAcquire);
-  prof_count(ProfCounter::kApplierMutexAcquire);
   EXPECT_EQ(prof.quiet_violation_count(), 0u);
   EXPECT_TRUE(prof.quiet_ok());
   // ...an injected data-path allocation failure does not.

@@ -698,7 +698,7 @@ TEST(Recovery, NackServesALogLargerThanAFrame) {
 TEST(Recovery, FetchBlobCarriesHistoryAsWireRecords) {
   ftc::ChainConfig cfg;
   cfg.history_capacity = 64;
-  InOrderApplier src(0, cfg);
+  ftc::SoloApplier src(0, cfg);
   constexpr state::Key kKey = 5;
   for (const auto& log : counter_logs(src.store(), kKey, 1, 9)) {
     ASSERT_EQ(ftc::offer(src, log), InOrderApplier::Offer::kApplied);
@@ -710,7 +710,7 @@ TEST(Recovery, FetchBlobCarriesHistoryAsWireRecords) {
   // arrives record for record.
   const auto kept = ftc::logs_after(src.history(), ftc::MaxVector{});
   ASSERT_EQ(kept.size(), 9u);
-  InOrderApplier dst(0, cfg);
+  ftc::SoloApplier dst(0, cfg);
   ASSERT_TRUE(dst.deserialize(blob));
   EXPECT_EQ(ftc::logs_after(dst.history(), ftc::MaxVector{}), kept);
   ftc::HeadStore head(0, cfg);
@@ -719,7 +719,7 @@ TEST(Recovery, FetchBlobCarriesHistoryAsWireRecords) {
 
   // Every truncation fails, a cut on a record boundary included.
   for (std::size_t len = 0; len < blob.size(); ++len) {
-    InOrderApplier cut(0, cfg);
+    ftc::SoloApplier cut(0, cfg);
     EXPECT_FALSE(cut.deserialize({blob.data(), len})) << "length " << len;
   }
   // So does a record whose dependency mask names a partition past the
@@ -727,7 +727,7 @@ TEST(Recovery, FetchBlobCarriesHistoryAsWireRecords) {
   auto corrupt = blob;
   const std::size_t first_record = corrupt.size() - 9 * ftc::wire_record(kept[0]).size();
   corrupt[first_record + 4 + 7] = 0x80;  // Mask bit 63.
-  InOrderApplier bad(0, cfg);
+  ftc::SoloApplier bad(0, cfg);
   EXPECT_FALSE(bad.deserialize(corrupt));
 }
 

@@ -70,16 +70,15 @@ std::vector<std::uint64_t> pump_through(ReliableChannel& ch,
 /// Pumps the channel until every ack has landed and the window is empty
 /// (the final acks are still on the modeled reverse wire when the last
 /// data packet is delivered).
-bool pump_until_drained(ReliableChannel& ch, pkt::PacketPool& pool,
-                        std::uint64_t budget_ns = 5'000'000'000ull) {
+bool pump_until_drained(ReliableChannel& ch, pkt::PacketPool& pool) {
   pkt::Packet* rx[64];
-  const std::uint64_t deadline = rt::now_ns() + budget_ns;
-  while (!ch.drained() && rt::now_ns() < deadline) {
-    const std::size_t n = ch.poll_burst(rx, 64);
-    for (std::size_t i = 0; i < n; ++i) pool.free_raw(rx[i]);
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-  }
-  return ch.drained();
+  return test::wait_until(
+      [&] {
+        const std::size_t n = ch.poll_burst(rx, 64);
+        for (std::size_t i = 0; i < n; ++i) pool.free_raw(rx[i]);
+        return ch.drained();
+      },
+      std::chrono::seconds(5), std::chrono::microseconds(20));
 }
 
 LinkConfig lossy_wan() {
@@ -389,10 +388,8 @@ TEST(ReliableChain, FtcOverLossyReliableSegmentsLosesNothing) {
   EXPECT_TRUE(q) << q.to_string();
   // Let the sink drain the egress queue.
   const std::uint64_t sent = source.packets_sent();
-  const std::uint64_t sink_deadline = rt::now_ns() + 5'000'000'000ull;
-  while (sink.packets_received() < sent && rt::now_ns() < sink_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  test::wait_until([&] { return sink.packets_received() >= sent; },
+                   std::chrono::seconds(5));
   sink.stop();
 
   ASSERT_GT(sent, 500u);
@@ -437,18 +434,17 @@ TEST(ReliableChain, SetRingPredClearsNackThrottle) {
   sink.start();
   source.start();
 
-  FtcNode* nacked = nullptr;
-  const std::uint64_t deadline = rt::now_ns() + 15'000'000'000ull;
-  while (nacked == nullptr && rt::now_ns() < deadline) {
-    for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
-      FtcNode* node = chain.ftc_node(pos);
-      if (node != nullptr && node->nack_throttle_entries() != 0) {
-        nacked = node;
-        break;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  FtcNode* nacked = test::wait_until(
+      [&]() -> FtcNode* {
+        for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
+          FtcNode* node = chain.ftc_node(pos);
+          if (node != nullptr && node->nack_throttle_entries() != 0) {
+            return node;
+          }
+        }
+        return nullptr;
+      },
+      std::chrono::seconds(15), std::chrono::milliseconds(5));
   source.stop();
   ASSERT_NE(nacked, nullptr) << "lossy run produced no NACK throttle state";
 

@@ -142,10 +142,9 @@ std::size_t drain_owner(StateHandoffMesh& mesh, std::size_t owner,
 
 TEST(ShardApplier, CrossPartitionBurstsAcrossThreads) {
   const auto cfg = test_cfg();
-  InOrderApplier a(0, cfg);
   state::ShardMap map(16, 2);
   StateHandoffMesh mesh(/*producers=*/3, /*owners=*/2, /*capacity=*/512);
-  a.enable_shard_affine(&map, &mesh);
+  InOrderApplier a(0, cfg, map, mesh);
 
   // Each of 2 threads offers logs over BOTH workers' partitions: every log
   // spans one owned and one foreign partition, so every offer exercises
@@ -212,10 +211,9 @@ TEST(ShardApplier, CrossPartitionBurstsAcrossThreads) {
 TEST(ShardApplier, DifferentialMatchesMaterializingOracle) {
   const auto cfg = test_cfg();
   MaterializingApplier oracle(cfg);  // Decoded logs, one at a time.
-  InOrderApplier shard(0, cfg);
   state::ShardMap map(16, 2);
   StateHandoffMesh mesh(3, 2, 512);
-  shard.enable_shard_affine(&map, &mesh);
+  InOrderApplier shard(0, cfg, map, mesh);
 
   rt::Pcg32 rng(0xd1ffe7);
   std::array<std::uint64_t, 16> next_seq{};

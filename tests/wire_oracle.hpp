@@ -18,6 +18,8 @@
 
 #include "core/piggyback.hpp"
 #include "core/stores.hpp"
+#include "runtime/worker.hpp"
+#include "state/shard_map.hpp"
 #include "state/state_store.hpp"
 
 namespace sfc::ftc {
@@ -71,13 +73,42 @@ inline std::vector<PiggybackLog> materialize_records(
   return out;
 }
 
+/// The ownership map and handoff mesh of a one-worker node. A base of
+/// SoloApplier, so both are built before the applier that refers to them.
+struct OneWorkerShards {
+  explicit OneWorkerShards(const ChainConfig& cfg)
+      : map(cfg.num_partitions, 1), mesh(2, 1, cfg.handoff_capacity) {}
+  state::ShardMap map;
+  StateHandoffMesh mesh;
+};
+
+/// A replica applier as a one-worker node builds it, offered as that
+/// worker: worker 0 owns every partition, so each applicable log lands in
+/// the store within the offer, with nothing left in the mesh to drain.
+class SoloApplier : private OneWorkerShards, public InOrderApplier {
+ public:
+  SoloApplier(MboxId mbox, const ChainConfig& cfg)
+      : OneWorkerShards(cfg), InOrderApplier(mbox, cfg, map, mesh) {}
+
+  Offer offer(const WireLog& log) {
+    const std::uint32_t self = rt::current_shard();
+    rt::set_current_shard(0);
+    const Offer r = InOrderApplier::offer(log);
+    rt::set_current_shard(self);
+    return r;
+  }
+};
+
 /// Encodes @p log and offers it through the production wire apply path
-/// (InOrderApplier::offer_wire), as a replica receives it. The applier is
-/// the code under test here, not an oracle.
-inline InOrderApplier::Offer offer(InOrderApplier& a, const PiggybackLog& log) {
+/// (InOrderApplier::offer), as a replica receives it: an InOrderApplier
+/// offers from the calling thread's shard identity (rt::current_shard), a
+/// SoloApplier as its worker 0. The applier is the code under test here,
+/// not an oracle.
+template <typename Applier>
+InOrderApplier::Offer offer(Applier& a, const PiggybackLog& log) {
   const std::vector<std::uint8_t> rec = wire_record(log);
-  return a.offer_wire(decode_record(rec.data(),
-                                    static_cast<std::uint32_t>(rec.size())));
+  return a.offer(decode_record(rec.data(),
+                               static_cast<std::uint32_t>(rec.size())));
 }
 
 /// The materializing log history: owning logs in a deque, pruned and
@@ -118,9 +149,10 @@ class MaterializingHistory {
 };
 
 /// The materializing apply (paper Fig. 3, one thread): classify each
-/// owning log against the MAX vector, advance it, and apply the decoded
-/// writes with StateStore::apply. Differential oracle for offer_burst and
-/// the shard-affine apply; serialize() writes the fetch blob an
+/// owning log against one MAX vector, advance it, and apply the decoded
+/// writes with StateStore::apply under partition locks. Differential
+/// oracle for InOrderApplier's per-partition sequences, owner-path apply
+/// and handoff routing; serialize() writes the fetch blob an
 /// InOrderApplier with the same logs must write.
 class MaterializingApplier {
  public:

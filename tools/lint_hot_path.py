@@ -61,7 +61,7 @@ DEFAULT_ROOTS = [
     "PacketPool::alloc_raw",      # kPoolAlloc
     "PacketPool::free_raw",       # kPoolFree
     "FtcNode::drain_handoff",     # kHandoffDrain (shard-affine drain loop)
-    "InOrderApplier::offer_shard_wire",  # shard-mode wire apply
+    "InOrderApplier::offer",             # replica wire apply
     "InOrderApplier::apply_handoff",     # owner-side handoff resolve
     "StateStore::apply_wire_owner",      # lock-free owner apply
 ]
