@@ -14,8 +14,8 @@ namespace sfc::ftc {
 namespace {
 
 /// Cold path of the tracing branch: call only after trace_id != 0 (or,
-/// for protocol-rate recovery spans, unconditionally — the sink check is
-/// the gate).
+/// for protocol-rate spans on recovery and protocol trace ids,
+/// unconditionally — the sink check is the gate).
 inline void span_event(obs::Registry* reg, std::uint32_t site,
                        std::uint64_t trace_id, obs::SpanKind kind,
                        std::uint64_t a = 0) noexcept {
@@ -112,7 +112,6 @@ FtcNode::FtcNode(Params params)
       &registry_->counter("node.drops_unparseable", labels);
   stats_.oversize_detours =
       &registry_->counter("node.oversize_detours", labels);
-  trace_ = &registry_->trace("node.events", labels);
   registry_->name_span_site(obs::span_site_node(id_),
                             "node " + std::to_string(id_) + " pos" +
                                 std::to_string(position_));
@@ -299,7 +298,6 @@ void FtcNode::stop() {
 
 void FtcNode::fail() {
   failed_.store(true, std::memory_order_release);
-  trace_->emit(obs::Event::kFailure, id_);
   span_event(registry_, obs::span_site_node(id_),
              obs::recovery_trace_id(position_), obs::SpanKind::kFail,
              position_);
@@ -878,15 +876,12 @@ void FtcNode::park(pkt::Packet* p, ViewWork&& vw, std::uint32_t thread_id) {
     span_event(registry_, obs::span_site_node(id_), p->anno().trace_id,
                obs::SpanKind::kPark, blocked_on);
   }
-  std::size_t depth = 0;
   {
     LockGuard lock(park_mutex_);
     parked_.push_back(Parked{p, std::move(vw), thread_id, rt::now_ns()});
-    depth = parked_.size();
-    parked_size_.store(depth, std::memory_order_release);
+    parked_size_.store(parked_.size(), std::memory_order_release);
   }
   stats_.packets_parked->inc();
-  trace_->emit(obs::Event::kPacketParked, blocked_on, depth);
 }
 
 void FtcNode::drain_parked() {
@@ -914,7 +909,6 @@ void FtcNode::drain_parked() {
     std::vector<Parked> still_blocked;
     for (auto& parked : candidates) {
       const std::uint32_t before = parked.work.held_at;
-      const MboxId unblocked = parked.work.view.log(before).mbox;
       const std::uint64_t t0 = rt::now_ns();
       if (reoffer_held(parked.work)) {
         const std::uint64_t trace_id = parked.packet->anno().trace_id;
@@ -926,8 +920,6 @@ void FtcNode::drain_parked() {
                      obs::SpanKind::kUnpark, now - parked.parked_at_ns);
         }
         process_view(parked.packet, parked.work, parked.thread_id);
-        trace_->emit(obs::Event::kPacketUnparked, unblocked,
-                     still_blocked.size());
         progress = true;
       } else {
         progress = progress || parked.work.held_at != before;
@@ -980,10 +972,11 @@ void FtcNode::check_parked_timeouts() {
     req.tag = (static_cast<std::uint64_t>(id_) << 32) | mbox;
     put_u32(req.payload, mbox);
     put_max(req.payload, a->max());
-    const net::NodeId target = req.to;
     ctrl_.send(std::move(req));
     stats_.nacks_sent->inc();
-    trace_->emit(obs::Event::kNackSent, mbox, target);
+    span_event(registry_, obs::span_site_node(id_),
+               obs::protocol_trace_id(position_), obs::SpanKind::kNackSent,
+               mbox);
   }
 }
 
@@ -1084,12 +1077,16 @@ void FtcNode::handle_init(const net::Message& req) {
   ack.to = req.from;
   ack.tag = req.tag;
   ctrl_.send(std::move(ack));
-  trace_->emit(obs::Event::kRecoveryInit, sources.size());
+  span_event(registry_, obs::span_site_node(id_),
+             obs::protocol_trace_id(position_), obs::SpanKind::kRecoveryInit,
+             sources.size());
 
   const std::uint64_t fetch_start = rt::now_ns();
   const bool ok = recover_from(sources);
   const std::uint64_t fetch_ns = rt::now_ns() - fetch_start;
-  trace_->emit(obs::Event::kRecoveryDone, ok ? 1 : 0);
+  span_event(registry_, obs::span_site_node(id_),
+             obs::protocol_trace_id(position_), obs::SpanKind::kRecovered,
+             ok ? 1 : 0);
   registry_->timer("node.recovery_fetch_ns").record(fetch_ns);
 
   net::Message done;
@@ -1116,15 +1113,16 @@ void FtcNode::handle_nack(const net::Message& req) {
   resp.tag = req.tag;
   put_u32(resp.payload, mbox);
   // The missing logs' wire records, back to back.
-  std::uint64_t shipped = 0;
   if (head_ != nullptr && mbox == position_) {
-    shipped = head_->history().append_after(from, resp.payload);
+    head_->history().append_after(from, resp.payload);
   } else if (InOrderApplier* a = applier(mbox)) {
-    shipped = a->history().append_after(from, resp.payload);
+    a->history().append_after(from, resp.payload);
   }
   ctrl_.send(std::move(resp));
   stats_.nacks_served->inc();
-  trace_->emit(obs::Event::kNackServed, mbox, shipped);
+  span_event(registry_, obs::span_site_node(id_),
+             obs::protocol_trace_id(position_), obs::SpanKind::kNackServed,
+             mbox);
 }
 
 void FtcNode::handle_nack_resp(const net::Message& resp) {
@@ -1141,7 +1139,9 @@ void FtcNode::handle_nack_resp(const net::Message& resp) {
     if (a->offer(log) == InOrderApplier::Offer::kApplied) ++applied;
   }
   stats_.logs_applied->add(applied);
-  trace_->emit(obs::Event::kNackApplied, mbox, applied);
+  span_event(registry_, obs::span_site_node(id_),
+             obs::protocol_trace_id(position_), obs::SpanKind::kNackApplied,
+             mbox);
   // The replayed logs were routed into the owners' handoff rings above;
   // the unblocked parked packets must also re-run on a data worker (their
   // transactions are shard-owned), so the workers' idle path drains them.
@@ -1220,7 +1220,6 @@ bool FtcNode::recover_from(
     req.tag = (static_cast<std::uint64_t>(id_) << 32) | (mbox + 1);
     put_u32(req.payload, mbox);
     ctrl_.send(std::move(req));
-    trace_->emit(obs::Event::kRecoveryFetchStart, mbox, source);
     span_event(registry_, obs::span_site_node(id_),
                obs::recovery_trace_id(position_), obs::SpanKind::kFetchStart,
                mbox);
@@ -1259,7 +1258,6 @@ bool FtcNode::recover_from(
       } else if (InOrderApplier* a = applier(mbox)) {
         f.ok = a->deserialize(in);
       }
-      trace_->emit(obs::Event::kRecoveryFetchDone, mbox, f.ok ? 1 : 0);
       span_event(registry_, obs::span_site_node(id_),
                  obs::recovery_trace_id(position_), obs::SpanKind::kFetchDone,
                  mbox);

@@ -32,7 +32,6 @@
 #include "net/control.hpp"
 #include "net/link.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace.hpp"
 #include "runtime/histogram.hpp"
 #include "runtime/meter.hpp"
 #include "runtime/worker.hpp"
@@ -190,8 +189,6 @@ class FtcNode : rt::NonCopyable {
            (!handoff_mesh_->empty() ||
             handoff_deferred_count_.load(std::memory_order_acquire) != 0);
   }
-  /// This node's protocol event trace (park/NACK/recovery transitions).
-  const obs::EventTrace& trace() const noexcept { return *trace_; }
   const rt::Meter& meter() const noexcept { return meter_; }
   mbox::Middlebox* middlebox() noexcept { return mbox_.get(); }
 
@@ -360,7 +357,6 @@ class FtcNode : rt::NonCopyable {
   std::unique_ptr<obs::Registry> own_registry_;
   obs::Registry* registry_{nullptr};
   NodeCounters stats_;
-  obs::EventTrace* trace_{nullptr};
   // Head-ingress piggyback size distributions (registered lazily by
   // set_forwarder; only the chain ingress records them, lock-free).
   bool pb_hists_registered_{false};

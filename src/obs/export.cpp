@@ -99,34 +99,6 @@ void append_sample(std::string& out, const Sample& s) {
   out += '}';
 }
 
-void append_traces(std::string& out, const std::vector<TraceDump>& traces) {
-  out += "\"traces\":[";
-  bool first = true;
-  for (const auto& t : traces) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":";
-    append_quoted(out, t.name);
-    out += ",\"labels\":";
-    append_labels(out, t.labels);
-    out += ",\"dropped\":" + std::to_string(t.dropped);
-    out += ",\"events\":[";
-    bool efirst = true;
-    for (const auto& e : t.events) {
-      if (!efirst) out += ',';
-      efirst = false;
-      out += "{\"ts_ns\":" + std::to_string(e.ts_ns);
-      out += ",\"type\":\"";
-      out += to_string(e.type);
-      out += "\",\"a\":" + std::to_string(e.a);
-      out += ",\"b\":" + std::to_string(e.b);
-      out += '}';
-    }
-    out += "]}";
-  }
-  out += ']';
-}
-
 std::string labels_text(const Labels& labels) {
   std::string out;
   for (const auto& [k, v] : labels) {
@@ -140,7 +112,7 @@ std::string labels_text(const Labels& labels) {
 
 }  // namespace
 
-std::string to_json(const Registry& registry, bool include_traces) {
+std::string to_json(const Registry& registry) {
   std::string out = "{\"metrics\":[";
   bool first = true;
   for (const auto& s : registry.snapshot()) {
@@ -148,12 +120,7 @@ std::string to_json(const Registry& registry, bool include_traces) {
     first = false;
     append_sample(out, s);
   }
-  out += ']';
-  if (include_traces) {
-    out += ',';
-    append_traces(out, registry.trace_snapshot());
-  }
-  out += '}';
+  out += "]}";
   return out;
 }
 
@@ -240,11 +207,10 @@ bool write_file(const std::string& path, std::string_view content) {
 }
 
 Exporter::Exporter(const Registry& registry, std::string path,
-                   std::uint64_t interval_ns, bool include_traces)
+                   std::uint64_t interval_ns)
     : registry_(registry),
       path_(std::move(path)),
       interval_ns_(interval_ns),
-      include_traces_(include_traces),
       next_dump_ns_(rt::now_ns() + interval_ns) {
   worker_.start("obs-exporter", [this] { return tick(); });
 }
@@ -255,7 +221,7 @@ void Exporter::stop() {
   if (!worker_.running()) return;
   worker_.stop();
   // Final dump so the file reflects end-of-run state.
-  if (write_file(path_, to_json(registry_, include_traces_))) {
+  if (write_file(path_, to_json(registry_))) {
     dumps_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -267,7 +233,7 @@ std::uint64_t Exporter::dumps() const noexcept {
 bool Exporter::tick() {
   if (rt::now_ns() < next_dump_ns_) return false;
   next_dump_ns_ += interval_ns_;
-  if (write_file(path_, to_json(registry_, include_traces_))) {
+  if (write_file(path_, to_json(registry_))) {
     dumps_.fetch_add(1, std::memory_order_relaxed);
   }
   return true;

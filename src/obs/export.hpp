@@ -23,11 +23,8 @@ namespace sfc::obs {
 ///   {"metrics":[{"name":..,"labels":{..},"kind":..,"value":..} |
 ///               {"name":..,"labels":{..},"kind":"histogram",
 ///                "count":..,"mean":..,"min":..,"max":..,
-///                "p50":..,"p90":..,"p99":..,"p999":..}, ...],
-///    "traces":[{"name":..,"labels":{..},"dropped":..,
-///               "events":[{"ts_ns":..,"type":..,"a":..,"b":..},..]},..]}
-/// Traces are included only when @p include_traces is set.
-std::string to_json(const Registry& registry, bool include_traces = false);
+///                "p50":..,"p90":..,"p99":..,"p999":..}, ...]}
+std::string to_json(const Registry& registry);
 
 /// Flat CSV: name,labels,kind,value,count,mean,min,max,p50,p90,p99,p999
 /// (histogram columns empty for counters/gauges and vice versa).
@@ -45,7 +42,7 @@ bool write_file(const std::string& path, std::string_view content);
 class Exporter : rt::NonCopyable {
  public:
   Exporter(const Registry& registry, std::string path,
-           std::uint64_t interval_ns, bool include_traces = false);
+           std::uint64_t interval_ns);
   ~Exporter();
 
   void stop();
@@ -58,7 +55,6 @@ class Exporter : rt::NonCopyable {
   const Registry& registry_;
   std::string path_;
   std::uint64_t interval_ns_;
-  bool include_traces_;
   std::uint64_t next_dump_ns_{0};
   std::atomic<std::uint64_t> dumps_{0};
   rt::Worker worker_;

@@ -66,20 +66,6 @@ Timer& Registry::timer(std::string_view name, Labels labels) {
   return entry.value;
 }
 
-EventTrace& Registry::trace(std::string_view name, Labels labels,
-                            std::size_t capacity) {
-  labels = canonical(std::move(labels));
-  const std::string key = key_of('e', name, labels);
-  LockGuard lock(mutex_);
-  if (const auto it = index_.find(key); it != index_.end()) {
-    return *static_cast<EventTrace*>(it->second);
-  }
-  auto& entry =
-      traces_.emplace_back(std::string(name), std::move(labels), capacity);
-  index_.emplace(key, &entry.value);
-  return entry.value;
-}
-
 void Registry::gauge_fn(std::string_view name, Labels labels,
                         std::function<double()> fn) {
   labels = canonical(std::move(labels));
@@ -177,21 +163,6 @@ std::vector<Sample> Registry::snapshot() const {
     s.kind = Sample::Kind::kHistogram;
     s.hist = e.fn();
     out.push_back(std::move(s));
-  }
-  return out;
-}
-
-std::vector<TraceDump> Registry::trace_snapshot() const {
-  LockGuard lock(mutex_);
-  std::vector<TraceDump> out;
-  out.reserve(traces_.size());
-  for (const auto& e : traces_) {
-    TraceDump d;
-    d.name = e.name;
-    d.labels = e.labels;
-    d.dropped = e.value.dropped();
-    d.events = e.value.snapshot();
-    out.push_back(std::move(d));
   }
   return out;
 }

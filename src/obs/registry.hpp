@@ -6,8 +6,7 @@
 // object — a relaxed atomic increment for counters — while registration,
 // lookup, and snapshotting take the registry mutex (cold path). Snapshots
 // feed the JSON/CSV exporter (obs/export.hpp) and the `sfc_cli stats`
-// command; protocol event traces (obs/trace.hpp) register here too so one
-// snapshot captures the whole chain.
+// command.
 #pragma once
 
 #include <atomic>
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "base/mutex.hpp"
-#include "obs/trace.hpp"
 #include "runtime/common.hpp"
 #include "runtime/histogram.hpp"
 
@@ -104,14 +102,6 @@ struct Sample {
   rt::Histogram hist;     ///< Kind::kHistogram only.
 };
 
-/// A trace with its identity, as captured by Registry::trace_snapshot.
-struct TraceDump {
-  std::string name;
-  Labels labels;
-  std::uint64_t dropped{0};  ///< Events evicted by the bounded ring.
-  std::vector<TraceEvent> events;
-};
-
 class Registry : rt::NonCopyable {
  public:
   /// Returns the counter registered under (name, labels), creating it on
@@ -119,10 +109,6 @@ class Registry : rt::NonCopyable {
   Counter& counter(std::string_view name, Labels labels = {});
   Gauge& gauge(std::string_view name, Labels labels = {});
   Timer& timer(std::string_view name, Labels labels = {});
-
-  /// Bounded protocol event trace (obs/trace.hpp) with identity labels.
-  EventTrace& trace(std::string_view name, Labels labels = {},
-                    std::size_t capacity = EventTrace::kDefaultCapacity);
 
   /// Registers a gauge computed on demand at snapshot time (e.g. a queue
   /// depth owned by another struct). The callback must stay valid until
@@ -142,9 +128,6 @@ class Registry : rt::NonCopyable {
 
   /// Point-in-time values of every registered metric (callbacks invoked).
   std::vector<Sample> snapshot() const;
-
-  /// Every registered event trace, oldest event first.
-  std::vector<TraceDump> trace_snapshot() const;
 
   std::size_t metric_count() const;
 
@@ -179,15 +162,6 @@ class Registry : rt::NonCopyable {
     Labels labels;
     T value;
   };
-  // EventTrace is neither copyable nor movable (mutex member), so its
-  // entries are constructed in place via this dedicated type.
-  struct TraceEntry {
-    TraceEntry(std::string n, Labels l, std::size_t capacity)
-        : name(std::move(n)), labels(std::move(l)), value(capacity) {}
-    std::string name;
-    Labels labels;
-    EventTrace value;
-  };
   struct GaugeFnEntry {
     std::string name;
     Labels labels;
@@ -212,7 +186,6 @@ class Registry : rt::NonCopyable {
   std::deque<Entry<Counter>> counters_ SFC_GUARDED_BY(mutex_);
   std::deque<Entry<Gauge>> gauges_ SFC_GUARDED_BY(mutex_);
   std::deque<Entry<Timer>> timers_ SFC_GUARDED_BY(mutex_);
-  std::deque<TraceEntry> traces_ SFC_GUARDED_BY(mutex_);
   std::deque<GaugeFnEntry> gauge_fns_ SFC_GUARDED_BY(mutex_);
   std::deque<HistFnEntry> hist_fns_ SFC_GUARDED_BY(mutex_);
   std::unordered_map<std::string, void*> index_ SFC_GUARDED_BY(mutex_);

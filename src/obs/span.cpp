@@ -46,6 +46,11 @@ const char* to_string(SpanKind k) noexcept {
     case SpanKind::kFetchStart: return "fetch_start";
     case SpanKind::kFetchDone: return "fetch_done";
     case SpanKind::kReroute: return "reroute";
+    case SpanKind::kNackSent: return "nack_sent";
+    case SpanKind::kNackServed: return "nack_served";
+    case SpanKind::kNackApplied: return "nack_applied";
+    case SpanKind::kRecoveryInit: return "recovery_init";
+    case SpanKind::kRecovered: return "recovered";
   }
   return "?";
 }

@@ -4,8 +4,8 @@
 // with a trace id in the packet annotations. Instrumentation points along
 // the chain (node ingress/egress, middlebox process, piggyback
 // apply/attach/strip, park/unpark, link transit/drop/reorder-hold, egress
-// buffer hold/release, recovery phases) record timestamped SpanRecords
-// into per-thread lock-free SPSC buffers owned by a chain-wide
+// buffer hold/release, recovery phases, NACKs) record timestamped
+// SpanRecords into per-thread lock-free SPSC buffers owned by a chain-wide
 // SpanCollector. The collector drains them on a background worker and
 // derives:
 //   * per-hop latency-breakdown histograms (hop transit, mbox process,
@@ -17,9 +17,10 @@
 // Off-path cost when sampling is disabled is a single branch on the
 // packet annotation: every per-packet instrumentation point first checks
 // anno().trace_id != 0, which the generator only sets for sampled
-// packets. Protocol-rate recovery spans check only for an installed
-// collector. Destroy the collector after the traffic and chain threads
-// have stopped (the hot path reads the registry's sink pointer raw).
+// packets. Protocol-rate spans (recovery phases, NACKs) check only for
+// an installed collector. Destroy the collector after the traffic and
+// chain threads have stopped (the hot path reads the registry's sink
+// pointer raw).
 #pragma once
 
 #include <atomic>
@@ -65,6 +66,12 @@ enum class SpanKind : std::uint8_t {
   kFetchStart,     ///< Replica began fetching one store. a = mbox.
   kFetchDone,      ///< One store fetch finished. a = mbox.
   kReroute,        ///< Traffic steered through the replacement. a = position.
+  // Protocol events (trace id = protocol_trace_id(position)).
+  kNackSent,       ///< Asked the predecessor for missing logs. a = mbox.
+  kNackServed,     ///< Shipped the logs a NACK asked for. a = mbox.
+  kNackApplied,    ///< Applied a NACK reply. a = mbox.
+  kRecoveryInit,   ///< Replacement got its fetch plan. a = number of sources.
+  kRecovered,      ///< Replacement finished fetching. a = ok flag.
 };
 
 const char* to_string(SpanKind k) noexcept;
@@ -107,6 +114,16 @@ constexpr std::uint64_t recovery_trace_id(std::uint32_t position) noexcept {
 constexpr bool is_recovery_trace(std::uint64_t trace_id) noexcept {
   return (trace_id & kRecoveryTraceBase) == kRecoveryTraceBase;
 }
+
+/// Trace id carrying one ring position's protocol events (NACKs, a
+/// replacement's init and completion). Always on like the recovery ids,
+/// but disjoint from them: a protocol event never opens a recovery
+/// timeline.
+constexpr std::uint64_t kProtocolTraceBase = 0xFEB0'0000'0000'0000ull;
+constexpr std::uint64_t protocol_trace_id(std::uint32_t position) noexcept {
+  return kProtocolTraceBase | position;
+}
+static_assert(!is_recovery_trace(protocol_trace_id(0x00FF'FFFFu)));
 
 /// Deterministic 1-in-N packet sampler: the decision depends only on
 /// (packet id, seed), so the same seed reproduces the same sampled ids on

@@ -36,7 +36,6 @@ Orchestrator::Orchestrator(ftc::ChainRuntime& chain, OrchestratorConfig cfg)
   pings_sent_ = &registry.counter("orch.pings_sent", labels);
   failures_counter_ = &registry.counter("orch.failures_detected", labels);
   recoveries_ = &registry.counter("orch.recoveries", labels);
-  trace_ = &registry.trace("orch.events", labels);
   registry.name_span_site(obs::kSpanSiteOrch, "orchestrator");
 }
 
@@ -69,7 +68,6 @@ bool Orchestrator::monitor_body() {
     const auto [it, first_sight] = last_seen_ns_.try_emplace(node->id(), now);
     if (!first_sight && now - it->second > cfg_.failure_timeout_ns) {
       failed_positions.push_back(pos);
-      trace_->emit(obs::Event::kFailureDetected, node->id(), pos);
       span_event(chain_.registry(), pos, obs::SpanKind::kDetect, node->id());
       continue;
     }
@@ -132,7 +130,6 @@ std::vector<RecoveryReport> Orchestrator::recover(
     }
     p.node = chain_.spawn_replacement(pos);
     p.report.new_node = p.node->id();
-    trace_->emit(obs::Event::kRecoverySpawn, p.node->id(), pos);
     span_event(chain_.registry(), pos, obs::SpanKind::kSpawn, p.node->id());
     p.tag = 0xFEC0000000000000ull | p.node->id();
     pending.push_back(p);
@@ -189,7 +186,6 @@ std::vector<RecoveryReport> Orchestrator::recover(
       if (msg->type == CtrlMsg::kInitAck && !p.acked) {
         p.acked = true;
         p.report.initialization_ns = rt::now_ns() - p.start_ns;
-        trace_->emit(obs::Event::kRecoveryInitAck, p.node->id());
         span_event(chain_.registry(), p.report.position,
                    obs::SpanKind::kInitAck, p.node->id());
       } else if (msg->type == CtrlMsg::kRecovered && !p.done) {
@@ -218,8 +214,6 @@ std::vector<RecoveryReport> Orchestrator::recover(
     p.report.rerouting_ns = rt::now_ns() - reroute_start;
     p.report.total_ns = rt::now_ns() - p.start_ns;
     recoveries_->inc();
-    trace_->emit(obs::Event::kRecoveryRerouted, p.node->id(),
-                 p.report.position);
     span_event(chain_.registry(), p.report.position, obs::SpanKind::kReroute,
                p.report.position);
     chain_.registry()

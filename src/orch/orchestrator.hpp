@@ -90,7 +90,6 @@ class Orchestrator : rt::NonCopyable {
   obs::Counter* pings_sent_;
   obs::Counter* failures_counter_;
   obs::Counter* recoveries_;
-  obs::EventTrace* trace_;
 };
 
 }  // namespace sfc::orch

@@ -543,15 +543,20 @@ TEST(Forwarder, MergedFeedbackFitsAPropagatingPacket) {
 }
 
 TEST(Forwarder, PropagationDueOnlyWhenIdleAndPending) {
+  // The forwarder reads its config by reference. An hour-long interval
+  // makes the "not due yet" checks immune to scheduling delay; a 1 ms one
+  // lets the due side arrive.
+  constexpr std::uint64_t kHourNs = 3'600'000'000'000ull;
   ChainConfig cfg;
-  cfg.propagate_interval_ns = 1'000'000;  // 1 ms.
+  cfg.propagate_interval_ns = kHourNs;
   FeedbackChannel feedback;
   Forwarder fwd(feedback, cfg);
   EXPECT_FALSE(fwd.propagation_due());  // Nothing pending.
   feedback.push(feedback_of(PiggybackLog{}));
   EXPECT_FALSE(fwd.propagation_due());  // Pending but not idle yet.
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  EXPECT_TRUE(fwd.propagation_due());
+  cfg.propagate_interval_ns = 1'000'000;
+  EXPECT_TRUE(test::wait_until([&] { return fwd.propagation_due(); }, 5s));
+  cfg.propagate_interval_ns = kHourNs;
   fwd.note_activity();
   EXPECT_FALSE(fwd.propagation_due());
 }

@@ -6,6 +6,7 @@
 // not the capacity backstop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <random>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "core/chain.hpp"
 #include "mbox/monitor.hpp"
+#include "obs/span.hpp"
 #include "orch/orchestrator.hpp"
 #include "tgen/traffic.hpp"
 #include "wait_until.hpp"
@@ -256,17 +258,25 @@ TEST(LogHistoryWire, ServesRecordsByteForByte) {
 }
 
 TEST(ProtocolTrace, LosslessTrafficEmitsNoPerPacketEvents) {
-  // The event trace is a protocol-rate ring: on a lossless chain nothing
-  // parks, NACKs or recovers, so it stays (nearly) empty however many
-  // packets flow.
+  // Protocol spans are always on but protocol-rate: on a lossless chain
+  // nothing parks, NACKs or recovers, so with no packet sampled a node
+  // records (nearly) nothing however many packets flow. Park spans are
+  // recorded only for sampled packets; the park counter holds the total.
   ChainRuntime chain(monitor_chain(3, 1));
   chain.start();
+  obs::SpanCollector spans(&chain.registry());
   run_traffic(chain, 20'000);
+  chain.stop();
+  const auto records = spans.snapshot();
   for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
-    EXPECT_LT(chain.ftc_node(pos)->trace().total_emitted(), 64u)
+    const std::uint32_t site = obs::span_site_node(chain.ftc_node(pos)->id());
+    const auto at_site = std::count_if(
+        records.begin(), records.end(),
+        [site](const obs::SpanRecord& r) { return r.site == site; });
+    EXPECT_LT(at_site, 64) << "position " << pos;
+    EXPECT_LT(chain.ftc_node(pos)->stats().packets_parked, 64u)
         << "position " << pos;
   }
-  chain.stop();
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Tests for the observability layer: metrics registry (identity, hot-path
-// counters, snapshots, callback metrics), bounded event traces, and the
-// JSON/CSV/Report exporters.
+// counters, snapshots, callback metrics) and the JSON/CSV/Report
+// exporters.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace.hpp"
 #include "runtime/clock.hpp"
 
 namespace sfc::obs {
@@ -111,51 +110,14 @@ TEST(Registry, RemoveMatchingDropsCallbacksButKeepsValues) {
   EXPECT_TRUE(counter_still_there);
 }
 
-TEST(EventTrace, RingWrapsAndKeepsNewest) {
-  EventTrace trace(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    trace.emit(Event::kPacketParked, i);
-  }
-  EXPECT_EQ(trace.total_emitted(), 10u);
-  EXPECT_EQ(trace.dropped(), 6u);
-  const auto events = trace.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest-first snapshot of the newest four events.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].a, 6 + i);
-  }
-}
-
-TEST(EventTrace, ContainsSequenceMatchesSubsequences) {
-  EventTrace trace;
-  trace.emit(Event::kPacketParked);
-  trace.emit(Event::kNackServed);
-  trace.emit(Event::kNackSent);
-  trace.emit(Event::kPacketUnparked);
-  EXPECT_TRUE(trace.contains_sequence(
-      {Event::kPacketParked, Event::kNackSent, Event::kPacketUnparked}));
-  EXPECT_TRUE(trace.contains_sequence({Event::kNackServed}));
-  // Order matters.
-  EXPECT_FALSE(trace.contains_sequence(
-      {Event::kPacketUnparked, Event::kPacketParked}));
-  EXPECT_FALSE(trace.contains_sequence({Event::kFailure}));
-  trace.clear();
-  EXPECT_TRUE(trace.snapshot().empty());
-  EXPECT_FALSE(trace.contains_sequence({Event::kNackServed}));
-}
-
-TEST(Export, JsonContainsMetricsAndTraces) {
+TEST(Export, JsonContainsEscapedMetrics) {
   Registry registry;
   registry.counter("pkts", {{"link", "seg\"0"}}).add(3);  // Needs escaping.
-  registry.trace("events", {{"node", "1"}}).emit(Event::kNackSent, 2, 3);
 
-  const std::string no_traces = to_json(registry);
-  EXPECT_NE(no_traces.find("\"pkts\""), std::string::npos);
-  EXPECT_NE(no_traces.find("seg\\\"0"), std::string::npos);
-  EXPECT_EQ(no_traces.find("nack_sent"), std::string::npos);
-
-  const std::string with_traces = to_json(registry, /*include_traces=*/true);
-  EXPECT_NE(with_traces.find("nack_sent"), std::string::npos);
+  const std::string json = to_json(registry);
+  EXPECT_NE(json.find("\"pkts\""), std::string::npos);
+  EXPECT_NE(json.find("seg\\\"0"), std::string::npos);
+  EXPECT_EQ(json.find("\"traces\""), std::string::npos);
 
   const std::string csv = to_csv(registry);
   EXPECT_NE(csv.find("pkts"), std::string::npos);

@@ -9,8 +9,10 @@
 #include "core/chain.hpp"
 #include "mbox/monitor.hpp"
 #include "mbox/nat.hpp"
+#include "obs/span.hpp"
 #include "orch/orchestrator.hpp"
 #include "tgen/traffic.hpp"
+#include "span_match.hpp"
 #include "wait_until.hpp"
 #include "wire_oracle.hpp"
 
@@ -804,8 +806,8 @@ TEST(Recovery, CorruptFetchBlobFailsTheFetch) {
 TEST(Recovery, TraceCapturesParkNackUnparkSequence) {
   // Lossy links make replicas park packets on missing log dependencies,
   // NACK the holder after the retransmit timeout, and unpark once the
-  // response fills the gap. The protocol event trace must capture that
-  // sequence in order on at least one node.
+  // response fills the gap. The span records must show that sequence in
+  // order on at least one node.
   auto spec = monitor_chain(3);
   spec.cfg.link.loss = 0.02;
   spec.cfg.link.delay_ns = 1000;  // Force the timed (lossy) path.
@@ -813,34 +815,48 @@ TEST(Recovery, TraceCapturesParkNackUnparkSequence) {
   spec.cfg.nack_min_gap_ns = 500'000;
   ChainRuntime chain(spec);
   chain.start();
+  obs::SpanCollector spans(&chain.registry());
 
+  // Park and unpark are recorded on sampled packets. Every packet leaves
+  // a couple dozen records (generator, links, hop stages, buffer, sink),
+  // so the rate stays low enough that the collector's store cannot fill
+  // within the wait; 2% loss still drops hundreds of packets a second.
   tgen::Workload w;
-  tgen::TrafficSource source(chain.pool(), chain.ingress(), w, 50'000.0);
+  w.trace_sample = 1;
+  tgen::TrafficSource source(chain.pool(), chain.ingress(), w, 2'000.0,
+                             &spans);
   tgen::TrafficSink sink(chain.pool(), chain.egress());
   sink.start();
   source.start();
 
   const auto some_node_traced_park_nack_unpark = [&] {
+    const auto records = spans.snapshot();
     for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
-      if (chain.ftc_node(pos)->trace().contains_sequence(
-              {obs::Event::kPacketParked, obs::Event::kNackSent,
-               obs::Event::kPacketUnparked})) {
+      if (test::contains_sequence(
+              records, obs::span_site_node(chain.ftc_node(pos)->id()),
+              {obs::SpanKind::kPark, obs::SpanKind::kNackSent,
+               obs::SpanKind::kUnpark})) {
         return true;
       }
     }
     return false;
   };
-  EXPECT_TRUE(test::wait_until(some_node_traced_park_nack_unpark, 15s, 10ms))
-      << "no node traced park -> nack_sent -> unpark";
+  EXPECT_TRUE(test::wait_until(some_node_traced_park_nack_unpark, 15s, 100ms))
+      << "no node traced park -> nack_sent -> unpark (" << spans.collected()
+      << " records collected, " << spans.dropped() << " dropped)";
 
   source.stop();
   sink.stop();
   chain.stop();
+  // Nothing failed: NACKs ride protocol trace ids, which never open a
+  // recovery timeline.
+  EXPECT_TRUE(obs::recovery_timelines(spans.snapshot()).empty());
 }
 
 TEST(Recovery, TraceAndMetricsCaptureRecoveryPhases) {
   ChainRuntime chain(monitor_chain(3));
   chain.start();
+  obs::SpanCollector spans(&chain.registry());
   Orchestrator orch(chain);
 
   tgen::Workload w;
@@ -851,26 +867,32 @@ TEST(Recovery, TraceAndMetricsCaptureRecoveryPhases) {
   pump(chain, source, sink, 500);
   source.stop();
 
-  FtcNode* old_node = chain.ftc_node(1);
+  const std::uint32_t old_site = obs::span_site_node(chain.ftc_node(1)->id());
   chain.fail_position(1);
-  EXPECT_TRUE(old_node->trace().contains_sequence({obs::Event::kFailure}));
 
-  auto reports = orch.recover({1});
-  ASSERT_EQ(reports.size(), 1u);
-  ASSERT_TRUE(reports[0].success);
+  // No early return from here on: the chain must stop before `spans` goes
+  // away, because its threads reach the collector through the registry.
+  const auto reports = orch.recover({1});
+  EXPECT_EQ(reports.size(), 1u);
+  EXPECT_TRUE(!reports.empty() && reports[0].success);
 
-  // The replacement traced its recovery phases in protocol order.
-  FtcNode* new_node = chain.ftc_node(1);
-  EXPECT_TRUE(new_node->trace().contains_sequence(
-      {obs::Event::kRecoveryInit, obs::Event::kRecoveryFetchStart,
-       obs::Event::kRecoveryFetchDone, obs::Event::kRecoveryDone}));
+  const auto records = spans.snapshot();
+  EXPECT_TRUE(
+      test::contains_sequence(records, old_site, {obs::SpanKind::kFail}));
 
-  // The orchestrator's trace and metrics agree.
+  // The replacement recorded its recovery phases in protocol order.
+  const std::uint32_t new_site = obs::span_site_node(chain.ftc_node(1)->id());
+  EXPECT_TRUE(test::contains_sequence(
+      records, new_site,
+      {obs::SpanKind::kRecoveryInit, obs::SpanKind::kFetchStart,
+       obs::SpanKind::kFetchDone, obs::SpanKind::kRecovered}));
+
+  // The orchestrator's spans and metrics agree.
+  EXPECT_TRUE(test::contains_sequence(
+      records, obs::kSpanSiteOrch,
+      {obs::SpanKind::kSpawn, obs::SpanKind::kInitAck,
+       obs::SpanKind::kReroute}));
   auto& registry = chain.registry();
-  EXPECT_TRUE(registry.trace("orch.events", {{"node", "orch"}})
-                  .contains_sequence({obs::Event::kRecoverySpawn,
-                                      obs::Event::kRecoveryInitAck,
-                                      obs::Event::kRecoveryRerouted}));
   EXPECT_GE(registry.counter("orch.recoveries", {{"node", "orch"}}).value(),
             1u);
   EXPECT_GE(registry.timer("orch.recovery_total_ns").snapshot().count(), 1u);

@@ -16,9 +16,12 @@
 #include "runtime/rng.hpp"
 #include "runtime/spsc_queue.hpp"
 #include "runtime/worker.hpp"
+#include "wait_until.hpp"
 
 namespace sfc::rt {
 namespace {
+
+using namespace std::chrono_literals;
 
 TEST(Pow2, NextPow2) {
   EXPECT_EQ(next_pow2(0), 1u);
@@ -417,9 +420,9 @@ TEST(Worker, IdleBackoffStillPolls) {
     polls.fetch_add(1);
     return false;  // Always idle.
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(test::wait_until([&] { return polls.load() > 10; }, 5s))
+      << polls.load() << " polls";
   w.stop();
-  EXPECT_GT(polls.load(), 10);
 }
 
 }  // namespace

@@ -19,9 +19,13 @@
 #include "orch/orchestrator.hpp"
 #include "runtime/clock.hpp"
 #include "tgen/traffic.hpp"
+#include "span_match.hpp"
+#include "wait_until.hpp"
 
 namespace sfc::obs {
 namespace {
+
+using namespace std::chrono_literals;
 
 // --- Minimal JSON validator (objects/arrays/strings/numbers/bools). ----
 
@@ -156,6 +160,31 @@ TEST(SpanSampler, ZeroDisablesOneSamplesAll) {
     EXPECT_FALSE(off.sampled(id));
     EXPECT_TRUE(all.sampled(id));
   }
+}
+
+// --- Protocol sequences. ------------------------------------------------
+
+TEST(SpanSequence, ContainsSequenceMatchesSubsequences) {
+  const std::uint32_t a = span_site_node(1), b = span_site_node(2);
+  const auto at = [](std::uint32_t site, SpanKind kind) {
+    SpanRecord r;
+    r.site = site;
+    r.kind = kind;
+    return r;
+  };
+  const std::vector<SpanRecord> records = {
+      at(a, SpanKind::kPark), at(b, SpanKind::kNackServed),
+      at(a, SpanKind::kNackSent), at(a, SpanKind::kUnpark)};
+  EXPECT_TRUE(test::contains_sequence(
+      records, a, {SpanKind::kPark, SpanKind::kNackSent, SpanKind::kUnpark}));
+  EXPECT_TRUE(test::contains_sequence(records, b, {SpanKind::kNackServed}));
+  // Only the given site's records count.
+  EXPECT_FALSE(test::contains_sequence(records, a, {SpanKind::kNackServed}));
+  // Order matters.
+  EXPECT_FALSE(test::contains_sequence(records, a,
+                                       {SpanKind::kUnpark, SpanKind::kPark}));
+  EXPECT_FALSE(test::contains_sequence(records, a, {SpanKind::kFail}));
+  EXPECT_FALSE(test::contains_sequence({}, a, {SpanKind::kPark}));
 }
 
 // --- Collector. ---------------------------------------------------------
@@ -346,16 +375,13 @@ TEST(SpanRecovery, TimelineCompleteAndMonotonicAfterFailStop) {
   tgen::TrafficSink sink(chain.pool(), chain.egress());
   sink.start();
   source.start();
-  const auto warm_deadline = rt::now_ns() + 10'000'000'000ull;
-  while (sink.packets_received() < 200 && rt::now_ns() < warm_deadline) {
-    std::this_thread::yield();
-  }
+  EXPECT_TRUE(
+      test::wait_until([&] { return sink.packets_received() >= 200; }, 10s));
   // Quiesce the traffic before crashing: the detection window must not
   // race parallel test binaries AND 20 kpps of load for CPU time, or a
   // healthy node's silence gets misattributed.
   source.stop();
   chain.fail_position(1);
-  const auto deadline = rt::now_ns() + 20'000'000'000ull;
   std::vector<orch::RecoveryReport> reports;
   const auto pos1_report = [&]() -> const orch::RecoveryReport* {
     reports = orchestrator.reports();
@@ -364,14 +390,11 @@ TEST(SpanRecovery, TimelineCompleteAndMonotonicAfterFailStop) {
     }
     return nullptr;
   };
-  while (!pos1_report() && rt::now_ns() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  const auto* report = test::wait_until(pos1_report, 20s);
   sink.stop();
   orchestrator.stop();
   chain.stop();
 
-  const auto* report = pos1_report();
   ASSERT_NE(report, nullptr);
   ASSERT_TRUE(report->success);
 
