@@ -106,11 +106,13 @@ int main() {
   net::Link egress(pool, net::LinkConfig{});
   ftc::FeedbackChannel buf_feedback;
   ftc::EgressBuffer buffer(pool, egress, buf_feedback);
+  ftc::EgressBuffer::Batch batch;
   const double buffer_cycles = cycles_per_iter([&](int) {
     pkt::Packet* p = pool.alloc_raw();
     ftc::PiggybackView v = ftc::PiggybackView::create(*p, 16);
     v.set_commit(0, ftc::MaxVector{});
-    buffer.submit_wire(p, v);
+    buffer.submit_wire(batch, p, v);
+    buffer.end_burst(batch);
     pool.free_raw(egress.poll());
   });
 

@@ -3,8 +3,9 @@
 // list middleboxes, choose f/threads/rate, optionally inject a failure
 // mid-run or capture traffic to a pcap.
 //
-//   ./example_sfc_cli --mode ftc --chain monitor,nat,firewall --f 1 \
-//       --threads 2 --rate 50000 --duration 2 --fail 1 --fail-after 0.8 \
+// For example (one command line):
+//   ./example_sfc_cli --mode ftc --chain monitor,nat,firewall --f 1
+//       --threads 2 --rate 50000 --duration 2 --fail 1 --fail-after 0.8
 //       --pcap out.pcap
 //
 // Middlebox names: monitor[:sharing] nat simplenat gen[:statesize]

@@ -181,14 +181,6 @@ void EgressBuffer::submit_wire(Batch& batch, pkt::Packet* p,
       p, first, static_cast<std::uint32_t>(batch.pending_.size()) - first});
 }
 
-void EgressBuffer::submit_wire(pkt::Packet* p, PiggybackView& v) {
-  // Outside a burst nothing else shares the batch: one per thread keeps
-  // its storage.
-  thread_local Batch one;
-  submit_wire(one, p, v);
-  end_burst(one);
-}
-
 void EgressBuffer::end_burst(Batch& batch) {
   if (batch.empty()) return;
   FeedbackLogs shipped = std::move(batch.feedback_);

@@ -43,7 +43,8 @@ class EgressBuffer : rt::NonCopyable {
   /// One burst's packets at the egress buffer. submit_wire() fills it with
   /// packet-local work and no lock; end_burst() takes the buffer's lock
   /// once for all of it. Owned by the caller (a data worker keeps one per
-  /// thread); its storage keeps its capacity across bursts.
+  /// thread and ships it once per pass); its storage keeps its capacity
+  /// across bursts.
   class Batch : rt::NonCopyable {
    public:
     bool empty() const noexcept { return entries_.empty() && n_control_ == 0; }
@@ -80,11 +81,6 @@ class EgressBuffer : rt::NonCopyable {
   /// batch). @p v may be invalid (packet without a message) and is
   /// consumed.
   void submit_wire(Batch& batch, pkt::Packet* p, PiggybackView& v);
-
-  /// A batch of one, shipped before it returns (a submit outside a
-  /// data worker's burst: the control thread's drain, propagating packets
-  /// it emits).
-  void submit_wire(pkt::Packet* p, PiggybackView& v) SFC_EXCLUDES(mutex_);
 
   /// Ships @p batch under one lock: learns all of its commits, then holds
   /// or releases its packets in arrival order, sends the releases with one

@@ -223,9 +223,9 @@ std::string QuiescenceReport::to_string() const {
     case Blocker::kHandoff:
       return "node pos " + pos + ": handoff pending";
     case Blocker::kInFlight:
-      return "node pos " + pos + ": " + n + " bursts in flight";
+      return "node pos " + pos + ": " + n + " passes in flight";
     case Blocker::kProgress:
-      return "progress: " + n + " bursts finished during the check";
+      return "progress: " + n + " passes finished during the check";
   }
   return "unknown";
 }
@@ -281,13 +281,14 @@ QuiescenceReport ChainRuntime::quiescent() {
     if (node->handoff_pending()) return {Blocker::kHandoff, pos, 1};
     // A burst a worker has popped but not finished is in no link queue yet
     // still carries unapplied logs; likewise parked packets or handoff
-    // portions a drain has taken out. Workers raise the token before they
-    // take anything, so checked after the links, the parked list and the
-    // handoff rings, a raised token may hide work. An idle worker raises
-    // it around every empty poll too, so wait for it to drop: work it held
-    // shows up below as a finished burst, an empty poll leaves no trace.
+    // portions a drain has taken out. Every worker pass holds a token from
+    // before it takes anything to its end, so checked after the links, the
+    // parked list and the handoff rings, a raised token may hide work. An
+    // idle worker's empty passes raise it too, so wait for it to drop: work
+    // a pass held shows up below as a finished pass, an empty one leaves no
+    // trace.
     const std::uint64_t give_up = rt::now_ns() + kInFlightWaitNs;
-    while (const std::uint32_t held = node->bursts_in_flight()) {
+    while (const std::uint32_t held = node->passes_in_flight()) {
       if (rt::now_ns() > give_up) return {Blocker::kInFlight, pos, held};
       std::this_thread::yield();
     }
@@ -341,7 +342,7 @@ bool ChainRuntime::successor_caught_up(std::uint32_t position) {
   if (node == nullptr || node->has_failed()) return true;
   const bool path_drained = succ != 0 ? links_[succ]->drained()
                                       : feedback_->pending_approx() == 0;
-  return path_drained && node->bursts_in_flight() == 0 &&
+  return path_drained && node->passes_in_flight() == 0 &&
          !node->handoff_pending();
 }
 

@@ -46,8 +46,8 @@ struct QuiescenceReport {
                  ///< releases or feedback staged for its burst end.
     kParked,     ///< The node at `position` has parked packets.
     kHandoff,    ///< The node at `position` has undrained handoff portions.
-    kInFlight,   ///< A worker at `position` kept a burst in its hands.
-    kProgress,   ///< Bursts finished while the check ran (`count` of them).
+    kInFlight,   ///< A worker pass at `position` kept work in its hands.
+    kProgress,   ///< Passes finished while the check ran (`count` of them).
   };
   Blocker blocker{Blocker::kNone};
   std::uint32_t position{0};

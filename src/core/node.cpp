@@ -24,16 +24,14 @@ inline void span_event(obs::Registry* reg, std::uint32_t site,
   }
 }
 
-// Per-thread burst scope. While a data worker processes one rx burst, its
-// egress packets are staged in `tx` (flushed with one send_burst) and the
-// per-packet bookkeeping (meter, packets_processed) accumulates here,
-// flushed once per burst. Callers outside the owning node's burst loop —
-// the control worker draining parked packets, the propagation path — see
-// `owner != this` and take the immediate path, so protocol semantics never
-// depend on an open scope. `prof` carries the burst's budget stage marks
-// (obs/prof); outside an open profiled burst every mark is one branch.
+// Per-thread burst scope, filled at the top of every worker pass: the
+// pass's egress packets are staged in `tx` (shipped with one send_burst)
+// or in `egress`, and the per-packet bookkeeping (meter, packets_processed)
+// accumulates here, all shipped once per pass. Only worker passes process
+// packets, so every emit stages. `prof` carries the burst's budget stage
+// marks (obs/prof); outside an open profiled burst every mark is one
+// branch.
 struct BurstScope {
-  sfc::ftc::FtcNode* owner{nullptr};
   sfc::net::Port* out{nullptr};
   /// The burst's egress-buffer batch (last position only).
   sfc::ftc::EgressBuffer::Batch* egress{nullptr};
@@ -250,11 +248,6 @@ std::uint32_t FtcNode::tail_of() const noexcept {
   return m < num_mboxes_ && m != position_ ? m : ring_size_;
 }
 
-void FtcNode::end_in_flight(bool took_work) noexcept {
-  if (took_work) bursts_done_.fetch_add(1);
-  bursts_in_flight_.fetch_sub(1);
-}
-
 bool FtcNode::replicates(MboxId mbox) const noexcept {
   return appliers_.count(mbox) != 0;
 }
@@ -312,114 +305,98 @@ void FtcNode::fail() {
 bool FtcNode::worker_body(std::uint32_t thread_id) {
   if (failed_.load(std::memory_order_acquire)) return false;
 
-  // Dekker with quiesce_and: announce activity FIRST, then check the
-  // quiesce flag (both seq_cst). The old check-then-announce order let a
-  // worker slip past a quiesce that had already seen active == 0 — benign
-  // when quiesce only serialized stores, fatal now that the control thread
-  // drains handoff rings (single-consumer) under quiesce.
-  active_workers_.fetch_add(1, std::memory_order_seq_cst);
+  // One token per pass, raised FIRST, then the quiesce flag checked (both
+  // seq_cst): Dekker with quiesce_and, so a worker never slips past a
+  // quiesce that already saw no pass in flight (the control thread drains
+  // the single-consumer handoff rings under quiesce). Quiescence checks
+  // (ChainRuntime::quiescent) read the same token: packets polled off the
+  // link, and parked packets or handoff portions a drain took out, sit in
+  // no queue until the pass ends.
+  passes_in_flight_.fetch_add(1, std::memory_order_seq_cst);
   if (quiesced_.load(std::memory_order_seq_cst)) {
-    active_workers_.fetch_sub(1, std::memory_order_release);
+    passes_in_flight_.fetch_sub(1, std::memory_order_release);
     return false;
   }
-  bool did_work = false;
-
-  // Ingress duties: emit a propagating packet when the chain is idle but
-  // state dissemination is pending (paper §5.1).
-  if (thread_id == 0 && forwarder_ != nullptr && forwarder_->propagation_due()) {
-    // The propagating packet runs through this node's full pipeline (its
-    // appliers are group members of the wrap-around middleboxes too). It
-    // carries feedback logs the forwarder no longer holds, so it holds the
-    // in-flight token like a polled burst does.
-    if (pkt::Packet* prop = Forwarder::make_propagating_packet(pool_)) {
-      bursts_in_flight_.fetch_add(1);
-      FeedbackLogs fb = forwarder_->collect();
-      append_wire_logs(*prop, fb.bytes, fb.count(), cfg_.num_partitions);
-      forwarder_->recycle(std::move(fb));
-      ViewWork vw;
-      vw.view = PiggybackView::open(*prop);
-      apply_logs_burst(&vw, 1);
-      process_view(prop, vw, thread_id);
-      // Its logs may be what a parked packet waits for, and no burst may
-      // follow on an idle chain.
-      if (parked_size_.load(std::memory_order_acquire) != 0) drain_parked();
-      end_in_flight(true);
-      did_work = true;
+  BurstScope& b = t_burst;
+  b.out = out_link_.load(std::memory_order_acquire);
+  if (buffer_ != nullptr) {
+    // The batch this pass's packets reach the egress buffer in: made on
+    // the thread's first pass, and its storage kept.
+    thread_local std::unique_ptr<EgressBuffer::Batch> t_egress;
+    if (SFC_UNLIKELY(t_egress == nullptr)) {
+      t_egress = std::make_unique<EgressBuffer::Batch>();
     }
+    b.egress = t_egress.get();
   }
 
-  net::Port* in = in_link_.load(std::memory_order_acquire);
-  if (in != nullptr) {
-    pkt::Packet* rx[kMaxBurst];
-    // Raise the in-flight token BEFORE popping: packets leave the link
-    // queue here but are only applied/forwarded below, and quiescence
-    // checks (ChainRuntime::quiescent) must never observe "links drained"
-    // while a whole burst sits unapplied in this worker's hands.
-    bursts_in_flight_.fetch_add(1);
-    BurstScope& b = t_burst;
-    b.prof.open();
-    const std::size_t got = in->poll_burst(rx, burst_size_);
-    if (got != 0) {
-      // Open the per-thread burst scope: emits from this burst stage into
-      // t_burst.tx and per-packet bookkeeping accumulates, all flushed once
-      // below.
-      b.owner = this;
-      b.out = out_link_.load(std::memory_order_acquire);
-      if (buffer_ != nullptr) {
-        // The batch this burst's packets reach the egress buffer in: made
-        // on the thread's first burst, and its storage kept.
-        thread_local std::unique_ptr<EgressBuffer::Batch> t_egress;
-        if (SFC_UNLIKELY(t_egress == nullptr)) {
-          t_egress = std::make_unique<EgressBuffer::Batch>();
-        }
-        b.egress = t_egress.get();
+  pkt::Packet* rx[kMaxBurst];
+  std::size_t got = 0;
+  // Chain ingress: when the chain is idle but state dissemination is
+  // pending, a propagating packet leads the burst (paper §5.1). It takes
+  // its feedback and the pipeline below like the packets polled behind it
+  // (this node's appliers are group members of the wrap-around middleboxes
+  // too).
+  if (thread_id == 0 && forwarder_ != nullptr && forwarder_->propagation_due()) {
+    if (pkt::Packet* prop = Forwarder::make_propagating_packet(pool_)) {
+      rx[got++] = prop;
+    }
+  }
+  b.prof.open();
+  if (net::Port* in = in_link_.load(std::memory_order_acquire);
+      in != nullptr && got < burst_size_) {
+    got += in->poll_burst(rx + got, burst_size_ - got);
+  }
+  bool took = got != 0;
+  bool did_work = took;
+  if (got != 0) {
+    b.prof.mark(obs::ProfStage::kPoll);
+    // The burst's packets were last written on another core: start
+    // every header line's fetch now, so the misses overlap instead of
+    // queueing one behind the other in the loop below.
+    for (std::size_t i = 0; i < got; ++i) __builtin_prefetch(rx[i]);
+    // In-place processing (paper §5.1), the same at every hop: open
+    // every tail once (the chain ingress first writes the feedback it
+    // attaches), apply the whole burst's logs grouped per applier and
+    // store partition, then run phases B-D on the wire bytes in place.
+    // Reused across bursts: constructing kMaxBurst views per burst costs
+    // more than the views' own work when bursts hold a packet or two.
+    // Made on the thread's first burst rather than in static TLS, which
+    // every thread start would zero (a view's offsets are sized for a
+    // merged feedback hand-off, so the array is about 270 KB).
+    thread_local std::unique_ptr<ViewWork[]> t_views;
+    if (SFC_UNLIKELY(t_views == nullptr)) {
+      t_views = std::make_unique<ViewWork[]>(kMaxBurst);
+    }
+    ViewWork* const vw = t_views.get();
+    bool any_traced = false;
+    // Frame and tail lines are fetched kPrefetchAhead packets before
+    // their view opens; the header line they hang off is on its way.
+    constexpr std::size_t kPrefetchAhead = 4;
+    for (std::size_t i = 0; i < std::min(got, kPrefetchAhead); ++i) {
+      prefetch_frame(*rx[i]);
+    }
+    // Head ingress: the channel is polled until it comes back empty in
+    // this burst, and the piggyback distributions record runs of equal
+    // per-packet values, so both cost once per burst, not per packet.
+    // The distributions count data packets only.
+    bool feedback_dry = false;
+    Attached run;
+    std::uint64_t run_len = 0;
+    const auto record_run = [&] {
+      pb_bytes_hist_.record_n(run.bytes, run_len);
+      pb_logs_hist_.record_n(run.logs, run_len);
+    };
+    for (std::size_t i = 0; i < got; ++i) {
+      if (i + kPrefetchAhead < got) prefetch_frame(*rx[i + kPrefetchAhead]);
+      if (SFC_UNLIKELY(rx[i]->anno().trace_id != 0)) {
+        any_traced = true;
+        span_event(registry_, obs::span_site_node(id_),
+                   rx[i]->anno().trace_id, obs::SpanKind::kNodeIngress,
+                   position_);
       }
-      b.prof.mark(obs::ProfStage::kPoll);
-      // The burst's packets were last written on another core: start
-      // every header line's fetch now, so the misses overlap instead of
-      // queueing one behind the other in the loop below.
-      for (std::size_t i = 0; i < got; ++i) __builtin_prefetch(rx[i]);
-      // In-place processing (paper §5.1), the same at every hop: open
-      // every tail once (the chain ingress first writes the feedback it
-      // attaches), apply the whole burst's logs grouped per applier and
-      // store partition, then run phases B-D on the wire bytes in place.
-      // Reused across bursts: constructing kMaxBurst views per burst costs
-      // more than the views' own work when bursts hold a packet or two.
-      // Made on the thread's first burst rather than in static TLS, which
-      // every thread start would zero (a view's offsets are sized for a
-      // merged feedback hand-off, so the array is about 270 KB).
-      thread_local std::unique_ptr<ViewWork[]> t_views;
-      if (SFC_UNLIKELY(t_views == nullptr)) {
-        t_views = std::make_unique<ViewWork[]>(kMaxBurst);
-      }
-      ViewWork* const vw = t_views.get();
-      bool any_traced = false;
-      // Frame and tail lines are fetched kPrefetchAhead packets before
-      // their view opens; the header line they hang off is on its way.
-      constexpr std::size_t kPrefetchAhead = 4;
-      for (std::size_t i = 0; i < std::min(got, kPrefetchAhead); ++i) {
-        prefetch_frame(*rx[i]);
-      }
-      // Head ingress: the channel is polled until it comes back empty in
-      // this burst, and the piggyback distributions record runs of equal
-      // per-packet values, so both cost once per burst, not per packet.
-      bool feedback_dry = false;
-      Attached run;
-      std::uint64_t run_len = 0;
-      const auto record_run = [&] {
-        pb_bytes_hist_.record_n(run.bytes, run_len);
-        pb_logs_hist_.record_n(run.logs, run_len);
-      };
-      for (std::size_t i = 0; i < got; ++i) {
-        if (i + kPrefetchAhead < got) prefetch_frame(*rx[i + kPrefetchAhead]);
-        if (SFC_UNLIKELY(rx[i]->anno().trace_id != 0)) {
-          any_traced = true;
-          span_event(registry_, obs::span_site_node(id_),
-                     rx[i]->anno().trace_id, obs::SpanKind::kNodeIngress,
-                     position_);
-        }
-        if (forwarder_ != nullptr) {
-          const Attached a = attach_feedback(rx[i], feedback_dry);
+      if (forwarder_ != nullptr) {
+        const Attached a = attach_feedback(rx[i], feedback_dry);
+        if (!rx[i]->anno().is_control) {
           if (run_len != 0 && a != run) {
             record_run();
             run_len = 0;
@@ -427,85 +404,68 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
           run = a;
           ++run_len;
         }
-        vw[i].view = PiggybackView::open(*rx[i]);
-        vw[i].held_at = kNoHeldLog;
       }
-      if (run_len != 0) record_run();
-      b.prof.mark(obs::ProfStage::kViewWalk);
-      const std::uint64_t span_t0 = any_traced ? rt::now_ns() : 0;
-      apply_logs_burst(vw, got);
-      b.prof.mark(obs::ProfStage::kLogApply);
-      // Traced packets report the burst apply as a per-packet share.
-      const std::uint64_t apply_share_ns =
-          any_traced ? (rt::now_ns() - span_t0) / got : 0;
-      for (std::size_t i = 0; i < got; ++i) {
-        if (SFC_UNLIKELY(rx[i]->anno().trace_id != 0) &&
-            vw[i].held_at == kNoHeldLog) {
-          span_event(registry_, obs::span_site_node(id_),
-                     rx[i]->anno().trace_id, obs::SpanKind::kApply,
-                     apply_share_ns);
-        }
-        process_view(rx[i], vw[i], thread_id);
-      }
-      // Once per burst, and only with something parked: this burst's logs
-      // may have filled a parked packet's gap (or a packet parked above
-      // just missed its log).
-      if (parked_size_.load(std::memory_order_acquire) != 0) drain_parked();
-      b.prof.mark(obs::ProfStage::kParkDrain);
-      // Burst boundary: apply cross-shard portions other workers (or the
-      // control thread) queued for this worker's partitions. Timed as its
-      // own primary stage inside the burst window.
-      if (handoff_mesh_ != nullptr) {
-        drain_handoff(thread_id);
-        b.prof.mark(obs::ProfStage::kHandoffDrain);
-      }
-      b.owner = nullptr;
-      // The whole burst tail — egress flush and meter/counter flush —
-      // bills to kEgressFlush: it opens at the chained mark (the last
-      // per-packet mark) and its closing mark ends the burst wall, so no
-      // per-burst glue goes missing.
-      flush_tx();
-      if (b.egress != nullptr) {
-        buffer_->end_burst(*b.egress);
-        b.egress = nullptr;
-      }
-      // One meter/counter update per burst instead of per packet.
-      if (b.data_packets != 0) {
-        meter_.add(b.data_packets, b.data_bytes);
-        stats_.packets_processed->add(b.data_packets);
-        b.data_packets = 0;
-        b.data_bytes = 0;
-      }
-      if (b.control_packets != 0) {
-        stats_.control_packets->add(b.control_packets);
-        b.control_packets = 0;
-      }
-      b.prof.mark(obs::ProfStage::kEgressFlush);
-      did_work = true;
+      vw[i].view = PiggybackView::open(*rx[i]);
+      vw[i].held_at = kNoHeldLog;
     }
-    b.prof.finish(got);
-    end_in_flight(got != 0);
+    if (run_len != 0) record_run();
+    b.prof.mark(obs::ProfStage::kViewWalk);
+    const std::uint64_t span_t0 = any_traced ? rt::now_ns() : 0;
+    apply_logs_burst(vw, got);
+    b.prof.mark(obs::ProfStage::kLogApply);
+    // Traced packets report the burst apply as a per-packet share.
+    const std::uint64_t apply_share_ns =
+        any_traced ? (rt::now_ns() - span_t0) / got : 0;
+    for (std::size_t i = 0; i < got; ++i) {
+      if (SFC_UNLIKELY(rx[i]->anno().trace_id != 0) &&
+          vw[i].held_at == kNoHeldLog) {
+        span_event(registry_, obs::span_site_node(id_),
+                   rx[i]->anno().trace_id, obs::SpanKind::kApply,
+                   apply_share_ns);
+      }
+      process_view(rx[i], vw[i], thread_id);
+    }
+    // Once per burst, and only with something parked: this burst's logs
+    // may have filled a parked packet's gap (or a packet parked above
+    // just missed its log).
+    if (parked_size_.load(std::memory_order_acquire) != 0) drain_parked();
+    b.prof.mark(obs::ProfStage::kParkDrain);
+    // Burst boundary: apply cross-shard portions other workers (or the
+    // control thread) queued for this worker's partitions. Timed as its
+    // own primary stage inside the burst window.
+    if (handoff_mesh_ != nullptr) {
+      drain_handoff(thread_id);
+      b.prof.mark(obs::ProfStage::kHandoffDrain);
+    }
+    // The whole burst tail — egress flush and meter/counter flush —
+    // bills to kEgressFlush: it opens at the chained mark (the last
+    // per-packet mark) and its closing mark ends the burst wall, so no
+    // per-burst glue goes missing.
+    ship_pass();
+    b.prof.mark(obs::ProfStage::kEgressFlush);
   }
+  b.prof.finish(got);
 
   // Idle duties in shard mode: portions queued for this shard by other
   // workers or the control thread (NACK replay) must not wait for the
   // next ingress burst, and parked packets the control replay unblocked
   // are drained here — the control thread never transacts in shard mode.
-  if (!did_work && handoff_mesh_ != nullptr) {
-    // Portions popped off a ring sit in no queue until applied: hold the
-    // in-flight token like a burst does (drain_parked holds its own) —
-    // only when there is something to pop, so idle workers do not keep
-    // quiescence checks failing.
-    const bool popping = handoff_mesh_->pending(thread_id);
-    if (popping) bursts_in_flight_.fetch_add(1);
+  if (got == 0 && handoff_mesh_ != nullptr) {
+    took = handoff_mesh_->pending(thread_id);
     if (drain_handoff(thread_id) != 0) did_work = true;
-    if (popping) end_in_flight(true);
     if (parked_size_.load(std::memory_order_acquire) != 0) {
-      drain_parked();
+      took = true;
+      // Only packets that went on count as work: one still waiting on a
+      // NACK keeps the worker backing off.
+      if (drain_parked()) did_work = true;
+      ship_pass();
     }
   }
 
-  active_workers_.fetch_sub(1, std::memory_order_acq_rel);
+  // Work the pass took shows as a finished pass before the token drops, so
+  // a quiescence check that reads bursts_done() before and after sees it.
+  if (took) bursts_done_.fetch_add(1);
+  passes_in_flight_.fetch_sub(1, std::memory_order_release);
   return did_work;
 }
 
@@ -739,20 +699,12 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   }
 
   // Meter wire bytes only: packets are measured without their tail.
-  const std::size_t wire_bytes = v.ok() ? v.wire_size() : p->size();
-  if (b.owner == this) {
-    // Accumulate; worker_body flushes one meter/counter add per burst.
-    if (p->anno().is_control) {
-      ++b.control_packets;
-    } else {
-      ++b.data_packets;
-      b.data_bytes += wire_bytes;
-    }
-  } else if (p->anno().is_control) {
-    stats_.control_packets->inc();
+  // Accumulated; ship_pass() makes one meter/counter add per pass.
+  if (p->anno().is_control) {
+    ++b.control_packets;
   } else {
-    meter_.add(1, wire_bytes);
-    stats_.packets_processed->inc();
+    ++b.data_packets;
+    b.data_bytes += v.ok() ? v.wire_size() : p->size();
   }
 
   // --- Phase D: emit, appending our own log in place. ---
@@ -822,36 +774,24 @@ void FtcNode::detour(pkt::Packet& p, PiggybackView& v, Fn&& finish) {
 }
 
 void FtcNode::emit(pkt::Packet* p, PiggybackView& v) {
-  if (buffer_ == nullptr) {
-    // The tail already rides the packet: no append, just stage or send.
-    forward(p);
-  } else if (t_burst.owner == this) {
+  if (buffer_ != nullptr) {
     buffer_->submit_wire(*t_burst.egress, p, v);
   } else {
-    buffer_->submit_wire(p, v);
+    // The tail already rides the packet: no append, just stage.
+    forward(p);
   }
 }
 
 void FtcNode::forward(pkt::Packet* p) {
-  net::Port* out = out_link_.load(std::memory_order_acquire);
-  if (out == nullptr) {
+  BurstScope& b = t_burst;
+  if (b.out == nullptr) {
     pool_.free_raw(p);
     return;
   }
-  BurstScope& b = t_burst;
-  if (b.owner == this && b.out == out) {
-    // Data-path burst in flight: stage in emit order (detoured propagating
-    // packets included); worker_body flushes the burst with one send_burst.
-    if (b.n_tx == kMaxBurst) flush_tx();
-    b.tx[b.n_tx++] = p;
-    return;
-  }
-  if (out->send(p)) return;
-  // Backpressure waits stay out of the burst's cost sample: a full
-  // downstream queue is the next stage's problem, not this stage's work.
-  const std::uint64_t w0 = b.prof.stamp();
-  if (!out->send_blocking(p)) pool_.free_raw(p);
-  b.prof.blocked(w0);
+  // Staged in emit order (detoured propagating packets included); the
+  // pass ships them with one send_burst.
+  if (b.n_tx == kMaxBurst) flush_tx();
+  b.tx[b.n_tx++] = p;
 }
 
 void FtcNode::flush_tx() {
@@ -861,6 +801,8 @@ void FtcNode::flush_tx() {
   if (b.n_tx == 0) return;
   const std::size_t sent = b.out->send_burst({b.tx, b.n_tx});
   if (sent < b.n_tx) {
+    // Backpressure waits stay out of the burst's cost sample: a full
+    // downstream queue is the next stage's problem, not this stage's work.
     const std::uint64_t w0 = b.prof.stamp();
     for (std::size_t i = sent; i < b.n_tx; ++i) {
       if (!b.out->send_blocking(b.tx[i])) pool_.free_raw(b.tx[i]);
@@ -868,6 +810,23 @@ void FtcNode::flush_tx() {
     b.prof.blocked(w0);
   }
   b.n_tx = 0;
+}
+
+void FtcNode::ship_pass() {
+  BurstScope& b = t_burst;
+  flush_tx();
+  if (buffer_ != nullptr) buffer_->end_burst(*b.egress);
+  // One meter/counter update per pass instead of per packet.
+  if (b.data_packets != 0) {
+    meter_.add(b.data_packets, b.data_bytes);
+    stats_.packets_processed->add(b.data_packets);
+    b.data_packets = 0;
+    b.data_bytes = 0;
+  }
+  if (b.control_packets != 0) {
+    stats_.control_packets->add(b.control_packets);
+    b.control_packets = 0;
+  }
 }
 
 void FtcNode::park(pkt::Packet* p, ViewWork&& vw, std::uint32_t thread_id) {
@@ -884,18 +843,10 @@ void FtcNode::park(pkt::Packet* p, ViewWork&& vw, std::uint32_t thread_id) {
   stats_.packets_parked->inc();
 }
 
-void FtcNode::drain_parked() {
-  // Iterative and non-reentrant: process_view() can cascade into further
-  // processing, so a recursive drain could overflow the stack under loss.
-  thread_local bool draining = false;
-  if (draining) return;
-  draining = true;
+bool FtcNode::drain_parked() {
   // Packets taken off parked_ sit in no queue until re-parked or sent on:
-  // hold the in-flight token so quiescence checks see them (the idle and
-  // NACK-response drains run outside any polled burst).
-  bursts_in_flight_.fetch_add(1);
-  bool took = false;
-
+  // the caller's pass token keeps quiescence checks seeing them.
+  bool went_on = false;
   for (;;) {
     std::vector<Parked> candidates;
     {
@@ -904,7 +855,6 @@ void FtcNode::drain_parked() {
       candidates.swap(parked_);
       parked_size_.store(0, std::memory_order_release);
     }
-    took = true;
     bool progress = false;
     std::vector<Parked> still_blocked;
     for (auto& parked : candidates) {
@@ -921,6 +871,7 @@ void FtcNode::drain_parked() {
         }
         process_view(parked.packet, parked.work, parked.thread_id);
         progress = true;
+        went_on = true;
       } else {
         progress = progress || parked.work.held_at != before;
         still_blocked.push_back(std::move(parked));
@@ -933,8 +884,7 @@ void FtcNode::drain_parked() {
     }
     if (!progress) break;
   }
-  end_in_flight(took);
-  draining = false;
+  return went_on;
 }
 
 void FtcNode::check_parked_timeouts() {
@@ -1148,11 +1098,11 @@ void FtcNode::handle_nack_resp(const net::Message& resp) {
 }
 
 void FtcNode::quiesce_and(const std::function<void()>& fn) {
-  // seq_cst store pairs with the worker's announce-then-check (Dekker):
-  // after the spin below observes active == 0, every worker either saw the
-  // flag before touching anything or has fully left its iteration.
+  // seq_cst store pairs with the worker's raise-then-check (Dekker): once
+  // the spin below observes no pass in flight, every worker either saw the
+  // flag before touching anything or has fully left its pass.
   quiesced_.store(true, std::memory_order_seq_cst);
-  while (active_workers_.load(std::memory_order_acquire) != 0) {
+  while (passes_in_flight_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
   if (handoff_mesh_ != nullptr) {

@@ -166,15 +166,17 @@ class FtcNode : rt::NonCopyable {
     LockGuard lock(park_mutex_);
     return last_nack_ns_.size();
   }
-  /// Workers currently holding a polled burst (packets popped from the
-  /// ingress link but not yet applied/forwarded). Those packets are in no
-  /// link queue, so quiescence checks must consult this too: a burst in a
-  /// worker's hands can carry logs its successors have not applied yet.
-  std::uint32_t bursts_in_flight() const noexcept {
-    return bursts_in_flight_.load(std::memory_order_acquire);
+  /// Worker passes under way. A pass raises this token before it polls or
+  /// drains anything and drops it at its end, so it covers packets popped
+  /// from the ingress link but not yet applied/forwarded, and parked
+  /// packets or handoff portions a drain took out. Those are in no queue,
+  /// so quiescence checks must consult this too. The same token is the
+  /// quiesce handshake (quiesce_and waits for it to reach 0).
+  std::uint32_t passes_in_flight() const noexcept {
+    return passes_in_flight_.load(std::memory_order_acquire);
   }
-  /// Bursts finished that held something (packets, parked work, handoff
-  /// portions); empty polls do not count. Bumped before the in-flight
+  /// Passes finished that took something (packets, parked packets,
+  /// handoff portions); empty polls do not count. Bumped before the pass
   /// token drops, so a quiescence check that reads it before and after
   /// sees any work that moved while it looked elsewhere.
   std::uint64_t bursts_done() const noexcept {
@@ -249,16 +251,19 @@ class FtcNode : rt::NonCopyable {
   template <typename Fn>
   void detour(pkt::Packet& p, PiggybackView& v, Fn&& finish);
   /// Sends @p p on, or at the last position hands it to the egress
-  /// buffer: into this thread's burst batch while its burst is open, else
-  /// as a batch of one.
+  /// buffer: either way staged into this thread's pass.
   void emit(pkt::Packet* p, PiggybackView& v);
-  /// Sends @p p to the ring successor: staged into this thread's open
-  /// burst, else sent at once (retries bill to the profiler's
-  /// kSendBlocked stage).
+  /// Stages @p p for the ring successor in this thread's pass.
   void forward(pkt::Packet* p);
-  /// Ships the packets staged in this thread's burst.
+  /// Sends the packets staged for the ring successor (retries bill to the
+  /// profiler's kSendBlocked stage).
   void flush_tx();
-  void drain_parked();
+  /// Ships everything this thread's pass staged: the successor's packets,
+  /// the egress-buffer batch and the meter/counter totals.
+  void ship_pass();
+  /// Re-offers parked packets' held logs and sends on those now complete,
+  /// until a round makes no progress. True when any packet went on.
+  bool drain_parked();
   /// Applies every handoff entry queued for worker @p thread_id's shard.
   /// Returns entries consumed. Owner-only (or control under quiesce).
   std::size_t drain_handoff(std::uint32_t thread_id);
@@ -277,9 +282,6 @@ class FtcNode : rt::NonCopyable {
   void handle_fetch(const net::Message& req);
   void handle_nack(const net::Message& req);
   void handle_nack_resp(const net::Message& resp);
-  /// Lowers the in-flight token raised before taking work, counting a
-  /// finished burst first when @p took_work.
-  void end_in_flight(bool took_work) noexcept;
   bool replicates(MboxId mbox) const noexcept;
   void quiesce_and(const std::function<void()>& fn);
 
@@ -338,8 +340,8 @@ class FtcNode : rt::NonCopyable {
   std::vector<Parked> parked_ SFC_GUARDED_BY(park_mutex_);
   std::map<MboxId, std::uint64_t> last_nack_ns_ SFC_GUARDED_BY(park_mutex_);
   /// Mirror of parked_.size(), updated under park_mutex_, read lock-free
-  /// by idle data workers: the control thread must not run drain_parked
-  /// (its transactions would dodge shard ownership), so workers poll this
+  /// by data workers: the control thread must not run drain_parked (its
+  /// transactions would dodge shard ownership), so idle workers poll this
   /// to pick up control-replayed unblocks.
   std::atomic<std::size_t> parked_size_{0};
 
@@ -348,8 +350,7 @@ class FtcNode : rt::NonCopyable {
   std::unique_ptr<rt::Worker> control_worker_;
   std::atomic<bool> failed_{false};
   std::atomic<bool> quiesced_{false};
-  std::atomic<int> active_workers_{0};
-  std::atomic<std::uint32_t> bursts_in_flight_{0};
+  std::atomic<std::uint32_t> passes_in_flight_{0};
   std::atomic<std::uint64_t> bursts_done_{0};
 
   // Stats / observability.

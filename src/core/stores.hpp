@@ -216,7 +216,7 @@ class InOrderApplier : rt::NonCopyable {
   /// applied/stale bits from h.portion. Returns true when the entry is
   /// fully resolved; false leaves the future bits in h.portion — the
   /// predecessor seq is in another ring of the same owner, so the caller
-  /// defers the entry and retries after draining the rest. Called only by
+  /// defers the entry and retries once the rest drains. Called only by
   /// the owning worker's drain loop (or under quiesce, when the control
   /// thread temporarily inherits write exclusivity).
   bool apply_handoff(StateHandoff& h);

@@ -124,39 +124,6 @@ std::string to_json(const Registry& registry) {
   return out;
 }
 
-std::string to_csv(const Registry& registry) {
-  std::string out =
-      "name,labels,kind,value,count,mean,min,max,p50,p90,p99,p999\n";
-  for (const auto& s : registry.snapshot()) {
-    out += s.name;
-    out += ",\"";
-    out += labels_text(s.labels);
-    out += "\",";
-    out += kind_name(s.kind);
-    if (s.kind == Sample::Kind::kHistogram) {
-      const auto& h = s.hist;
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), ",,%llu,%.6g,%llu,%llu",
-                    static_cast<unsigned long long>(h.count()), h.mean(),
-                    static_cast<unsigned long long>(h.min()),
-                    static_cast<unsigned long long>(h.max()));
-      out += buf;
-      std::snprintf(buf, sizeof(buf), ",%llu,%llu,%llu,%llu",
-                    static_cast<unsigned long long>(h.p50()),
-                    static_cast<unsigned long long>(h.p90()),
-                    static_cast<unsigned long long>(h.p99()),
-                    static_cast<unsigned long long>(h.p999()));
-      out += buf;
-    } else {
-      out += ',';
-      append_number(out, s.value);
-      out += ",,,,,,,,";
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 std::string to_text(const Registry& registry) {
   std::string out;
   for (const auto& s : registry.snapshot()) {

@@ -1,4 +1,4 @@
-// Observability: JSON/CSV exporter for registry snapshots.
+// Observability: JSON/text exporter for registry snapshots.
 //
 // Three consumers:
 //  * benches build a Report (run metadata + named metrics, optionally fed
@@ -25,10 +25,6 @@ namespace sfc::obs {
 ///                "count":..,"mean":..,"min":..,"max":..,
 ///                "p50":..,"p90":..,"p99":..,"p999":..}, ...]}
 std::string to_json(const Registry& registry);
-
-/// Flat CSV: name,labels,kind,value,count,mean,min,max,p50,p90,p99,p999
-/// (histogram columns empty for counters/gauges and vice versa).
-std::string to_csv(const Registry& registry);
 
 /// Human-readable one-metric-per-line snapshot for terminals.
 std::string to_text(const Registry& registry);

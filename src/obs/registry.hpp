@@ -5,7 +5,7 @@
 // bespoke stats structs. The hot path touches only the returned metric
 // object — a relaxed atomic increment for counters — while registration,
 // lookup, and snapshotting take the registry mutex (cold path). Snapshots
-// feed the JSON/CSV exporter (obs/export.hpp) and the `sfc_cli stats`
+// feed the JSON/text exporter (obs/export.hpp) and the `sfc_cli stats`
 // command.
 #pragma once
 

@@ -33,7 +33,7 @@ void set_current_shard(std::uint32_t shard) noexcept;
 /// True when the Worker driving the calling thread has been asked to stop
 /// (always false on non-Worker threads). Waits that block a worker on a
 /// peer — a full port, a full feedback channel — poll it and give up, so
-/// stop() never waits behind a peer that has stopped draining.
+/// stop() never waits behind a peer that no longer consumes.
 bool stop_requested() noexcept;
 
 class Worker : NonCopyable {

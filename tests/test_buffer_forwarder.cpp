@@ -47,6 +47,8 @@ struct Rig {
   EgressBuffer buffer{pool, egress, feedback};
   /// The burst a data worker would own.
   EgressBuffer::Batch batch;
+  /// A one-packet batch, shipped by the submit that fills it.
+  EgressBuffer::Batch one;
 
   pkt::Packet* data_packet(std::uint64_t id) {
     pkt::Packet* p = pool.alloc_raw();
@@ -59,7 +61,7 @@ struct Rig {
 
   /// Serializes @p msg onto @p p's tail and submits it through the wire
   /// path, as the egress node does: into the rig's batch if @p in_burst,
-  /// else as a batch of one.
+  /// else as a batch of one, shipped at once.
   void submit(pkt::Packet* p, const PiggybackMessage& msg,
               bool in_burst = false) {
     ASSERT_TRUE(append_message(*p, msg, kParts));
@@ -68,7 +70,8 @@ struct Rig {
     if (in_burst) {
       buffer.submit_wire(batch, p, v);
     } else {
-      buffer.submit_wire(p, v);
+      buffer.submit_wire(one, p, v);
+      buffer.end_burst(one);
     }
   }
 
@@ -336,11 +339,11 @@ TEST(EgressBuffer, UncoveredPacketStaysHeldAcrossBursts) {
   EXPECT_EQ(rig.buffer.held_count(), 0u);
 }
 
-TEST(EgressBuffer, OutOfBurstSubmitShipsAtOnce) {
+TEST(EgressBuffer, OnePacketBatchesShipAtEndBurst) {
   Rig rig;
-  // Each submit outside a burst (a propagating packet, the control
-  // thread's drain) is a batch of one: held or released, and its records
-  // handed to the forwarder, before it returns.
+  // A one-packet batch (a pass that emits a single packet) is held or
+  // released, and its records handed to the forwarder, once end_burst()
+  // ships it.
   rig.submit_holding(1, 2, 0, 1);
   EXPECT_EQ(rig.buffer.held_count(), 1u);
   EXPECT_EQ(rig.feedback.pending_approx(), 1u);
@@ -355,7 +358,7 @@ TEST(EgressBuffer, OutOfBurstSubmitShipsAtOnce) {
   EXPECT_EQ(st.released, 2u);
   EXPECT_EQ(st.released_immediately, 1u);
   EXPECT_EQ(st.control_consumed, 1u);
-  // A burst the rig left open is not shipped by them.
+  // A batch left open is not shipped by another batch's end_burst().
   rig.submit(rig.data_packet(3), PiggybackMessage{}, /*in_burst=*/true);
   rig.submit(rig.data_packet(4), PiggybackMessage{});
   EXPECT_EQ(rig.released(), (std::vector<std::uint64_t>{4}));

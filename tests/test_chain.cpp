@@ -66,19 +66,10 @@ void pump_and_wait(ChainRuntime& chain, std::uint64_t packets,
   // `packets` between our observation and stop() taking effect, and
   // stopping the sink with packets still in flight wedges them behind the
   // egress link — per-mode bookkeeping (e.g. FTMB PAL counters) would then
-  // never settle. Wait until the received count is stable for a beat.
-  std::uint64_t last_received = sink.packets_received();
-  std::uint64_t stable_since = rt::now_ns();
-  while (rt::now_ns() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    const std::uint64_t now_received = sink.packets_received();
-    if (now_received != last_received) {
-      last_received = now_received;
-      stable_since = rt::now_ns();
-    } else if (rt::now_ns() - stable_since > 50'000'000ull) {
-      break;
-    }
-  }
+  // never settle. Wait until the chain holds no work.
+  const auto q = test::wait_until([&] { return chain.quiescent(); },
+                                  std::chrono::seconds(10));
+  EXPECT_TRUE(q) << "chain did not quiesce: " << q.to_string();
   sink.stop();
   ASSERT_GE(sink.packets_received(), packets) << "chain did not deliver";
 }
@@ -629,7 +620,9 @@ TEST(FtcChain, NeverQuiescentWhileTheBufferStages) {
   MaxVector max;
   max.seq[0] = 1;
   ASSERT_TRUE(pv.set_commit(2, max));
-  chain.buffer()->submit_wire(prop, pv);
+  EgressBuffer::Batch one;
+  chain.buffer()->submit_wire(one, prop, pv);
+  chain.buffer()->end_burst(one);
   EgressBuffer::Batch batch;
   chain.buffer()->submit_wire(batch, p, v);
 

@@ -1,5 +1,5 @@
 // Tests for the observability layer: metrics registry (identity, hot-path
-// counters, snapshots, callback metrics) and the JSON/CSV/Report
+// counters, snapshots, callback metrics) and the JSON/text/Report
 // exporters.
 #include <gtest/gtest.h>
 
@@ -119,8 +119,6 @@ TEST(Export, JsonContainsEscapedMetrics) {
   EXPECT_NE(json.find("seg\\\"0"), std::string::npos);
   EXPECT_EQ(json.find("\"traces\""), std::string::npos);
 
-  const std::string csv = to_csv(registry);
-  EXPECT_NE(csv.find("pkts"), std::string::npos);
   const std::string text = to_text(registry);
   EXPECT_NE(text.find("pkts"), std::string::npos);
 }

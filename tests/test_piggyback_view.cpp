@@ -208,7 +208,9 @@ TEST(PiggybackView, FeedbackAttachMatchesMergeAndAppend) {
       ASSERT_TRUE(append_message(*p, msg, kParts));
       PiggybackView v = PiggybackView::open(*p);
       ASSERT_TRUE(v.ok());
-      buffer.submit_wire(p, v);
+      EgressBuffer::Batch one;
+      buffer.submit_wire(one, p, v);
+      buffer.end_burst(one);
       msg.commits.clear();
       reference.merge(std::move(msg));
     }

@@ -93,8 +93,12 @@ TEST(ShardStore, OccupancyReaderNeverBlocksUnderOwnerChurn) {
   });
 
   // Owner thread: insert/erase churn inside seqlock write sections. The
-  // occasional yield gives the reader even-version windows to land in.
-  for (int i = 0; i < 20'000; ++i) {
+  // occasional yield gives the reader even-version windows to land in. The
+  // churn lasts until the reader has completed snapshots during it: a
+  // reader thread scheduled only after a fixed iteration count would never
+  // see a write section.
+  for (int i = 0; i < 20'000 || reads.load(std::memory_order_relaxed) < 64;
+       ++i) {
     store.owner_write_begin(1);
     store.put_owner(k0, state::Bytes::of<std::uint64_t>(i));
     if ((i & 1) != 0) {
