@@ -239,6 +239,14 @@ void EgressBuffer::end_burst(Batch& batch) {
   if (!shipped.empty()) feedback_.push(std::move(shipped));
 }
 
+void EgressBuffer::learn(MboxId mbox, const MaxVector& max) {
+  LockGuard lock(mutex_);
+  learn_commit(mbox, max);
+  release_prefix_locked();
+  flush_releases_locked();
+  held_gauge_->set(static_cast<std::int64_t>(live_));
+}
+
 void EgressBuffer::release_eligible() {
   LockGuard lock(mutex_);
   release_all_covered_locked();

@@ -3,8 +3,8 @@
 // Holds packets leaving the chain until the state updates they carried for
 // wrap-around middleboxes (those whose tail sits at the chain start) are
 // known to be f+1-replicated, i.e. covered by commit vectors observed on
-// later packets. Strips the piggyback message and forwards its log records
-// to the forwarder via the feedback channel.
+// later packets or in commit notices. Strips the piggyback message and
+// forwards its log records to the forwarder via the feedback channel.
 #pragma once
 
 #include <atomic>
@@ -87,6 +87,10 @@ class EgressBuffer : rt::NonCopyable {
   /// bulk send and the feedback records as one hand-off. @p batch is empty
   /// afterwards.
   void end_burst(Batch& batch) SFC_EXCLUDES(mutex_);
+
+  /// Learns @p max as committed for @p mbox off the data path (a commit
+  /// notice passing the last position) and releases the covered prefix.
+  void learn(MboxId mbox, const MaxVector& max) SFC_EXCLUDES(mutex_);
 
   /// Re-checks every held packet against current commit knowledge and
   /// ships the covered ones (exposed for drain paths).

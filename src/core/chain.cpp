@@ -117,12 +117,12 @@ void ChainRuntime::build_ftc() {
     params.pool = internal_pool_.get();
     params.ctrl = &ctrl_;
     params.registry = &registry_;
+    params.buffer = i == ring_size_ - 1 ? buffer_.get() : nullptr;
     params.mbox_factory = factory_for(i);
     auto node = std::make_unique<FtcNode>(params);
     node->attach_data_path(links_[i].get(),
                            i + 1 < ring_size_ ? links_[i + 1].get() : nullptr);
     if (i == 0) node->set_forwarder(forwarder_.get());
-    if (i == ring_size_ - 1) node->set_buffer(buffer_.get());
     ftc_at_[i].store(node.get(), std::memory_order_release);
     ftc_nodes_.push_back(std::move(node));
   }
@@ -324,6 +324,7 @@ FtcNode* ChainRuntime::spawn_replacement(std::uint32_t position) {
   params.pool = internal_pool_.get();
   params.ctrl = &ctrl_;
   params.registry = &registry_;
+  params.buffer = position == ring_size_ - 1 ? buffer_.get() : nullptr;
   params.mbox_factory = factory_for(position);
   auto node = std::make_unique<FtcNode>(params);
   FtcNode* raw = node.get();
@@ -413,7 +414,6 @@ void ChainRuntime::wire_replacement(std::uint32_t position, FtcNode* node) {
                          position + 1 < ring_size_ ? links_[position + 1].get()
                                                    : nullptr);
   if (position == 0) node->set_forwarder(forwarder_.get());
-  if (position == ring_size_ - 1) node->set_buffer(buffer_.get());
   node->set_ring_pred(ftc_at_[(position + ring_size_ - 1) % ring_size_]
                           .load(std::memory_order_acquire)
                           ->id());

@@ -89,7 +89,8 @@ FtcNode::FtcNode(Params params)
       num_mboxes_(params.num_mboxes),
       cfg_(*params.cfg),
       pool_(*params.pool),
-      ctrl_(*params.ctrl) {
+      ctrl_(*params.ctrl),
+      buffer_(params.buffer) {
   if (params.registry != nullptr) {
     registry_ = params.registry;
   } else {
@@ -229,11 +230,6 @@ void FtcNode::set_forwarder(Forwarder* fwd) {
 }
 
 InOrderApplier* FtcNode::applier(MboxId mbox) noexcept {
-  if (applier_cache_.empty()) {
-    // Construction-time call (the cache is built after appliers_).
-    const auto it = appliers_.find(mbox);
-    return it != appliers_.end() ? it->second.get() : nullptr;
-  }
   // At most f entries (usually one): a linear scan of a flat array beats
   // the std::map walk on the per-packet path.
   for (const auto& [m, a] : applier_cache_) {
@@ -246,10 +242,6 @@ std::uint32_t FtcNode::tail_of() const noexcept {
   if (cfg_.f == 0 || cfg_.f >= ring_size_) return ring_size_;
   const std::uint32_t m = (position_ + ring_size_ - cfg_.f) % ring_size_;
   return m < num_mboxes_ && m != position_ ? m : ring_size_;
-}
-
-bool FtcNode::replicates(MboxId mbox) const noexcept {
-  return appliers_.count(mbox) != 0;
 }
 
 void FtcNode::start() {
@@ -472,10 +464,9 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
 std::size_t FtcNode::drain_handoff(std::uint32_t thread_id) {
   auto& deferred = handoff_deferred_[thread_id];
   const std::size_t was_deferred = deferred.size();
-  const std::size_t popped =
-      handoff_mesh_->drain(thread_id, [&deferred](StateHandoff& h) {
-        deferred.push_back(std::move(h));
-      });
+  handoff_mesh_->drain(thread_id, [&deferred](StateHandoff& h) {
+    deferred.push_back(std::move(h));
+  });
   if (deferred.empty()) return 0;
   // Resolve until a full pass makes no progress: an entry future in one
   // pass becomes applicable once a lower-seq entry from another producer's
@@ -498,7 +489,6 @@ std::size_t FtcNode::drain_handoff(std::uint32_t thread_id) {
     }
     deferred.resize(kept);
   }
-  (void)popped;
   const std::size_t now_deferred = deferred.size();
   if (now_deferred != was_deferred) {
     if (now_deferred > was_deferred) {
@@ -614,22 +604,10 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
   // (parse, span/meter bookkeeping, call/return overhead) lands in an
   // adjacent stage instead of silently eroding reconciliation.
 
-  // --- Phase B: tail duty, pruning, commit stripping, in place. A packet
-  // carries one commit per group tail it passed, plus ours; each prunes
-  // our histories. At the last position the buffer learns the same
-  // commits in submit_wire, off this packet or the propagating packets a
-  // detour moved them to. ---
-  const auto prune = [&](MboxId mbox, const MaxVector& max) {
-    if (head_ != nullptr && mbox == position_) head_->prune(max);
-    if (InOrderApplier* ca = applier(mbox)) ca->prune(max);
-  };
-  if (v.ok()) {
-    for (std::size_t i = 0; i < v.commit_count(); ++i) {
-      MaxVector max;
-      const MboxId mbox = v.commit(i, max);
-      prune(mbox, max);
-    }
-  }
+  // --- Phase B: tail duty, in place. The tail strips its middlebox's
+  // logs. Only a wrap-around tail (its middlebox sits later in the chain)
+  // attaches its commit: the egress buffer, the one reader of commits on
+  // packets, holds packets on wrap-around logs only. ---
   if (InOrderApplier* a = tail_applier_) {
     if (v.ok() && v.log_count() != 0) {
       v.strip_logs_of(tail_mbox_);
@@ -642,7 +620,8 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
     // unchanged MAX carries no information and costs 100+ bytes per
     // packet on read-heavy workloads.
     const std::uint64_t applied = a->applied_count();
-    if (applied != last_commit_attach_.load(std::memory_order_relaxed)) {
+    if (tail_mbox_ > position_ &&
+        applied != last_commit_attach_.load(std::memory_order_relaxed)) {
       const MaxVector max = a->max();
       if (!v.ok()) v = PiggybackView::create(*p, cfg_.num_partitions);
       if (!v.ok() || !v.set_commit(tail_mbox_, max)) {
@@ -651,7 +630,6 @@ void FtcNode::process_view(pkt::Packet* p, ViewWork& vw,
         detour(*p, v, [&](PiggybackView& t) { return t.set_commit(tail_mbox_, max); });
       }
       last_commit_attach_.store(applied, std::memory_order_relaxed);
-      prune(tail_mbox_, max);
       if (trace_id != 0) {
         span_event(registry_, obs::span_site_node(id_), trace_id,
                    obs::SpanKind::kCommitAttach, tail_mbox_);
@@ -940,12 +918,15 @@ void FtcNode::send_commit_notice() {
   const net::NodeId pred = ring_pred_id_.load(std::memory_order_acquire);
   if (pred == 0) return;
   last_commit_notice_ = applied;
+  // Notices alone prune histories: the tail's here, the others' en route.
+  const MaxVector max = a->max();
+  a->prune(max);
   net::Message notice;
   notice.type = kCommitNotice;
   notice.from = id_;
   notice.to = pred;
   put_u32(notice.payload, tail_mbox_);
-  put_max(notice.payload, a->max());
+  put_max(notice.payload, max);
   ctrl_.send(std::move(notice));
 }
 
@@ -992,6 +973,10 @@ void FtcNode::handle_commit_notice(net::Message& notice) {
   std::uint32_t mbox = 0;
   MaxVector commit;
   if (!take_u32(in, mbox) || !take_max(in, commit)) return;
+  // Every wrap-around middlebox's notice passes the last position on its
+  // way to the head; a tail's MAX certifies f+1 replication however it
+  // travels, so a commit lost on the data path strands no held packet.
+  if (buffer_ != nullptr) buffer_->learn(mbox, commit);
   // The tail's commit means f+1 copies exist, and every upstream member
   // applied these logs before the tail did: no NACK can ask for them.
   if (head_ != nullptr && mbox == position_) {

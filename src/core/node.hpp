@@ -7,8 +7,8 @@
 //   * in-order appliers for the f preceding middleboxes (this node is a
 //     member of their replication groups and the *tail* of exactly one),
 //   * the data-plane workers that per packet: apply piggybacked logs, do
-//     tail duty (strip + commit vector), run the packet transaction,
-//     append the new log, and forward,
+//     tail duty (strip; a wrap-around tail attaches its commit vector),
+//     run the packet transaction, append the new log, and forward,
 //   * a control endpoint (heartbeats, retransmissions, state fetch, and
 //     the commit notices that prune the group's log histories).
 //
@@ -112,6 +112,7 @@ class FtcNode : rt::NonCopyable {
     net::ControlPlane* ctrl{nullptr};
     obs::Registry* registry{nullptr};  ///< Metrics/trace sink; a private
                                        ///< registry is used when null.
+    EgressBuffer* buffer{nullptr};  ///< Last position only.
     MboxFactory mbox_factory;     ///< Empty for pure replica positions.
   };
 
@@ -123,7 +124,6 @@ class FtcNode : rt::NonCopyable {
   /// Makes this node the chain ingress. Also registers the head-ingress
   /// piggyback size histograms (the paper's Fig. 5 state-size axis).
   void set_forwarder(Forwarder* fwd);
-  void set_buffer(EgressBuffer* buf) { buffer_ = buf; }
   /// Updates the ring predecessor (NACK target). A change clears the
   /// per-store NACK throttle state: the gap gate must not carry over to a
   /// freshly rerouted predecessor, or it would suppress the first
@@ -269,20 +269,19 @@ class FtcNode : rt::NonCopyable {
   std::size_t drain_handoff(std::uint32_t thread_id);
   void check_parked_timeouts();
   /// Tail duty on the control plane: once the tail applier's applied count
-  /// has advanced, sends its MAX to the ring predecessor as a
-  /// kCommitNotice. Every upstream group member prunes its history with it.
+  /// has advanced, prunes its history with its MAX and sends the MAX to the
+  /// ring predecessor as a kCommitNotice, which prunes every upstream member.
   void send_commit_notice();
   void handle_control();
   void dispatch_control(net::Message& msg);
   void reply_pong(const net::Message& ping);
-  /// Prunes this node's copy of the notice's store; a group member
-  /// between head and tail forwards it to its own ring predecessor.
+  /// Prunes this node's copy of the notice's store (the last position's
+  /// buffer learns it too); a member between head and tail forwards it.
   void handle_commit_notice(net::Message& notice);
   void handle_init(const net::Message& req);
   void handle_fetch(const net::Message& req);
   void handle_nack(const net::Message& req);
   void handle_nack_resp(const net::Message& resp);
-  bool replicates(MboxId mbox) const noexcept;
   void quiesce_and(const std::function<void()>& fn);
 
   // Identity / topology.
@@ -299,7 +298,7 @@ class FtcNode : rt::NonCopyable {
   std::atomic<net::Port*> in_link_{nullptr};
   std::atomic<net::Port*> out_link_{nullptr};
   Forwarder* forwarder_{nullptr};
-  EgressBuffer* buffer_{nullptr};
+  EgressBuffer* const buffer_;  ///< Fixed before the control thread starts.
 
   // State.
   std::unique_ptr<mbox::Middlebox> mbox_;
@@ -328,8 +327,8 @@ class FtcNode : rt::NonCopyable {
   InOrderApplier* tail_applier_{nullptr};
   std::size_t burst_size_{1};                ///< cfg clamp to [1, kMaxBurst].
 
-  // Tail duty: applied-count at the last commit-vector attach, and at the
-  // last commit notice (control thread only).
+  // Tail duty: applied-count at the last commit-vector attach (wrap-around
+  // tails only), and at the last commit notice (control thread only).
   std::atomic<std::uint64_t> last_commit_attach_{~0ULL};
   std::uint64_t last_commit_notice_{0};
 

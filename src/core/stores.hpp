@@ -40,8 +40,8 @@ struct StateHandoff {
 using StateHandoffMesh = state::HandoffMesh<StateHandoff>;
 
 /// Bounded per-store history of piggyback logs, kept for retransmission to
-/// successors; pruned by the group tail's commit vector (paper §4.1/§5.1),
-/// which reaches every group member, so the history holds only logs not yet
+/// successors; pruned by the group tail's commit notices (paper §4.1/§5.1),
+/// which reach every group member, so the history holds only logs not yet
 /// f+1-replicated. The capacity is a memory backstop: a log evicted there
 /// can no longer serve a NACK, so each eviction bumps @p evicted.
 ///

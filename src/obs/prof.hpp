@@ -50,7 +50,7 @@ enum class ProfStage : std::uint8_t {
   kPoll = 0,     // ingress poll_burst on the in port
   kViewWalk,     // piggyback view open / frame classification
   kLogApply,     // per-burst replica log apply
-  kTailCommit,   // tail duty: strip logs, attach commits, prune history
+  kTailCommit,   // tail duty: strip logs, attach wrap-around commits
   kProcess,      // middlebox packet transaction
   kAppend,       // log append + egress staging / emit
   kEgressFlush,  // burst egress flush (send_burst + blocking stragglers)

@@ -641,11 +641,11 @@ TEST(FtcChain, NeverQuiescentWhileTheBufferStages) {
   chain.stop();
 }
 
-// The last position learns commit vectors only in the buffer's
-// submit_wire. A commit that reaches it on a data packet whose message then
-// detours (the packet has no room left for the last middlebox's own log)
-// rides a propagating packet into the buffer, and must still release the
-// packet held for it.
+// On the data path the buffer learns commit vectors only in submit_wire:
+// no hop decodes the commits a packet carries. A commit that reaches the
+// last position on a data packet whose message then detours (the packet
+// has no room left for the last middlebox's own log) rides a propagating
+// packet into the buffer, and must still release the packet held for it.
 TEST(FtcChain, DetouredCommitReleasesHeldPacket) {
   auto spec = spec_for(ChainMode::kFtc, 3);
   // No idle propagation: only the packets below carry commits.
@@ -698,6 +698,58 @@ TEST(FtcChain, DetouredCommitReleasesHeldPacket) {
       << chain.buffer()->stats().released << ", submitted "
       << chain.buffer()->stats().submitted;
   EXPECT_GE(chain.ftc_node(last)->stats().oversize_detours, 1u);
+  EXPECT_EQ(chain.buffer()->held_count(), 0u);
+  sink.stop();
+  chain.stop();
+}
+
+// The last position's commit notices reach the buffer too: a wrap-around
+// middlebox's notice passes it on the way from tail to head, so a commit
+// lost on the data path (the last one of a run, say) does not strand the
+// packets it covers.
+TEST(FtcChain, CommitNoticeReleasesHeldPacket) {
+  auto spec = spec_for(ChainMode::kFtc, 3);
+  // No idle propagation: A's log never reaches its tail, so only the
+  // notice below can cover it.
+  spec.cfg.propagate_interval_ns = 60'000'000'000;
+  ChainRuntime chain(spec);
+  chain.start();
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+  const std::uint32_t last = chain.ring_size() - 1;
+
+  // A carries the last middlebox's log, whose tail wraps around to
+  // position 0, so the buffer holds it until a commit covers that log.
+  pkt::Packet* a = chain.pool().alloc_raw();
+  ASSERT_NE(a, nullptr);
+  pkt::PacketBuilder(*a).udp(
+      pkt::FlowKey{1, 2, 3, 4, pkt::Ipv4Header::kProtoUdp}, 128);
+  a->anno().packet_id = 1;
+  a->anno().ingress_ns = rt::now_ns();
+  ASSERT_TRUE(chain.segment(last).send(a));
+  ASSERT_TRUE(test::wait_until(
+      [&] { return chain.buffer()->held_count() == 1; },
+      std::chrono::seconds(5)))
+      << "A never held";
+
+  // The tail's notice for mbox `last`, as it reaches the last position
+  // (mbox id + MAX, as FtcNode encodes it).
+  MaxVector covering;
+  covering.seq.fill(1);
+  net::Message notice;
+  notice.type = kCommitNotice;
+  notice.from = chain.ftc_node(0)->id();
+  notice.to = chain.ftc_node(last)->id();
+  const auto* mbox = reinterpret_cast<const std::uint8_t*>(&last);
+  notice.payload.assign(mbox, mbox + sizeof(last));
+  const auto* seq = reinterpret_cast<const std::uint8_t*>(covering.seq.data());
+  notice.payload.insert(notice.payload.end(), seq, seq + sizeof(covering.seq));
+  chain.control().send(std::move(notice));
+
+  EXPECT_TRUE(test::wait_until([&] { return sink.packets_received() == 1; },
+                               std::chrono::seconds(5)))
+      << "A never delivered; the buffer holds "
+      << chain.buffer()->held_count();
   EXPECT_EQ(chain.buffer()->held_count(), 0u);
   sink.stop();
   chain.stop();

@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/chain.hpp"
@@ -341,6 +342,53 @@ TEST(SpanChain, SpansOrderedAcrossLossyChain) {
   }
   for (std::uint32_t pos = 0; pos < 3; ++pos) {
     EXPECT_TRUE(hop_positions.count(pos)) << "no breakdown for pos " << pos;
+  }
+}
+
+// --- Commit vectors ride only from wrap-around tails. -------------------
+
+// Only the egress buffer reads a commit vector on a packet, and it holds
+// packets on wrap-around logs only: the tails at positions < f (whose
+// middlebox sits later in the chain) attach commits, the others never do.
+TEST(SpanChain, CommitsAttachOnlyAtWrapAroundTails) {
+  const std::pair<int, std::uint32_t> shapes[] = {{3, 1}, {4, 2}};
+  for (const auto& [len, f] : shapes) {
+    SCOPED_TRACE("Ch-" + std::to_string(len) + " f=" + std::to_string(f));
+    ftc::ChainRuntime::Spec spec;
+    spec.mode = ftc::ChainMode::kFtc;
+    spec.cfg.f = f;
+    for (int i = 0; i < len; ++i) {
+      spec.mbox_factories.push_back(
+          [] { return std::unique_ptr<mbox::Middlebox>(new mbox::Monitor(1)); });
+    }
+    ftc::ChainRuntime chain(spec);
+    chain.start();
+    SpanCollector spans(&chain.registry());
+    tgen::Workload w;
+    w.num_flows = 32;
+    w.trace_sample = 1;
+    tgen::TrafficSource source(chain.pool(), chain.ingress(), w,
+                               /*rate_pps=*/5'000.0, &spans);
+    tgen::TrafficSink sink(chain.pool(), chain.egress(), &spans);
+    sink.start();
+    source.start();
+    // Every packet is traced: a few hundred delivered packets crossed
+    // every tail after it had applied logs.
+    const bool delivered = test::wait_until(
+        [&] { return sink.packets_received() >= 300; }, 30s);
+    source.stop();
+    sink.stop();
+    chain.stop();
+    ASSERT_TRUE(delivered) << "delivered " << sink.packets_received();
+
+    const auto records = spans.snapshot();
+    for (std::uint32_t pos = 0; pos < chain.ring_size(); ++pos) {
+      EXPECT_EQ(test::contains_sequence(
+                    records, span_site_node(chain.ftc_node(pos)->id()),
+                    {SpanKind::kCommitAttach}),
+                pos < f)
+          << "position " << pos;
+    }
   }
 }
 
