@@ -95,7 +95,6 @@ inline ChainRuntime::Spec base_spec(ChainMode mode,
   spec.cfg.threads_per_node = threads;
   spec.cfg.num_partitions = 16;
   spec.cfg.pool_packets = 4096;
-  spec.cfg.propagate_interval_ns = 100'000;
   spec.mbox_factories = std::move(mboxes);
   return spec;
 }

@@ -88,10 +88,6 @@ struct ChainConfig {
   /// Window/RTO parameters when transport == kReliable.
   net::ReliableConfig reliable{};
 
-  /// Forwarder emits a propagating packet when the chain has been idle
-  /// this long and state dissemination is pending (paper §5.1).
-  std::uint64_t propagate_interval_ns{200'000};
-
   /// A replica holding an out-of-order piggyback log this long requests a
   /// retransmission from its predecessor (paper §4.1). With a reliable
   /// transport underneath, the parked-work timeout instead tracks the

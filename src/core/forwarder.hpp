@@ -21,7 +21,6 @@
 #include "core/piggyback.hpp"
 #include "packet/packet_io.hpp"
 #include "packet/packet_pool.hpp"
-#include "runtime/clock.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/small_vector.hpp"
 #include "runtime/worker.hpp"
@@ -148,15 +147,13 @@ class Forwarder : rt::NonCopyable {
       kPropagatingFrameLen - kWireHeaderSize - kFooterSize;
 
   Forwarder(FeedbackChannel& feedback, const ChainConfig& cfg)
-      : feedback_(feedback), cfg_(cfg) {
-    last_activity_ns_.store(rt::now_ns());
-  }
+      : feedback_(feedback), cfg_(cfg) {}
 
   /// Collects pending feedback records to ride on a packet: whole records,
   /// from at most forwarder_merge_limit hand-offs, that together fit
   /// @p budget bytes — never more than a fresh propagating packet holds.
-  /// Records past that bound stay pending, first in line, and make a
-  /// propagating packet due at once so they do not wait for idleness.
+  /// Records past that bound stay pending, first in line, and lead the
+  /// next burst on a propagating packet (left_behind()).
   /// Hand the result back with recycle() once its records are attached.
   FeedbackLogs collect(std::size_t budget = kFeedbackBudget) {
     budget = std::min(budget, kFeedbackBudget);
@@ -194,25 +191,21 @@ class Forwarder : rt::NonCopyable {
       feedback_.push_front(std::move(*run));
       break;
     }
-    note_activity();
     return out;
   }
 
   /// Returns a collected hand-off's storage to the channel.
   void recycle(FeedbackLogs&& logs) noexcept { feedback_.recycle(std::move(logs)); }
 
-  /// True when pending state must be pushed with a propagating packet: the
-  /// chain has been idle long enough, or a collect left records behind.
-  bool propagation_due() const noexcept {
-    return feedback_.left_behind() ||
-           (feedback_.pending_approx() > 0 &&
-            rt::now_ns() - last_activity_ns_.load(std::memory_order_relaxed) >
-                cfg_.propagate_interval_ns);
-  }
+  /// True while records are pending: an ingress that polls nothing sends
+  /// them on a propagating packet rather than wait for the next data
+  /// packet (paper §5.1: "when the chain is idle").
+  bool propagation_due() const noexcept { return feedback_.pending_approx() > 0; }
 
-  void note_activity() noexcept {
-    last_activity_ns_.store(rt::now_ns(), std::memory_order_relaxed);
-  }
+  /// True while records a collect could not fit are waiting: they lead
+  /// the next burst, so data frames too full to carry them cannot starve
+  /// them.
+  bool left_behind() const noexcept { return feedback_.left_behind(); }
 
   /// Builds a propagating packet (no user payload; skips middleboxes).
   static pkt::Packet* make_propagating_packet(pkt::PacketPool& pool) {
@@ -228,7 +221,6 @@ class Forwarder : rt::NonCopyable {
  private:
   FeedbackChannel& feedback_;
   const ChainConfig& cfg_;
-  std::atomic<std::uint64_t> last_activity_ns_{0};
 };
 
 }  // namespace sfc::ftc

@@ -323,21 +323,25 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
 
   pkt::Packet* rx[kMaxBurst];
   std::size_t got = 0;
-  // Chain ingress: when the chain is idle but state dissemination is
-  // pending, a propagating packet leads the burst (paper §5.1). It takes
-  // its feedback and the pipeline below like the packets polled behind it
-  // (this node's appliers are group members of the wrap-around middleboxes
-  // too).
-  if (thread_id == 0 && forwarder_ != nullptr && forwarder_->propagation_due()) {
+  // Chain ingress: pending feedback records ride a propagating packet
+  // (paper §5.1). It takes its feedback and the pipeline below like a
+  // polled packet (this node's appliers are group members of the
+  // wrap-around middleboxes too). Records a collect left behind lead the
+  // burst; any others go as soon as a poll comes back empty, the chain's
+  // idle moment, instead of waiting for the next data packet.
+  const bool ingress = thread_id == 0 && forwarder_ != nullptr;
+  const auto propagate = [&] {
     if (pkt::Packet* prop = Forwarder::make_propagating_packet(pool_)) {
       rx[got++] = prop;
     }
-  }
+  };
+  if (ingress && forwarder_->left_behind()) propagate();
   b.prof.open();
   if (net::Port* in = in_link_.load(std::memory_order_acquire);
       in != nullptr && got < burst_size_) {
     got += in->poll_burst(rx + got, burst_size_ - got);
   }
+  if (got == 0 && ingress && forwarder_->propagation_due()) propagate();
   bool took = got != 0;
   bool did_work = took;
   if (got != 0) {
@@ -509,7 +513,7 @@ FtcNode::Attached FtcNode::attach_feedback(pkt::Packet* p, bool& dry) {
     return Attached{overhead, 0};
   }
   // Only records this frame's tailroom holds ride along; the rest stay
-  // pending and go out on a propagating packet right after this burst.
+  // pending and lead the next burst on a propagating packet.
   const std::size_t room = p->tailroom() > overhead ? p->tailroom() - overhead : 0;
   FeedbackLogs fb = forwarder_->collect(room);
   dry = fb.empty();

@@ -545,22 +545,28 @@ TEST(Forwarder, MergedFeedbackFitsAPropagatingPacket) {
   EXPECT_EQ(next_seq, pushed + 1);
 }
 
-TEST(Forwarder, PropagationDueOnlyWhenIdleAndPending) {
-  // The forwarder reads its config by reference. An hour-long interval
-  // makes the "not due yet" checks immune to scheduling delay; a 1 ms one
-  // lets the due side arrive.
-  constexpr std::uint64_t kHourNs = 3'600'000'000'000ull;
+TEST(Forwarder, PropagationDueWhenRecordsPending) {
+  // Due means records are pending, however recent the last collect: the
+  // ingress sends them on its first empty poll, with no idle interval.
   ChainConfig cfg;
-  cfg.propagate_interval_ns = kHourNs;
   FeedbackChannel feedback;
   Forwarder fwd(feedback, cfg);
   EXPECT_FALSE(fwd.propagation_due());  // Nothing pending.
   feedback.push(feedback_of(PiggybackLog{}));
-  EXPECT_FALSE(fwd.propagation_due());  // Pending but not idle yet.
-  cfg.propagate_interval_ns = 1'000'000;
-  EXPECT_TRUE(test::wait_until([&] { return fwd.propagation_due(); }, 5s));
-  cfg.propagate_interval_ns = kHourNs;
-  fwd.note_activity();
+  EXPECT_TRUE(fwd.propagation_due());
+  EXPECT_FALSE(fwd.left_behind());
+  EXPECT_EQ(fwd.collect().count(), 1u);
+  EXPECT_FALSE(fwd.propagation_due());
+  // Right after a collect, a new record is due at once.
+  feedback.push(feedback_of(PiggybackLog{}));
+  EXPECT_TRUE(fwd.propagation_due());
+  // A record no collect of this budget fits stays pending, first in line,
+  // and leads the next burst.
+  EXPECT_TRUE(fwd.collect(1).empty());
+  EXPECT_TRUE(fwd.left_behind());
+  EXPECT_TRUE(fwd.propagation_due());
+  EXPECT_EQ(fwd.collect().count(), 1u);
+  EXPECT_FALSE(fwd.left_behind());
   EXPECT_FALSE(fwd.propagation_due());
 }
 

@@ -41,7 +41,6 @@ ChainRuntime::Spec spec_for(ChainMode mode, std::size_t chain_len,
   spec.cfg.f = f;
   spec.cfg.threads_per_node = threads;
   spec.cfg.pool_packets = 2048;
-  spec.cfg.propagate_interval_ns = 100'000;  // Aggressive idle propagation.
   for (std::size_t i = 0; i < chain_len; ++i) {
     spec.mbox_factories.push_back(monitor_factory());
   }
@@ -194,7 +193,6 @@ TEST(FtcChain, NatChainRewritesAndReplicatesFlowTable) {
   spec.cfg.f = 1;
   spec.cfg.threads_per_node = 1;
   spec.cfg.pool_packets = 2048;
-  spec.cfg.propagate_interval_ns = 100'000;
   spec.mbox_factories = {monitor_factory(), nat_factory()};
   ChainRuntime chain(spec);
   chain.start();
@@ -337,7 +335,6 @@ TEST(FtcChain, FilteringMiddleboxEmitsPropagatingPackets) {
   spec.cfg.f = 1;
   spec.cfg.threads_per_node = 1;
   spec.cfg.pool_packets = 2048;
-  spec.cfg.propagate_interval_ns = 100'000;
   spec.mbox_factories = {
       monitor_factory(),
       []() -> std::unique_ptr<Middlebox> {
@@ -647,11 +644,12 @@ TEST(FtcChain, NeverQuiescentWhileTheBufferStages) {
 // has no room left for the last middlebox's own log) rides a propagating
 // packet into the buffer, and must still release the packet held for it.
 TEST(FtcChain, DetouredCommitReleasesHeldPacket) {
-  auto spec = spec_for(ChainMode::kFtc, 3);
-  // No idle propagation: only the packets below carry commits.
-  spec.cfg.propagate_interval_ns = 60'000'000'000;
+  const auto spec = spec_for(ChainMode::kFtc, 3);
   ChainRuntime chain(spec);
   chain.start();
+  // No propagation: only position 0, the chain ingress, sends propagating
+  // packets, so with it stopped only the packets below carry commits.
+  chain.ftc_node(0)->stop();
   tgen::TrafficSink sink(chain.pool(), chain.egress());
   sink.start();
   const std::uint32_t last = chain.ring_size() - 1;
@@ -708,12 +706,13 @@ TEST(FtcChain, DetouredCommitReleasesHeldPacket) {
 // lost on the data path (the last one of a run, say) does not strand the
 // packets it covers.
 TEST(FtcChain, CommitNoticeReleasesHeldPacket) {
-  auto spec = spec_for(ChainMode::kFtc, 3);
-  // No idle propagation: A's log never reaches its tail, so only the
-  // notice below can cover it.
-  spec.cfg.propagate_interval_ns = 60'000'000'000;
+  const auto spec = spec_for(ChainMode::kFtc, 3);
   ChainRuntime chain(spec);
   chain.start();
+  // Position 0, the chain ingress and the tail of the last middlebox, is
+  // stopped: A's log never reaches its tail, so only the notice below can
+  // cover it.
+  chain.ftc_node(0)->stop();
   tgen::TrafficSink sink(chain.pool(), chain.egress());
   sink.start();
   const std::uint32_t last = chain.ring_size() - 1;
@@ -751,6 +750,35 @@ TEST(FtcChain, CommitNoticeReleasesHeldPacket) {
       << "A never delivered; the buffer holds "
       << chain.buffer()->held_count();
   EXPECT_EQ(chain.buffer()->held_count(), 0u);
+  sink.stop();
+  chain.stop();
+}
+
+// The chain ingress sends pending feedback on its first empty poll. One
+// packet through a Ch-3 of Monitors is held at the buffer until its last
+// middlebox's log reaches that middlebox's tail, position 0, and the
+// commit comes back; with no later data packet to carry either, a
+// propagating packet must.
+TEST(FtcChain, IdleIngressCarriesHeldLogAtOnce) {
+  const auto spec = spec_for(ChainMode::kFtc, 3);
+  ChainRuntime chain(spec);
+  chain.start();
+  tgen::TrafficSink sink(chain.pool(), chain.egress());
+  sink.start();
+  pkt::Packet* p = udp_packet(chain, 1);
+  ASSERT_NE(p, nullptr);
+  ASSERT_TRUE(chain.ingress().send_blocking(p));
+  EXPECT_TRUE(test::wait_until([&] { return sink.packets_received() == 1; },
+                               std::chrono::seconds(5)))
+      << "the packet was never delivered; the buffer holds "
+      << chain.buffer()->held_count();
+  EXPECT_TRUE(test::wait_until(
+      [&] { return chain.buffer()->held_count() == 0; },
+      std::chrono::seconds(5)));
+  EXPECT_GE(chain.ftc_node(0)->stats().control_packets, 1u);
+  const auto q = test::wait_until([&] { return chain.quiescent(); },
+                                  std::chrono::seconds(5));
+  EXPECT_TRUE(q) << q.to_string();
   sink.stop();
   chain.stop();
 }

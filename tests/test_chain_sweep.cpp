@@ -55,7 +55,6 @@ TEST_P(ChainSweep, DeliversAndReplicates) {
   spec.cfg.f = param.f;
   spec.cfg.threads_per_node = param.threads;
   spec.cfg.pool_packets = 2048;
-  spec.cfg.propagate_interval_ns = 100'000;
   spec.cfg.burst_size = param.burst;
   for (std::size_t i = 0; i < param.length; ++i) {
     spec.mbox_factories.push_back([]() -> std::unique_ptr<mbox::Middlebox> {

@@ -37,7 +37,6 @@ ChainRuntime::Spec monitor_chain(std::size_t len, std::uint32_t f) {
   spec.cfg.f = f;
   spec.cfg.threads_per_node = 1;
   spec.cfg.pool_packets = 2048;
-  spec.cfg.propagate_interval_ns = 100'000;
   for (std::size_t i = 0; i < len; ++i) {
     spec.mbox_factories.push_back([]() -> std::unique_ptr<mbox::Middlebox> {
       return std::make_unique<mbox::Monitor>(1);

@@ -32,7 +32,6 @@ ChainRuntime::Spec monitor_chain(std::size_t len, std::uint32_t f = 1) {
   spec.cfg.f = f;
   spec.cfg.threads_per_node = 1;
   spec.cfg.pool_packets = 2048;
-  spec.cfg.propagate_interval_ns = 100'000;
   for (std::size_t i = 0; i < len; ++i) {
     spec.mbox_factories.push_back([]() -> std::unique_ptr<mbox::Middlebox> {
       return std::make_unique<mbox::Monitor>(1);
@@ -278,7 +277,6 @@ TEST(Recovery, NatStateSurvivesFailover) {
   spec.cfg.f = 1;
   spec.cfg.threads_per_node = 1;
   spec.cfg.pool_packets = 2048;
-  spec.cfg.propagate_interval_ns = 100'000;
   spec.mbox_factories = {
       []() -> std::unique_ptr<mbox::Middlebox> {
         return std::make_unique<mbox::Monitor>(1);
@@ -352,7 +350,6 @@ TEST(Recovery, InFlightLogsOfFailedHeadReachReplicaBeforeFetch) {
   spec.cfg.f = 1;
   spec.cfg.threads_per_node = 1;
   spec.cfg.pool_packets = 2048;
-  spec.cfg.propagate_interval_ns = 100'000;
   spec.cfg.link.delay_ns = 20'000'000;
   const auto monitor = []() -> std::unique_ptr<mbox::Middlebox> {
     return std::make_unique<mbox::Monitor>(1);

@@ -6,7 +6,7 @@ Usage (from the repository root):
 
     python3 tools/record_trajectory.py --pr NN --change "one-line summary" \\
         [--parent REV] [--pairs 6] [--seconds 10] [--traced-pairs 3] \\
-        [--fig9-probes 3] [--micro-probes 3] \\
+        [--fig9-probes 3] [--micro-probes 3] [--fig5-probes 3] \\
         [--workloads monitor-closed,nat-failover] \\
         [--workdir DIR] [--out PATH]
 
@@ -14,24 +14,29 @@ The parent side is REV (default: HEAD when the working tree has changes,
 else HEAD^), exported with `git archive` into a temporary directory, so a
 run leaves no worktree entry in the repository's .git. The change side is
 the working tree. Each side builds its own binaries inside its own tree
-(perfbench/run.py into .bench_build/perfbench, the fig9 probe and
-bench_micro_ops into .bench_build/fig9, all Release).
+(perfbench/run.py into .bench_build/perfbench, the fig9 probe,
+bench_micro_ops and bench_fig5_state_size into .bench_build/fig9, all
+Release).
 
 Every workload of BENCHMARK.json runs --pairs times per side with
 `perfbench/run.py --trace 0`, parent and change alternating and the order
 flipped every pair, with the same seed within a pair (100 + pair index).
 Then monitor-closed runs --traced-pairs pairs with --trace 1 for the stage
-split, and the fig9 Ch-3 budget probe (FTC_FIG9_BUDGET_ONLY=1
-FTC_BENCH_SECONDS=1.0, as CI's budget gate runs it) --fig9-probes times per
-side, alternating too, and bench_micro_ops' BM_HeadCommit and
+split, and monitor-reorder as many for its parking, NACK and p99 counters.
+The fig9 Ch-3 budget probe (FTC_FIG9_BUDGET_ONLY=1 FTC_BENCH_SECONDS=1.0,
+as CI's budget gate runs it) runs --fig9-probes times per side, alternating
+too, and bench_micro_ops' BM_HeadCommit and
 BM_PiggybackViewWalk/1/64 (ns per op, one packet each) --micro-probes
-times per side, alternating.
+times per side, alternating, and bench_fig5_state_size's million-flow probe
+at CI's smoke scale (FTC_FIG5_MFLOW_ONLY=1 FTC_FIG5_FLOWS=20000
+FTC_BENCH_SECONDS=0.5: churn Mpps and the quiet check) --fig5-probes times
+per side, alternating.
 
 Writes bench/trajectory/pr<NN>.json (or --out) in the schema of
 bench/trajectory/pr19.json: per workload a summary (median and quartiles
 by linear interpolation per side, and in how many pairs the change read
-better) next to the raw runs, the traced stage split, the fig9 probe and
-the micro-ops probe.
+better) next to the raw runs, the traced runs, the fig9 probe,
+the micro-ops probe and the fig5 churn probe.
 Keep the machine otherwise idle while it runs: the pairs share its CPUs.
 """
 import argparse
@@ -44,8 +49,14 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TRACED_WORKLOAD = "monitor-closed"
+# Traced workloads and the document key each one's runs go under:
+# monitor-closed for the stage split, monitor-reorder for the held-log,
+# parking and NACK counters.
+TRACED = {"monitor-closed": "traced_stage_split",
+          "monitor-reorder": "traced_monitor_reorder"}
 MICRO_OPS = ("BM_HeadCommit", "BM_PiggybackViewWalk/1/64")
+FIG5_ENV = {"FTC_FIG5_MFLOW_ONLY": "1", "FTC_FIG5_FLOWS": "20000",
+            "FTC_BENCH_SECONDS": "0.5"}
 FIG9_STAGES = ("poll", "view_walk", "log_apply", "tail_commit", "process",
                "append", "egress_flush", "park_drain", "handoff_drain",
                "link_send", "link_poll", "store_apply", "pool_alloc",
@@ -172,6 +183,18 @@ def bench_binary(root, target):
     return os.path.join(build, "bench", target)
 
 
+def alternating_probes(roots, target, probe, probes, label):
+    """Builds bench/@target on both sides, then runs probe(binary, run)
+    @probes times per side, alternating: {side: [result, ...]}."""
+    binaries = {side: bench_binary(root, target) for side, root in roots.items()}
+    runs = {"parent": [], "change": []}
+    for i in range(probes):
+        for side in ordered_sides(i):
+            log(f"{label} probe {i} {side}")
+            runs[side].append(probe(binaries[side], i + 1))
+    return runs
+
+
 def fig9_probe(binary, run):
     with tempfile.TemporaryDirectory() as out_dir:
         env = dict(os.environ, FTC_FIG9_BUDGET_ONLY="1",
@@ -211,13 +234,8 @@ def fig9_probe(binary, run):
 
 
 def fig9_section(roots, probes):
-    binaries = {side: bench_binary(root, "bench_fig9_chain_tput")
-                for side, root in roots.items()}
-    runs = {"parent": [], "change": []}
-    for i in range(probes):
-        for side in ordered_sides(i):
-            log(f"fig9 probe {i} {side}")
-            runs[side].append(fig9_probe(binaries[side], i + 1))
+    runs = alternating_probes(roots, "bench_fig9_chain_tput", fig9_probe,
+                              probes, "fig9")
     summary = {}
     for side, rs in runs.items():
         ok = [r for r in rs if "error" not in r]
@@ -258,13 +276,8 @@ def micro_probe(binary, run):
 
 
 def micro_section(roots, probes):
-    binaries = {side: bench_binary(root, "bench_micro_ops")
-                for side, root in roots.items()}
-    runs = {"parent": [], "change": []}
-    for i in range(probes):
-        for side in ordered_sides(i):
-            log(f"micro-ops probe {i} {side}")
-            runs[side].append(micro_probe(binaries[side], i + 1))
+    runs = alternating_probes(roots, "bench_micro_ops", micro_probe, probes,
+                              "micro-ops")
     summary = {}
     for side, rs in runs.items():
         ok = [r for r in rs if "error" not in r]
@@ -275,6 +288,45 @@ def micro_section(roots, probes):
         "probe": "bench_micro_ops (Release), ns per op = ns per packet: "
                  "the head's commit into its log record and a one-log view "
                  "walk over 64-byte values",
+        "runs": runs,
+        "summary": summary,
+    }
+
+
+def fig5_probe(binary, run):
+    """One bench_fig5_state_size million-flow run at CI's smoke scale."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        env = dict(os.environ, FTC_BENCH_JSON_DIR=out_dir, **FIG5_ENV)
+        proc = subprocess.run([binary], cwd=out_dir, env=env,
+                              capture_output=True, text=True)
+        path = os.path.join(out_dir, "BENCH_fig5_state_size.json")
+        if not os.path.exists(path):
+            return {"run": run, "error": f"exit {proc.returncode}"}
+        with open(path) as f:
+            doc = json.load(f)
+    rows = {m["name"]: m["value"] for m in doc["metrics"]
+            if m["name"].startswith("mflow_")
+            and m.get("labels", {}).get("probe") == "mflow"}
+    return {"run": run,
+            "churn_mpps": round(rows["mflow_throughput_mpps"], 4),
+            "quiet_ok": int(rows["mflow_budget_quiet_ok"])}
+
+
+def fig5_section(roots, probes):
+    runs = alternating_probes(roots, "bench_fig5_state_size", fig5_probe,
+                              probes, "fig5")
+    summary = {}
+    for side, rs in runs.items():
+        ok = [r for r in rs if "error" not in r]
+        if ok:
+            summary[side] = {
+                "churn_mpps": quartiles([r["churn_mpps"] for r in ok]),
+                "quiet_ok_runs": sum(r["quiet_ok"] for r in ok)}
+    return {
+        "probe": "bench_fig5_state_size (Release) million-flow probe at "
+                 "smoke scale (" + " ".join(f"{k}={v}" for k, v in
+                                            FIG5_ENV.items()) +
+                 "): saturated Mpps under flow churn, and quiet_ok",
         "runs": runs,
         "summary": summary,
     }
@@ -292,6 +344,7 @@ def main():
     parser.add_argument("--traced-pairs", type=int, default=3)
     parser.add_argument("--fig9-probes", type=int, default=3)
     parser.add_argument("--micro-probes", type=int, default=3)
+    parser.add_argument("--fig5-probes", type=int, default=3)
     parser.add_argument("--workloads", default=None,
                         help="comma-separated subset of BENCHMARK.json's workloads")
     parser.add_argument("--host", default="",
@@ -338,21 +391,26 @@ def main():
             f"for the stage split; fig9: bench_fig9_chain_tput (Release) with "
             f"FTC_FIG9_BUDGET_ONLY=1 FTC_BENCH_SECONDS=1.0, as CI's budget gate "
             f"runs it; micro-ops: bench_micro_ops (Release) filtered to "
-            f"{', '.join(MICRO_OPS)}. Medians and quartiles use linear "
+            f"{', '.join(MICRO_OPS)}; fig5: bench_fig5_state_size (Release) "
+            f"with {' '.join(f'{k}={v}' for k, v in FIG5_ENV.items())}, as "
+            f"CI's fig5 smoke runs it. Medians and quartiles use linear "
             f"interpolation; change_better_in counts the pairs in which the "
             f"change read better. {args.pairs} pairs per workload, "
-            f"{args.traced_pairs} traced pairs, {args.fig9_probes} fig9 probes "
-            f"and {args.micro_probes} micro-ops runs per side."),
+            f"{args.traced_pairs} traced pairs, {args.fig9_probes} fig9 probes, "
+            f"{args.micro_probes} micro-ops runs and {args.fig5_probes} fig5 "
+            f"runs per side."),
         "perfbench": {},
     }
     for workload in workloads:
         runs = run_pairs(roots, workload, args.pairs, seconds, 0)
         doc["perfbench"][workload] = {"summary": summarize(runs, end_to_end),
                                       "runs": runs}
-    if args.traced_pairs > 0:
-        runs = run_pairs(roots, TRACED_WORKLOAD, args.traced_pairs, seconds, 1)
-        doc["traced_stage_split"] = {
-            "workload": TRACED_WORKLOAD,
+    for workload, key in TRACED.items():
+        if args.traced_pairs == 0:
+            break
+        runs = run_pairs(roots, workload, args.traced_pairs, seconds, 1)
+        doc[key] = {
+            "workload": workload,
             "unit": "ns per packet-hop (stages), packets per burst, ratio, ms",
             "summary": summarize(runs, per_layer),
             "runs": runs,
@@ -361,6 +419,8 @@ def main():
         doc["fig9_budget_probe"] = fig9_section(roots, args.fig9_probes)
     if args.micro_probes > 0:
         doc["micro_ops"] = micro_section(roots, args.micro_probes)
+    if args.fig5_probes > 0:
+        doc["fig5_churn_probe"] = fig5_section(roots, args.fig5_probes)
 
     out = args.out or os.path.join(ROOT, "bench", "trajectory", f"pr{args.pr}.json")
     with open(out, "w") as f:
