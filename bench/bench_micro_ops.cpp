@@ -4,12 +4,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "core/config.hpp"
 #include "core/piggyback.hpp"
 #include "obs/export.hpp"
 #include "core/stores.hpp"
+#include "mbox/nat.hpp"
 #include "net/link.hpp"
 #include "packet/packet_io.hpp"
 #include "packet/packet_pool.hpp"
@@ -279,6 +281,56 @@ void BM_ApplierOffer(benchmark::State& state) {
   rt::set_current_shard(rt::kNoShard);
 }
 BENCHMARK(BM_ApplierOffer);
+
+// A failover's store transfer (Fig 13's state recovery): a MazuNAT-sized
+// store of 16k flows with NatEntry values, serialized on the fetch source
+// and rebuilt on a fresh replacement store. ns per op = ns per store.
+constexpr std::size_t kFetchEntries = 16 * 1024;
+
+void fill_nat_store(state::StateStore& store) {
+  rt::Pcg32 rng(30, 1);
+  mbox::NatEntry entry;
+  for (std::size_t i = 0; i < kFetchEntries; ++i) {
+    entry.created_ns = i;
+    store.put_owner(rng.next64(), state::Bytes::of(entry));
+  }
+}
+
+void BM_StoreSerialize(benchmark::State& state) {
+  state::StateStore store(16);
+  fill_nat_store(store);
+  std::vector<std::uint8_t> blob;
+  for (auto _ : state) {
+    blob.clear();
+    store.serialize(blob);
+    benchmark::DoNotOptimize(blob.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kFetchEntries);
+}
+BENCHMARK(BM_StoreSerialize);
+
+void BM_StoreDeserialize(benchmark::State& state) {
+  std::vector<std::uint8_t> blob;
+  {
+    state::StateStore src(16);
+    fill_nat_store(src);
+    src.serialize(blob);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto dst = std::make_unique<state::StateStore>(16);
+    state.ResumeTiming();
+    const bool ok = dst->deserialize(blob);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) state.SkipWithError("deserialize failed");
+    state.PauseTiming();
+    dst.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kFetchEntries);
+}
+BENCHMARK(BM_StoreDeserialize);
 
 void BM_PoolAllocFree(benchmark::State& state) {
   pkt::PacketPool pool(256);

@@ -1117,21 +1117,24 @@ void FtcNode::handle_fetch(const net::Message& req) {
   resp.to = req.from;
   resp.tag = req.tag;
   put_u32(resp.payload, mbox);
+  const std::size_t ok_at = resp.payload.size();
+  put_u32(resp.payload, 0);
 
-  bool ok = false;
   // Paper §5.2: the fetch source stops admitting packets so the transfer
-  // is a consistent cut; we quiesce the data workers for the serialization.
+  // is a consistent cut; we quiesce the data workers for the serialization,
+  // which writes the blob straight into the reply.
   quiesce_and([&] {
-    std::vector<std::uint8_t> blob;
+    const std::uint64_t start = rt::now_ns();
     if (head_ != nullptr && mbox == position_) {
-      head_->serialize(blob);
-      ok = true;
+      head_->serialize(resp.payload);
     } else if (InOrderApplier* a = applier(mbox)) {
-      a->serialize(blob);
-      ok = true;
+      a->serialize(resp.payload);
+    } else {
+      return;
     }
-    put_u32(resp.payload, ok ? 1 : 0);
-    resp.payload.insert(resp.payload.end(), blob.begin(), blob.end());
+    registry_->timer("node.fetch_serialize_ns").record(rt::now_ns() - start);
+    const std::uint32_t ok = 1;
+    std::memcpy(resp.payload.data() + ok_at, &ok, 4);
   });
   ctrl_.send(std::move(resp));
 }
@@ -1192,11 +1195,14 @@ bool FtcNode::recover_from(
       f.done = true;
       --outstanding;
       if (ok == 0) break;
+      const std::uint64_t start = rt::now_ns();
       if (head_ != nullptr && mbox == position_) {
         f.ok = head_->deserialize(in);
       } else if (InOrderApplier* a = applier(mbox)) {
         f.ok = a->deserialize(in);
       }
+      registry_->timer("node.fetch_deserialize_ns")
+          .record(rt::now_ns() - start);
       span_event(registry_, obs::span_site_node(id_),
                  obs::recovery_trace_id(position_), obs::SpanKind::kFetchDone,
                  mbox);

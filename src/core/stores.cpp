@@ -65,6 +65,34 @@ void put_history(std::vector<std::uint8_t>& out, const LogHistory& history) {
   std::memcpy(out.data() + count_at, &count, 4);
 }
 
+/// Writes a whole fetch blob straight into @p out: one reservation sized
+/// for every section, so no later append moves the sections already
+/// written; the store section's length is back-patched like the history's
+/// count.
+void put_blob(std::vector<std::uint8_t>& out, state::StateStore& store,
+              const MaxVector& max, const LogHistory& history) {
+  out.reserve(out.size() + 4 + store.serialized_size() + sizeof(max.seq) +
+              4 + history.live_bytes());
+  const std::size_t len_at = out.size();
+  put_u32(out, 0);
+  store.serialize(out);
+  const auto len = static_cast<std::uint32_t>(out.size() - len_at - 4);
+  std::memcpy(out.data() + len_at, &len, 4);
+  put_vector(out, max);
+  put_history(out, history);
+}
+
+/// Restores a fetched store section (put_blob's first).
+bool take_store(std::span<const std::uint8_t>& in, state::StateStore& store) {
+  std::uint32_t len = 0;
+  if (!take_u32(in, len) || in.size() < len ||
+      !store.deserialize(in.first(len))) {
+    return false;
+  }
+  in = in.subspan(len);
+  return true;
+}
+
 /// Restores a fetched history section. Every record is checked before any
 /// is kept: the blob comes from another node.
 bool restore_history(std::span<const std::uint8_t> in, LogHistory& history) {
@@ -165,21 +193,13 @@ std::span<const std::uint8_t> HeadStore::record_log(
 }
 
 void HeadStore::serialize(std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> store_blob;
-  store_.serialize(store_blob);
-  put_u32(out, static_cast<std::uint32_t>(store_blob.size()));
-  out.insert(out.end(), store_blob.begin(), store_blob.end());
   MaxVector deps;
   deps.seq = txn_ctx_.sequence_snapshot();
-  put_vector(out, deps);
-  put_history(out, history_);
+  put_blob(out, store_, deps, history_);
 }
 
 bool HeadStore::deserialize(std::span<const std::uint8_t> in) {
-  std::uint32_t store_len = 0;
-  if (!take_u32(in, store_len) || in.size() < store_len) return false;
-  if (!store_.deserialize(in.subspan(0, store_len))) return false;
-  in = in.subspan(store_len);
+  if (!take_store(in, store_)) return false;
   MaxVector deps;
   if (!take_vector(in, deps)) return false;
   // Paper §5.2: the new head adopts the fetched MAX as its dependency
@@ -329,19 +349,11 @@ bool InOrderApplier::apply_handoff(StateHandoff& h) {
 }
 
 void InOrderApplier::serialize(std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> store_blob;
-  store_.serialize(store_blob);
-  put_u32(out, static_cast<std::uint32_t>(store_blob.size()));
-  out.insert(out.end(), store_blob.begin(), store_blob.end());
-  put_vector(out, max());
-  put_history(out, history_);
+  put_blob(out, store_, max(), history_);
 }
 
 bool InOrderApplier::deserialize(std::span<const std::uint8_t> in) {
-  std::uint32_t store_len = 0;
-  if (!take_u32(in, store_len) || in.size() < store_len) return false;
-  if (!store_.deserialize(in.subspan(0, store_len))) return false;
-  in = in.subspan(store_len);
+  if (!take_store(in, store_)) return false;
   MaxVector restored;
   if (!take_vector(in, restored)) return false;
   if (!restore_history(in, history_)) return false;

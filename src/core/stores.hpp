@@ -76,6 +76,12 @@ class LogHistory {
     LockGuard lock(mutex_);
     return count_;
   }
+  /// Bytes of the live records: what append_after appends for an empty
+  /// MAX vector (a state fetch).
+  std::size_t live_bytes() const {
+    LockGuard lock(mutex_);
+    return tail_ - head_;
+  }
 
  private:
   struct Entry {

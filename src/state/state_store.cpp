@@ -1,8 +1,11 @@
 #include "state/state_store.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <memory>
+#include <new>
 
 #include "obs/prof.hpp"
 
@@ -10,14 +13,28 @@ namespace sfc::state {
 
 namespace {
 
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+/// Control byte of a slot: 0 is empty, an entry's is 0x80 | seven bits of
+/// its hash. Bits 8..14 are clear of both the partition (low four bits)
+/// and the slot index (top bits, capacity below 2^49).
+constexpr std::uint8_t kEmptySlot = 0;
+constexpr std::uint8_t tag_of(std::uint64_t hash) noexcept {
+  return static_cast<std::uint8_t>(0x80u | ((hash >> 8) & 0x7fu));
 }
 
-void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+constexpr std::size_t kMinCapacity = 16;
+/// Maximum load 7/8: the probe never wraps the whole table, and a probe
+/// run always ends at an empty slot.
+constexpr std::size_t max_load(std::size_t capacity) noexcept {
+  return capacity - capacity / 8;
+}
+
+/// A serialized entry is at least its key and its value length.
+constexpr std::size_t kMinEntryBytes = sizeof(Key) + sizeof(std::uint32_t);
+
+template <typename T>
+std::uint8_t* put_pod(std::uint8_t* w, const T& v) noexcept {
+  std::memcpy(w, &v, sizeof(T));
+  return w + sizeof(T);
 }
 
 template <typename T>
@@ -30,6 +47,131 @@ bool read_pod(std::span<const std::uint8_t>& in, T& out) {
 
 }  // namespace
 
+// --- PartitionTable ---------------------------------------------------------
+
+PartitionTable::~PartitionTable() {
+  clear();
+  ::operator delete(slots_);
+}
+
+std::size_t PartitionTable::probe(Key key,
+                                  std::uint64_t hash) const noexcept {
+  const std::uint8_t tag = tag_of(hash);
+  const std::size_t mask = capacity_ - 1;
+  for (std::size_t i = home(hash);; i = (i + 1) & mask) {
+    const std::uint8_t c = ctrl_[i];
+    if (c == kEmptySlot || (c == tag && slots_[i].key == key)) return i;
+  }
+}
+
+const Bytes* PartitionTable::find(Key key) const noexcept {
+  if (size_ == 0) return nullptr;
+  const std::size_t i = probe(key, rt::splitmix64(key));
+  return ctrl_[i] != kEmptySlot ? &slots_[i].value : nullptr;
+}
+
+bool PartitionTable::insert_or_assign(Key key, Bytes&& value) {
+  const std::uint64_t hash = rt::splitmix64(key);
+  if (capacity_ != 0) {
+    const std::size_t i = probe(key, hash);
+    if (ctrl_[i] != kEmptySlot) {
+      value_bytes_ += value.size() - slots_[i].value.size();
+      slots_[i].value = std::move(value);
+      return false;
+    }
+  }
+  if (size_ + 1 > max_load(capacity_)) {
+    rehash(capacity_ == 0 ? kMinCapacity : capacity_ * 2);
+  }
+  const std::size_t i = probe(key, hash);
+  value_bytes_ += value.size();
+  std::construct_at(&slots_[i], key, std::move(value));
+  ctrl_[i] = tag_of(hash);
+  ++size_;
+  return true;
+}
+
+bool PartitionTable::try_emplace(Key key,
+                                 std::span<const std::uint8_t> value) {
+  const std::uint64_t hash = rt::splitmix64(key);
+  if (size_ + 1 > max_load(capacity_)) {
+    rehash(capacity_ == 0 ? kMinCapacity : capacity_ * 2);
+  }
+  const std::size_t i = probe(key, hash);
+  if (ctrl_[i] != kEmptySlot) return false;
+  std::construct_at(&slots_[i], key, Bytes(value));
+  ctrl_[i] = tag_of(hash);
+  ++size_;
+  value_bytes_ += value.size();
+  return true;
+}
+
+bool PartitionTable::erase(Key key) noexcept {
+  if (size_ == 0) return false;
+  std::size_t hole = probe(key, rt::splitmix64(key));
+  if (ctrl_[hole] == kEmptySlot) return false;
+  value_bytes_ -= slots_[hole].value.size();
+  std::destroy_at(&slots_[hole]);
+  // Backward shift: walk the rest of the probe run and move back into the
+  // hole every entry whose home slot does not lie in (hole, j], so every
+  // entry stays reachable from its home without a tombstone.
+  const std::size_t mask = capacity_ - 1;
+  for (std::size_t j = (hole + 1) & mask; ctrl_[j] != kEmptySlot;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(rt::splitmix64(slots_[j].key));
+    if (((j - h) & mask) < ((j - hole) & mask)) continue;
+    std::construct_at(&slots_[hole], std::move(slots_[j]));
+    std::destroy_at(&slots_[j]);
+    ctrl_[hole] = ctrl_[j];
+    hole = j;
+  }
+  ctrl_[hole] = kEmptySlot;
+  --size_;
+  return true;
+}
+
+void PartitionTable::reserve(std::size_t n) {
+  std::size_t capacity = std::max(capacity_, kMinCapacity);
+  while (max_load(capacity) < n) capacity *= 2;
+  if (capacity != capacity_) rehash(capacity);
+}
+
+void PartitionTable::clear() noexcept {
+  if (size_ == 0) return;
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    if (ctrl_[i] != kEmptySlot) std::destroy_at(&slots_[i]);
+  }
+  std::memset(ctrl_, kEmptySlot, capacity_);
+  size_ = 0;
+  value_bytes_ = 0;
+}
+
+void PartitionTable::rehash(std::size_t capacity) {
+  assert(rt::is_pow2(capacity) && max_load(capacity) >= size_);
+  // One allocation: the slots, then the control bytes.
+  auto* slots = static_cast<Slot*>(
+      ::operator new(capacity * (sizeof(Slot) + 1)));
+  auto* ctrl = reinterpret_cast<std::uint8_t*>(slots + capacity);
+  std::memset(ctrl, kEmptySlot, capacity);
+  const auto shift = 64u - static_cast<unsigned>(std::countr_zero(capacity));
+  for (std::size_t i = 0; i < capacity_; ++i) {
+    if (ctrl_[i] == kEmptySlot) continue;
+    const std::uint64_t hash = rt::splitmix64(slots_[i].key);
+    std::size_t j = static_cast<std::size_t>(hash >> shift);
+    while (ctrl[j] != kEmptySlot) j = (j + 1) & (capacity - 1);
+    std::construct_at(&slots[j], std::move(slots_[i]));
+    std::destroy_at(&slots_[i]);
+    ctrl[j] = ctrl_[i];
+  }
+  ::operator delete(slots_);
+  slots_ = slots;
+  ctrl_ = ctrl;
+  capacity_ = capacity;
+  shift_ = shift;
+}
+
+// --- StateStore -------------------------------------------------------------
+
 StateStore::StateStore(std::size_t num_partitions)
     : num_partitions_(num_partitions), partition_mask_(num_partitions - 1) {
   assert(num_partitions >= 1 && num_partitions <= kMaxPartitions);
@@ -37,47 +179,21 @@ StateStore::StateStore(std::size_t num_partitions)
 }
 
 const Bytes* StateStore::get_locked(Key key) const noexcept {
-  const auto& part = partitions_[partition_of(key)];
-  const auto it = part.map.find(key);
-  return it != part.map.end() ? &it->second : nullptr;
+  return partitions_[partition_of(key)].table.find(key);
 }
 
 void StateStore::put_locked(Key key, Bytes value) {
   const auto pidx = partition_of(key);
-  const auto [it, inserted] =
-      partitions_[pidx].map.insert_or_assign(key, std::move(value));
-  (void)it;
-  if (inserted) note_insert(pidx);
+  if (partitions_[pidx].table.insert_or_assign(key, std::move(value))) {
+    note_insert(pidx);
+  }
 }
 
 bool StateStore::erase_locked(Key key) noexcept {
   const auto pidx = partition_of(key);
-  if (partitions_[pidx].map.erase(key) == 0) return false;
+  if (!partitions_[pidx].table.erase(key)) return false;
   note_erase(pidx);
   return true;
-}
-
-void StateStore::apply(std::span<const StateUpdate> updates) {
-  // Collect the touched partition set, lock in index order (deadlock-free
-  // against other appliers), apply, release.
-  obs::ProfStageTimer pt{obs::prof_slot(), obs::ProfStage::kStoreApply};
-  std::uint64_t mask = 0;
-  for (const auto& u : updates) mask |= 1ULL << partition_of(u.key);
-
-  TxnSlot& slot = this_thread_slot();
-  for (std::size_t p = 0; p < num_partitions_; ++p) {
-    if (mask & (1ULL << p)) partitions_[p].lock.lock_apply(&slot);
-  }
-  for (const auto& u : updates) {
-    if (u.erase) {
-      erase_locked(u.key);
-    } else {
-      put_locked(u.key, u.value);
-    }
-  }
-  for (std::size_t p = 0; p < num_partitions_; ++p) {
-    if (mask & (1ULL << p)) partitions_[p].lock.unlock();
-  }
 }
 
 std::optional<Bytes> StateStore::get(Key key) {
@@ -101,9 +217,7 @@ std::optional<Bytes> StateStore::get(Key key) {
         continue;
       }
       out.reset();
-      if (const auto it = part.map.find(key); it != part.map.end()) {
-        out = it->second;
-      }
+      if (const Bytes* v = part.table.find(key)) out = *v;
       std::atomic_thread_fence(std::memory_order_acquire);
       if (occ.version.load(std::memory_order_relaxed) == v1) break;
     }
@@ -113,9 +227,7 @@ std::optional<Bytes> StateStore::get(Key key) {
   TxnSlot& slot = this_thread_slot();
   part.lock.lock_apply(&slot);
   std::optional<Bytes> out;
-  if (const auto it = part.map.find(key); it != part.map.end()) {
-    out = it->second;
-  }
+  if (const Bytes* v = part.table.find(key)) out = *v;
   part.lock.unlock();
   return out;
 }
@@ -155,15 +267,14 @@ void StateStore::owner_write_end(std::uint64_t pmask) noexcept {
 
 void StateStore::put_owner(Key key, Bytes value) {
   const auto pidx = partition_of(key);
-  const auto [it, inserted] =
-      partitions_[pidx].map.insert_or_assign(key, std::move(value));
-  (void)it;
-  if (inserted) note_insert(pidx);
+  if (partitions_[pidx].table.insert_or_assign(key, std::move(value))) {
+    note_insert(pidx);
+  }
 }
 
 bool StateStore::erase_owner(Key key) noexcept {
   const auto pidx = partition_of(key);
-  if (partitions_[pidx].map.erase(key) == 0) return false;
+  if (!partitions_[pidx].table.erase(key)) return false;
   note_erase(pidx);
   return true;
 }
@@ -224,29 +335,55 @@ std::uint64_t StateStore::keys_high_water() const noexcept {
   return hw;
 }
 
+std::size_t StateStore::capacity() const noexcept {
+  std::size_t slots = 0;
+  for (std::size_t p = 0; p < num_partitions_; ++p) {
+    slots += partitions_[p].table.capacity();
+  }
+  return slots;
+}
+
 void StateStore::clear() {
   TxnSlot& slot = this_thread_slot();
   for (std::size_t p = 0; p < num_partitions_; ++p) {
     partitions_[p].lock.lock_apply(&slot);
-    partitions_[p].map.clear();
+    partitions_[p].table.clear();
     occupancy_[p].keys.store(0, std::memory_order_relaxed);
     partitions_[p].lock.unlock();
   }
 }
 
+std::size_t StateStore::serialized_size() const noexcept {
+  std::size_t bytes = sizeof(std::uint32_t);
+  for (std::size_t p = 0; p < num_partitions_; ++p) {
+    const PartitionTable& table = partitions_[p].table;
+    bytes += sizeof(std::uint32_t) + table.size() * kMinEntryBytes +
+             table.value_bytes();
+  }
+  return bytes;
+}
+
 void StateStore::serialize(std::vector<std::uint8_t>& out) {
   TxnSlot& slot = this_thread_slot();
-  append_u32(out, static_cast<std::uint32_t>(num_partitions_));
+  // Quiesced: the size read here holds through the writes below, so the
+  // section is sized exactly and written in place with one growth.
+  const std::size_t at = out.size();
+  out.resize(at + serialized_size());
+  std::uint8_t* w = put_pod(out.data() + at,
+                            static_cast<std::uint32_t>(num_partitions_));
   for (std::size_t p = 0; p < num_partitions_; ++p) {
+    const PartitionTable& table = partitions_[p].table;
     partitions_[p].lock.lock_apply(&slot);
-    append_u32(out, static_cast<std::uint32_t>(partitions_[p].map.size()));
-    for (const auto& [key, value] : partitions_[p].map) {
-      append_u64(out, key);
-      append_u32(out, static_cast<std::uint32_t>(value.size()));
-      out.insert(out.end(), value.data(), value.data() + value.size());
-    }
+    w = put_pod(w, static_cast<std::uint32_t>(table.size()));
+    table.for_each([&](const PartitionTable::Slot& s) {
+      w = put_pod(w, s.key);
+      w = put_pod(w, static_cast<std::uint32_t>(s.value.size()));
+      if (!s.value.empty()) std::memcpy(w, s.value.data(), s.value.size());
+      w += s.value.size();
+    });
     partitions_[p].lock.unlock();
   }
+  assert(w == out.data() + out.size());
 }
 
 bool StateStore::deserialize(std::span<const std::uint8_t> in) {
@@ -256,24 +393,37 @@ bool StateStore::deserialize(std::span<const std::uint8_t> in) {
   TxnSlot& slot = this_thread_slot();
   for (std::size_t p = 0; p < num_partitions_; ++p) {
     std::uint32_t entries = 0;
-    if (!read_pod(in, entries)) return false;
+    // The count sizes the table, so one the remaining bytes cannot hold
+    // fails the blob before anything is allocated from it.
+    if (!read_pod(in, entries) || entries > in.size() / kMinEntryBytes) {
+      clear();
+      return false;
+    }
+    PartitionTable& table = partitions_[p].table;
     partitions_[p].lock.lock_apply(&slot);
-    for (std::uint32_t i = 0; i < entries; ++i) {
+    table.reserve(entries);
+    bool ok = true;
+    for (std::uint32_t i = 0; ok && i < entries; ++i) {
       std::uint64_t key = 0;
       std::uint32_t len = 0;
-      if (!read_pod(in, key) || !read_pod(in, len) || in.size() < len) {
-        partitions_[p].lock.unlock();
-        clear();
-        return false;
-      }
-      if (partitions_[p].map.emplace(key, Bytes(in.data(), len)).second) {
+      ok = read_pod(in, key) && read_pod(in, len) && in.size() >= len &&
+           partition_of(key) == p && table.try_emplace(key, in.first(len));
+      if (ok) {
         note_insert(p);
+        in = in.subspan(len);
       }
-      in = in.subspan(len);
     }
     partitions_[p].lock.unlock();
+    if (!ok) {
+      clear();
+      return false;
+    }
   }
-  return in.empty();
+  if (!in.empty()) {
+    clear();
+    return false;
+  }
+  return true;
 }
 
 }  // namespace sfc::state

@@ -2,19 +2,24 @@
 //
 // One store holds the state of one middlebox. Keys are 64-bit (middleboxes
 // hash flow tuples or variable names into them); values are small byte
-// strings. The key space is hash-partitioned into at most 64 partitions,
-// each with its own lock — the unit of concurrency control for packet
-// transactions (head side) and of dependency tracking for replication
-// (replica side). Partitioning is deterministic, so every replica of a
-// middlebox assigns each key to the same partition.
+// strings. The key space is hash-partitioned into at most kMaxPartitions
+// (16) partitions, each with its own lock — the unit of concurrency
+// control for packet transactions (head side) and of dependency tracking
+// for replication (replica side). Partitioning is deterministic, so every
+// replica of a middlebox assigns each key to the same partition.
+//
+// Each partition keeps its entries in a PartitionTable: one flat array of
+// {key, value} slots with linear probing, so an entry costs no heap node
+// and a failover serializes and rebuilds a partition by walking one array.
+//
 // Shard-affine mode (enable_shard_affine) inverts the concurrency model:
 // each partition has a single writer (its owning worker, see ShardMap),
 // the partition lock is bypassed on the owner path, and monitoring/stats
 // readers snapshot per-partition occupancy through a seqlock instead of
 // blocking the writer. Cross-shard writes reach the owner through
-// HandoffMesh rings (handoff_ring.hpp); readers of the map itself must be
-// the owner or run quiesced (recovery serialize, post-convergence tests) —
-// the seqlock acquire in get() supplies the happens-before edge.
+// HandoffMesh rings (handoff_ring.hpp); readers of the table itself must
+// be the owner or run quiesced (recovery serialize, post-convergence
+// tests) — the seqlock acquire in get() supplies the happens-before edge.
 #pragma once
 
 #include <array>
@@ -22,7 +27,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "base/lock_rank.hpp"
@@ -62,11 +66,75 @@ struct WireUpdate {
   bool erase{false};
 };
 
+/// One partition's entries: an open-addressing hash table.
+///
+/// Layout: a power-of-two array of {key, value} slots (values inline up
+/// to Bytes::kInlineCapacity) plus one control byte per slot, 0 for an
+/// empty slot, else 0x80 | seven hash bits, so a probe compares keys only
+/// on a tag match. Probing is linear from the slot the top bits of
+/// splitmix64(key) pick (the store's partition_of consumes the low bits,
+/// which every key of one partition shares). The table doubles before it
+/// is more than 7/8 full, and erase shifts the rest of the probe run back
+/// into the hole, so there are no tombstones. Any insert may move every
+/// slot (growth) and any erase may move slots of its run, so a pointer
+/// into the table stays valid only until the next write.
+class PartitionTable : rt::NonCopyable {
+ public:
+  struct Slot {
+    Key key;
+    Bytes value;
+  };
+
+  PartitionTable() = default;
+  ~PartitionTable();
+
+  std::size_t size() const noexcept { return size_; }
+  std::size_t capacity() const noexcept { return capacity_; }
+  /// Sum of the entries' value sizes (sizes a serialized partition).
+  std::size_t value_bytes() const noexcept { return value_bytes_; }
+
+  const Bytes* find(Key key) const noexcept;
+  /// Inserts or overwrites; true when the key was new.
+  bool insert_or_assign(Key key, Bytes&& value);
+  /// Inserts a copy of @p value unless the key is present; true when it
+  /// inserted.
+  bool try_emplace(Key key, std::span<const std::uint8_t> value);
+  bool erase(Key key) noexcept;
+
+  /// Grows so that @p n entries fit without another growth.
+  void reserve(std::size_t n);
+  /// Destroys every entry and keeps the slot array.
+  void clear() noexcept;
+
+  /// Calls @p fn(const Slot&) for every entry, in slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t i = 0; i < capacity_; ++i) {
+      if (ctrl_[i] != 0) fn(slots_[i]);
+    }
+  }
+
+ private:
+  /// Slot index of @p key, or of the empty slot ending its probe run.
+  std::size_t probe(Key key, std::uint64_t hash) const noexcept;
+  std::size_t home(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>(hash >> shift_);
+  }
+  void rehash(std::size_t capacity);
+
+  Slot* slots_{nullptr};          ///< capacity_ slots; live where ctrl_ != 0
+  std::uint8_t* ctrl_{nullptr};   ///< same allocation, after the slots
+  std::size_t capacity_{0};
+  std::size_t size_{0};
+  std::size_t value_bytes_{0};
+  unsigned shift_{64};            ///< 64 - log2(capacity_)
+};
+
 class StateStore : rt::NonCopyable {
  public:
-  /// @param num_partitions Power of two in [1, 64]. The paper recommends
-  ///        exceeding the core count to reduce contention; 64 is the
-  ///        default.
+  /// @param num_partitions Power of two in [1, kMaxPartitions]. The paper
+  ///        recommends exceeding the core count to reduce contention;
+  ///        kMaxPartitions (16) is the default.
   explicit StateStore(std::size_t num_partitions = kMaxPartitions);
 
   std::size_t num_partitions() const noexcept { return num_partitions_; }
@@ -88,15 +156,11 @@ class StateStore : rt::NonCopyable {
   /// Which partition lock guards a key is data-dependent (partition_of),
   /// so the requirement is not expressible as a static TSA capability;
   /// the lock-rank detector covers the dynamic discipline instead.
+  /// get_locked's pointer stays valid until the next write to the key's
+  /// partition (see PartitionTable).
   const Bytes* get_locked(Key key) const noexcept;
   void put_locked(Key key, Bytes value);
   bool erase_locked(Key key) noexcept;
-
-  /// Applies a batch of updates under partition locks: takes the touched
-  /// partitions' locks in index order, applies, releases. Replicas apply
-  /// through the owner path instead (apply_wire_owner); this serves the
-  /// tests' materializing oracle.
-  void apply(std::span<const StateUpdate> updates);
 
   /// Convenience point read. Locked mode takes the partition lock;
   /// shard-affine mode is a seqlock reader: version-stable retry loop,
@@ -107,7 +171,7 @@ class StateStore : rt::NonCopyable {
 
   /// Total entries across partitions. Lock-free: sums the per-partition
   /// occupancy counters, which are maintained under the same exclusivity
-  /// as the map itself (exact whenever the store is quiesced).
+  /// as the table itself (exact whenever the store is quiesced).
   std::size_t total_entries();
 
   // --- Shard-affine (single-writer) mode. -------------------------------
@@ -149,22 +213,33 @@ class StateStore : rt::NonCopyable {
   /// Highest per-partition occupancy high-water mark (registry gauge).
   std::uint64_t keys_high_water() const noexcept;
 
-  /// Drops all entries (takes all locks).
+  /// Slots allocated across partitions; the tables' memory is about
+  /// capacity() * sizeof(PartitionTable::Slot). Exact when quiesced.
+  std::size_t capacity() const noexcept;
+
+  /// Drops all entries and keeps the tables' slots (takes all locks).
   void clear();
 
   /// --- Recovery serialization. ---
-  /// Serializes every entry. Takes partition locks one at a time, so call
-  /// only while the store is quiesced (recovery guarantees this).
+  /// Appends every entry to @p out: the partition count, then per
+  /// partition its entry count and each entry as key, value length and
+  /// value bytes, in slot order. Takes partition locks one at a time, so
+  /// call only while the store is quiesced (recovery guarantees this).
   void serialize(std::vector<std::uint8_t>& out);
 
-  /// Replaces the store contents from serialize() output. Returns false on
-  /// malformed input (store left cleared).
+  /// Bytes serialize() appends (exact while the store is quiesced).
+  std::size_t serialized_size() const noexcept;
+
+  /// Replaces the store contents from serialize() output, sizing each
+  /// table once from its entry count. Returns false on malformed input
+  /// (store left cleared): a count the remaining bytes cannot hold, a
+  /// truncated entry, a key outside its partition or a repeated key.
   bool deserialize(std::span<const std::uint8_t> in);
 
  private:
   struct Partition {
     PartitionLock lock;
-    std::unordered_map<Key, Bytes> map;
+    PartitionTable table;
   };
 
   /// Per-partition occupancy stats, written only under the partition's
@@ -175,7 +250,7 @@ class StateStore : rt::NonCopyable {
     std::atomic<std::uint64_t> version{0};  ///< seqlock; odd = write open
     std::atomic<std::uint64_t> keys{0};
     std::atomic<std::uint64_t> keys_hw{0};
-    /// Bumped (release) by a foreign get() after its map read completes;
+    /// Bumped (release) by a foreign get() after its table read completes;
     /// acquire-loaded by owner_write_begin. Orders converged-store reads
     /// before the owner's NEXT write section — the direction the seqlock
     /// version alone cannot give (version end-release only orders past

@@ -97,8 +97,9 @@ TEST(LockRankTest, CorrectOrderStaysSilent) {
 
 TEST(LockRankTest, WoundWaitSameRankMultiHoldAllowed) {
   if (!checks_enabled()) GTEST_SKIP();
-  // StateStore::apply takes several partition locks at the same rank in
-  // index order; the wound-wait policy sanctions that.
+  // state::apply_locked (tests/wire_oracle.hpp) takes several partition
+  // locks at the same rank in index order; the wound-wait policy
+  // sanctions that.
   state::PartitionLock locks[4];
   state::TxnSlot slot;
   for (auto& l : locks) l.lock_apply(&slot);

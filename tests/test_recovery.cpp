@@ -3,6 +3,7 @@
 // failover, WAN recovery timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 
@@ -893,6 +894,19 @@ TEST(Recovery, TraceAndMetricsCaptureRecoveryPhases) {
   EXPECT_GE(registry.counter("orch.recoveries", {{"node", "orch"}}).value(),
             1u);
   EXPECT_GE(registry.timer("orch.recovery_total_ns").snapshot().count(), 1u);
+
+  // Fig 13's fetch split: one serialize on a source and one deserialize on
+  // the replacement per fetched store, inside the one fetch.
+  const auto fetched = static_cast<std::uint64_t>(
+      std::count_if(records.begin(), records.end(), [&](const auto& r) {
+        return r.site == new_site && r.kind == obs::SpanKind::kFetchDone;
+      }));
+  EXPECT_GE(fetched, 1u);
+  EXPECT_EQ(registry.timer("node.recovery_fetch_ns").snapshot().count(), 1u);
+  EXPECT_EQ(registry.timer("node.fetch_serialize_ns").snapshot().count(),
+            fetched);
+  EXPECT_EQ(registry.timer("node.fetch_deserialize_ns").snapshot().count(),
+            fetched);
 
   sink.stop();
   chain.stop();

@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "runtime/rng.hpp"
 #include "state/bytes.hpp"
 #include "state/state_store.hpp"
+#include "wire_oracle.hpp"
 
 namespace sfc::state {
 namespace {
@@ -133,14 +137,14 @@ TEST(StateStore, ApplyBatch) {
   for (Key k = 0; k < 100; ++k) {
     updates.push_back({k, Bytes::of(k * 10), false});
   }
-  s.apply(updates);
+  apply_locked(s, updates);
   EXPECT_EQ(s.total_entries(), 100u);
   EXPECT_EQ(s.get(50)->as<Key>(), 500u);
 
   // Later updates overwrite, erases remove.
   std::vector<StateUpdate> second{{50, Bytes::of<Key>(1), false},
                                   {51, Bytes{}, true}};
-  s.apply(second);
+  apply_locked(s, second);
   EXPECT_EQ(s.get(50)->as<Key>(), 1u);
   EXPECT_FALSE(s.get(51).has_value());
   EXPECT_EQ(s.total_entries(), 99u);
@@ -160,7 +164,7 @@ TEST(StateStore, ApplyIsAtomicAgainstConcurrentAppliers) {
         std::vector<StateUpdate> u{
             {1, Bytes::of<std::uint64_t>(static_cast<std::uint64_t>(t)), false},
             {2, Bytes::of<std::uint64_t>(static_cast<std::uint64_t>(t)), false}};
-        s.apply(u);
+        apply_locked(s, u);
       }
     });
   }
@@ -175,7 +179,7 @@ TEST(StateStore, SerializeDeserializeRoundTrip) {
     std::vector<std::uint8_t> value(1 + (k % 90), static_cast<std::uint8_t>(k));
     updates.push_back({k * 7919, Bytes(value.data(), value.size()), false});
   }
-  a.apply(updates);
+  apply_locked(a, updates);
 
   std::vector<std::uint8_t> blob;
   a.serialize(blob);
@@ -188,6 +192,118 @@ TEST(StateStore, SerializeDeserializeRoundTrip) {
   }
 }
 
+/// The first @p n keys whose splitmix64 has all ten top bits set and
+/// @p partition in its low four bits: they share a partition at any
+/// partition count, and their home slot is the table's last one at every
+/// capacity up to 1024, so they form one probe run that wraps past the end.
+std::vector<Key> wrapping_cluster(std::size_t n, std::uint64_t partition) {
+  std::vector<Key> keys;
+  for (Key k = 0; keys.size() < n; ++k) {
+    const std::uint64_t h = rt::splitmix64(k);
+    if ((h >> 54) == 0x3ff && (h & 0xf) == partition) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(StateStore, MatchesUnorderedMapOracleUnderChurn) {
+  const std::vector<Key> cluster = wrapping_cluster(24, 5);
+  for (const std::size_t parts : {std::size_t{1}, std::size_t{16}}) {
+    SCOPED_TRACE(parts);
+    StateStore s(parts);
+    std::unordered_map<Key, Bytes> oracle;
+    std::mt19937_64 rng(0x5eed + parts);
+    // Up to 600 random keys plus the cluster: at one partition the table
+    // stays within 1024 slots, so the cluster keeps wrapping; an erase in
+    // it shifts entries from the front of the table back to its end.
+    const auto pick_key = [&]() -> Key {
+      if (rng() % 3 == 0) return cluster[rng() % cluster.size()];
+      return 1'000'000 + rng() % 600;
+    };
+    // Inline (at most 64 bytes) and heap (more) values, both edges too.
+    const auto make_value = [&]() {
+      const std::size_t lens[] = {0, 8, 24, 64, 65, 100};
+      std::vector<std::uint8_t> v(rng() % 2 == 0 ? lens[rng() % 6]
+                                                 : rng() % 120);
+      for (auto& b : v) b = static_cast<std::uint8_t>(rng());
+      return Bytes(v.data(), v.size());
+    };
+    const auto expect_matches = [&](StateStore& store) {
+      ASSERT_EQ(store.total_entries(), oracle.size());
+      for (const auto& [key, value] : oracle) {
+        const auto got = store.get(key);
+        ASSERT_TRUE(got.has_value()) << "key " << key;
+        ASSERT_EQ(*got, value) << "key " << key;
+      }
+    };
+
+    for (int op = 0; op < 20'000; ++op) {
+      const Key key = pick_key();
+      const auto roll = rng() % 100;
+      if (roll < 45) {
+        Bytes value = make_value();
+        apply_locked(s, std::vector<StateUpdate>{{key, value, false}});
+        oracle.insert_or_assign(key, std::move(value));
+      } else if (roll < 75) {
+        auto& lock = s.partition_lock(s.partition_of(key));
+        lock.lock_apply(&this_thread_slot());
+        const bool erased = s.erase_locked(key);
+        lock.unlock();
+        ASSERT_EQ(erased, oracle.erase(key) == 1) << "key " << key;
+      } else {
+        const auto got = s.get(key);
+        const auto it = oracle.find(key);
+        ASSERT_EQ(got.has_value(), it != oracle.end()) << "key " << key;
+        if (got) {
+          ASSERT_EQ(*got, it->second) << "key " << key;
+        }
+      }
+      if (op % 1000 == 999) expect_matches(s);
+    }
+    // Whole-cluster churn: fill it, then erase it from the front, so every
+    // erase shifts the rest of the wrapped run.
+    for (const Key key : cluster) {
+      apply_locked(s, std::vector<StateUpdate>{{key, Bytes::of(key), false}});
+      oracle.insert_or_assign(key, Bytes::of(key));
+    }
+    for (std::size_t i = 0; i < cluster.size(); i += 2) {
+      apply_locked(s, std::vector<StateUpdate>{{cluster[i], Bytes{}, true}});
+      oracle.erase(cluster[i]);
+      expect_matches(s);
+    }
+
+    std::vector<std::uint8_t> blob;
+    s.serialize(blob);
+    StateStore restored(parts);
+    ASSERT_TRUE(restored.deserialize(blob));
+    expect_matches(restored);
+  }
+}
+
+TEST(StateStore, DeserializeRejectsHugeEntryCount) {
+  // Partition 0 holds one good entry; partition 1 claims 0xFFFFFFFF
+  // entries and then ends a few bytes later.
+  StateStore s(2);
+  Key key = 0;
+  while (s.partition_of(key) != 0) ++key;
+  std::vector<std::uint8_t> blob;
+  const auto put = [&](const auto& v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    blob.insert(blob.end(), p, p + sizeof(v));
+  };
+  put(std::uint32_t{2});
+  put(std::uint32_t{1});
+  put(key);
+  put(std::uint32_t{8});
+  put(std::uint64_t{42});
+  put(std::uint32_t{0xffffffff});
+  put(std::uint64_t{7});
+  EXPECT_FALSE(s.deserialize(blob));
+  EXPECT_EQ(s.total_entries(), 0u);
+  EXPECT_FALSE(s.get(key).has_value());
+  // Nothing was sized from the count: only partition 0's smallest table.
+  EXPECT_LE(s.capacity(), 16u);
+}
+
 TEST(StateStore, DeserializeRejectsGarbage) {
   StateStore s(8);
   std::vector<std::uint8_t> garbage(13, 0xff);
@@ -197,7 +313,7 @@ TEST(StateStore, DeserializeRejectsGarbage) {
 
 TEST(StateStore, DeserializeRejectsWrongPartitionCount) {
   StateStore a(8), b(16);
-  a.apply(std::vector<StateUpdate>{{1, Bytes::of<int>(1), false}});
+  apply_locked(a, std::vector<StateUpdate>{{1, Bytes::of<int>(1), false}});
   std::vector<std::uint8_t> blob;
   a.serialize(blob);
   EXPECT_FALSE(b.deserialize(blob));
@@ -205,7 +321,8 @@ TEST(StateStore, DeserializeRejectsWrongPartitionCount) {
 
 TEST(StateStore, DeserializeRejectsTruncated) {
   StateStore a(8), b(8);
-  a.apply(std::vector<StateUpdate>{{1, Bytes::of<std::uint64_t>(5), false}});
+  apply_locked(a, std::vector<StateUpdate>{
+                      {1, Bytes::of<std::uint64_t>(5), false}});
   std::vector<std::uint8_t> blob;
   a.serialize(blob);
   blob.resize(blob.size() - 3);
@@ -223,8 +340,8 @@ TEST(StateStore, KeyOfNameIsStable) {
 
 TEST(StateStore, ClearEmptiesEverything) {
   StateStore s(4);
-  s.apply(std::vector<StateUpdate>{{1, Bytes::of<int>(1), false},
-                                   {2, Bytes::of<int>(2), false}});
+  apply_locked(s, std::vector<StateUpdate>{{1, Bytes::of<int>(1), false},
+                                           {2, Bytes::of<int>(2), false}});
   EXPECT_EQ(s.total_entries(), 2u);
   s.clear();
   EXPECT_EQ(s.total_entries(), 0u);

@@ -7,7 +7,7 @@
 // its wire record, decode records back into owning logs, and two
 // differential oracles that never touch the wire apply path: an applier
 // that classifies each PiggybackLog and applies its decoded writes with
-// StateStore::apply, and a deque-of-logs history for the wire-form
+// state::apply_locked, and a deque-of-logs history for the wire-form
 // LogHistory.
 #pragma once
 
@@ -19,8 +19,37 @@
 #include "core/piggyback.hpp"
 #include "core/stores.hpp"
 #include "runtime/worker.hpp"
+#include "state/partition_lock.hpp"
 #include "state/shard_map.hpp"
 #include "state/state_store.hpp"
+
+namespace sfc::state {
+
+/// Applies a batch of updates under partition locks: takes the touched
+/// partitions' locks in index order (deadlock-free against other
+/// appliers), applies in order, releases. The locked counterpart of the
+/// owner path (StateStore::apply_owner) that replicas use.
+inline void apply_locked(StateStore& store,
+                         std::span<const StateUpdate> updates) {
+  std::uint64_t mask = 0;
+  for (const auto& u : updates) mask |= 1ULL << store.partition_of(u.key);
+  TxnSlot& slot = this_thread_slot();
+  for (std::size_t p = 0; p < store.num_partitions(); ++p) {
+    if (mask & (1ULL << p)) store.partition_lock(p).lock_apply(&slot);
+  }
+  for (const auto& u : updates) {
+    if (u.erase) {
+      store.erase_locked(u.key);
+    } else {
+      store.put_locked(u.key, u.value);
+    }
+  }
+  for (std::size_t p = 0; p < store.num_partitions(); ++p) {
+    if (mask & (1ULL << p)) store.partition_lock(p).unlock();
+  }
+}
+
+}  // namespace sfc::state
 
 namespace sfc::ftc {
 
@@ -150,10 +179,10 @@ class MaterializingHistory {
 
 /// The materializing apply (paper Fig. 3, one thread): classify each
 /// owning log against one MAX vector, advance it, and apply the decoded
-/// writes with StateStore::apply under partition locks. Differential
-/// oracle for InOrderApplier's per-partition sequences, owner-path apply
-/// and handoff routing; serialize() writes the fetch blob an
-/// InOrderApplier with the same logs must write.
+/// writes with state::apply_locked. Differential oracle for
+/// InOrderApplier's per-partition sequences, owner-path apply and handoff
+/// routing; serialize() writes the fetch blob an InOrderApplier with the
+/// same logs must write.
 class MaterializingApplier {
  public:
   explicit MaterializingApplier(const ChainConfig& cfg)
@@ -169,7 +198,7 @@ class MaterializingApplier {
         break;
     }
     max_.advance(log.dep);
-    store_.apply(log.writes);
+    state::apply_locked(store_, log.writes);
     history_.record(log);
     ++applied_;
     return InOrderApplier::Offer::kApplied;

@@ -22,12 +22,14 @@ Every workload of BENCHMARK.json runs --pairs times per side with
 `perfbench/run.py --trace 0`, parent and change alternating and the order
 flipped every pair, with the same seed within a pair (100 + pair index).
 Then monitor-closed runs --traced-pairs pairs with --trace 1 for the stage
-split, and monitor-reorder as many for its parking, NACK and p99 counters.
+split, monitor-reorder as many for its parking, NACK and p99 counters, and
+nat-failover as many for its recovery phases.
 The fig9 Ch-3 budget probe (FTC_FIG9_BUDGET_ONLY=1 FTC_BENCH_SECONDS=1.0,
 as CI's budget gate runs it) runs --fig9-probes times per side, alternating
-too, and bench_micro_ops' BM_HeadCommit and
-BM_PiggybackViewWalk/1/64 (ns per op, one packet each) --micro-probes
-times per side, alternating, and bench_fig5_state_size's million-flow probe
+too, and bench_micro_ops' BM_HeadCommit and BM_PiggybackViewWalk/1/64
+(ns per op, one packet each) and BM_StoreSerialize and BM_StoreDeserialize
+(ns per op, one 16k-flow NAT store each; a parent that predates them
+reports none) --micro-probes times per side, alternating, and bench_fig5_state_size's million-flow probe
 at CI's smoke scale (FTC_FIG5_MFLOW_ONLY=1 FTC_FIG5_FLOWS=20000
 FTC_BENCH_SECONDS=0.5: churn Mpps and the quiet check) --fig5-probes times
 per side, alternating.
@@ -51,10 +53,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Traced workloads and the document key each one's runs go under:
 # monitor-closed for the stage split, monitor-reorder for the held-log,
-# parking and NACK counters.
+# parking and NACK counters, nat-failover for the recovery phases
+# (orch.state_fetch_ms and the other orch.* times).
 TRACED = {"monitor-closed": "traced_stage_split",
-          "monitor-reorder": "traced_monitor_reorder"}
-MICRO_OPS = ("BM_HeadCommit", "BM_PiggybackViewWalk/1/64")
+          "monitor-reorder": "traced_monitor_reorder",
+          "nat-failover": "traced_nat_failover"}
+MICRO_OPS = ("BM_HeadCommit", "BM_PiggybackViewWalk/1/64", "BM_StoreSerialize",
+             "BM_StoreDeserialize")
 FIG5_ENV = {"FTC_FIG5_MFLOW_ONLY": "1", "FTC_FIG5_FLOWS": "20000",
             "FTC_BENCH_SECONDS": "0.5"}
 FIG9_STAGES = ("poll", "view_walk", "log_apply", "tail_commit", "process",
@@ -285,9 +290,10 @@ def micro_section(roots, probes):
             name: quartiles([r["ns_per_op"][name] for r in ok])
             for name in MICRO_OPS if any(name in r["ns_per_op"] for r in ok)}
     return {
-        "probe": "bench_micro_ops (Release), ns per op = ns per packet: "
-                 "the head's commit into its log record and a one-log view "
-                 "walk over 64-byte values",
+        "probe": "bench_micro_ops (Release), ns per op: the head's commit "
+                 "into its log record and a one-log view walk over 64-byte "
+                 "values (one packet each), and a 16k-flow NAT store's "
+                 "fetch serialize and deserialize (one store each)",
         "runs": runs,
         "summary": summary,
     }
