@@ -4,6 +4,8 @@
 #include <cstring>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "obs/prof.hpp"
 #include "obs/span.hpp"
 #include "runtime/clock.hpp"
@@ -78,6 +80,14 @@ bool take_max(std::span<const std::uint8_t>& in, MaxVector& v) {
   std::memcpy(v.seq.data(), in.data(), sizeof(v.seq));
   in = in.subspan(sizeof(v.seq));
   return true;
+}
+
+/// Minor page faults the calling thread has taken so far (those served
+/// from MADV_POPULATE_WRITE count too, as the kernel accounts them).
+std::uint64_t thread_minor_faults() noexcept {
+  rusage ru{};
+  if (::getrusage(RUSAGE_THREAD, &ru) != 0) return 0;
+  return static_cast<std::uint64_t>(ru.ru_minflt);
 }
 
 }  // namespace
@@ -1125,6 +1135,7 @@ void FtcNode::handle_fetch(const net::Message& req) {
   // which writes the blob straight into the reply.
   quiesce_and([&] {
     const std::uint64_t start = rt::now_ns();
+    const std::uint64_t faults = thread_minor_faults();
     if (head_ != nullptr && mbox == position_) {
       head_->serialize(resp.payload);
     } else if (InOrderApplier* a = applier(mbox)) {
@@ -1133,6 +1144,8 @@ void FtcNode::handle_fetch(const net::Message& req) {
       return;
     }
     registry_->timer("node.fetch_serialize_ns").record(rt::now_ns() - start);
+    registry_->timer("node.fetch_serialize_faults")
+        .record(thread_minor_faults() - faults);
     const std::uint32_t ok = 1;
     std::memcpy(resp.payload.data() + ok_at, &ok, 4);
   });
@@ -1196,6 +1209,7 @@ bool FtcNode::recover_from(
       --outstanding;
       if (ok == 0) break;
       const std::uint64_t start = rt::now_ns();
+      const std::uint64_t faults = thread_minor_faults();
       if (head_ != nullptr && mbox == position_) {
         f.ok = head_->deserialize(in);
       } else if (InOrderApplier* a = applier(mbox)) {
@@ -1203,6 +1217,8 @@ bool FtcNode::recover_from(
       }
       registry_->timer("node.fetch_deserialize_ns")
           .record(rt::now_ns() - start);
+      registry_->timer("node.fetch_deserialize_faults")
+          .record(thread_minor_faults() - faults);
       span_event(registry_, obs::span_site_node(id_),
                  obs::recovery_trace_id(position_), obs::SpanKind::kFetchDone,
                  mbox);

@@ -4,13 +4,18 @@
 // an inter-thread hand-off, and a link endpoint are all SpscQueues. The
 // implementation caches the opposing index locally (à la Rigtorp) so the
 // common case touches a single shared cache line per side.
+//
+// The slots are raw storage: an element is constructed by its push and
+// destroyed by its pop (or by the queue's destructor), so an idle queue of
+// large elements costs its allocation but no constructor and no page
+// touched.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "runtime/common.hpp"
 
@@ -23,25 +28,22 @@ class SpscQueue : NonCopyable {
   ///                 to a power of two internally; one slot is reserved to
   ///                 distinguish full from empty.
   explicit SpscQueue(std::size_t capacity)
-      : mask_(next_pow2(capacity + 1) - 1), slots_(mask_ + 1) {}
+      : mask_(next_pow2(capacity + 1) - 1),
+        slots_(std::allocator<T>().allocate(mask_ + 1)) {}
+
+  /// Destroys the elements still queued. No producer or consumer may run.
+  ~SpscQueue() {
+    const auto head = head_.load(std::memory_order_acquire);
+    for (auto i = tail_.load(std::memory_order_relaxed); i != head;
+         i = (i + 1) & mask_) {
+      std::destroy_at(&slots_[i]);
+    }
+    std::allocator<T>().deallocate(slots_, mask_ + 1);
+  }
 
   /// Attempts to enqueue by move. Returns false when full.
-  bool try_push(T&& value) noexcept {
-    const auto head = head_.load(std::memory_order_relaxed);
-    const auto next = (head + 1) & mask_;
-    if (next == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (next == tail_cache_) return false;
-    }
-    slots_[head] = std::move(value);
-    head_.store(next, std::memory_order_release);
-    return true;
-  }
-
-  bool try_push(const T& value) noexcept {
-    T copy = value;
-    return try_push(std::move(copy));
-  }
+  bool try_push(T&& value) noexcept { return push(std::move(value)); }
+  bool try_push(const T& value) noexcept { return push(value); }
 
   /// Attempts to dequeue. Returns std::nullopt when empty.
   std::optional<T> try_pop() noexcept {
@@ -51,6 +53,7 @@ class SpscQueue : NonCopyable {
       if (tail == head_cache_) return std::nullopt;
     }
     std::optional<T> out{std::move(slots_[tail])};
+    std::destroy_at(&slots_[tail]);
     tail_.store((tail + 1) & mask_, std::memory_order_release);
     return out;
   }
@@ -67,8 +70,21 @@ class SpscQueue : NonCopyable {
   std::size_t capacity() const noexcept { return mask_; }
 
  private:
+  template <typename U>
+  bool push(U&& value) noexcept {
+    const auto head = head_.load(std::memory_order_relaxed);
+    const auto next = (head + 1) & mask_;
+    if (next == tail_cache_) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      if (next == tail_cache_) return false;
+    }
+    std::construct_at(&slots_[head], std::forward<U>(value));
+    head_.store(next, std::memory_order_release);
+    return true;
+  }
+
   const std::size_t mask_;
-  std::vector<T> slots_;
+  T* const slots_;  ///< mask_ + 1 slots; live from tail_ up to head_
 
   alignas(kCacheLineSize) std::atomic<std::size_t> head_{0};
   alignas(kCacheLineSize) std::size_t tail_cache_{0};

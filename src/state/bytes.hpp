@@ -1,16 +1,47 @@
-// Small-buffer byte string for state values.
+// Byte strings for state values: an owning Bytes and a borrowed BytesView.
 //
-// Middlebox state values are small (a NAT record is ~32 B, a counter 8 B;
-// the paper's Gen middlebox tests up to 256 B), so values up to 64 bytes
-// live inline and never touch the allocator on the per-packet path.
+// Middlebox state values are small (a NAT record is 24 B, a counter 8 B;
+// the paper's Gen middlebox tests up to 256 B), so a Bytes holds values up
+// to 64 bytes inline and never touches the allocator on the per-packet
+// path. A Bytes travels in transactions' write sets and piggyback logs; the
+// store's tables keep values in slots as wide as the values they hold (see
+// PartitionTable) and lend them out as BytesView.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 namespace sfc::state {
+
+/// A read-only view of a value held elsewhere. A default view is absent,
+/// which is distinct from a present empty value (non-null data, size 0).
+class BytesView {
+ public:
+  BytesView() noexcept = default;
+  BytesView(const std::uint8_t* data, std::size_t size) noexcept
+      : data_(data), size_(size) {}
+
+  explicit operator bool() const noexcept { return data_ != nullptr; }
+  const std::uint8_t* data() const noexcept { return data_; }
+  std::size_t size() const noexcept { return size_; }
+  std::span<const std::uint8_t> span() const noexcept { return {data_, size_}; }
+
+  /// Typed load; returns default-constructed T when sizes mismatch.
+  template <typename T>
+  T as() const noexcept {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T out{};
+    if (size_ == sizeof(T)) std::memcpy(&out, data_, sizeof(T));
+    return out;
+  }
+
+ private:
+  const std::uint8_t* data_{nullptr};
+  std::size_t size_{0};
+};
 
 class Bytes {
  public:
@@ -60,10 +91,7 @@ class Bytes {
   /// Typed load; returns default-constructed T when sizes mismatch.
   template <typename T>
   T as() const noexcept {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T out{};
-    if (size_ == sizeof(T)) std::memcpy(&out, data(), sizeof(T));
-    return out;
+    return BytesView(*this).as<T>();
   }
 
   const std::uint8_t* data() const noexcept {
@@ -75,6 +103,7 @@ class Bytes {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
   std::span<const std::uint8_t> span() const noexcept { return {data(), size_}; }
+  operator BytesView() const noexcept { return {data(), size_}; }
 
   friend bool operator==(const Bytes& a, const Bytes& b) noexcept {
     return a.size_ == b.size_ && std::memcmp(a.data(), b.data(), a.size_) == 0;

@@ -11,8 +11,9 @@
 // has exactly one producer and one consumer and stays lock-free with plain
 // acquire/release. Producer index = the worker's thread index; the last
 // producer row is reserved for the control thread. Each SpscQueue already
-// cache-line-pads its head/tail indices; the deque keeps cell addresses
-// stable.
+// cache-line-pads its head/tail indices and builds its elements only when
+// they are pushed, so an idle ring touches none of its slots; the deque
+// keeps cell addresses stable.
 //
 // Occupancy telemetry (pushes, full-ring rejects, depth high-water) is
 // tracked with relaxed atomics and exported as registry gauges so bench

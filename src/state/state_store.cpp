@@ -7,6 +7,9 @@
 #include <memory>
 #include <new>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "obs/prof.hpp"
 
 namespace sfc::state {
@@ -28,6 +31,27 @@ constexpr std::size_t max_load(std::size_t capacity) noexcept {
   return capacity - capacity / 8;
 }
 
+/// Inline area a slot needs for a value of @p len bytes: the value rounded
+/// up to 8 bytes, or a heap pointer past PartitionTable::kMaxInline.
+constexpr std::size_t area_width(std::size_t len) noexcept {
+  if (len > PartitionTable::kMaxInline) return sizeof(std::uint8_t*);
+  return std::max<std::size_t>(sizeof(std::uint8_t*), (len + 7) & ~std::size_t{7});
+}
+
+/// Faults in the whole pages of [p, p + n) with one call instead of one
+/// fault per page on first touch. Best effort: where the kernel refuses
+/// MADV_POPULATE_WRITE (before Linux 5.14), the pages fault in as they are
+/// written.
+void populate_pages(void* p, std::size_t n) noexcept {
+  static const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = (reinterpret_cast<std::uintptr_t>(p) + page - 1) & ~(page - 1);
+  const auto end = (reinterpret_cast<std::uintptr_t>(p) + n) & ~(page - 1);
+  if (end > begin) {
+    (void)::madvise(reinterpret_cast<void*>(begin), end - begin,
+                    MADV_POPULATE_WRITE);
+  }
+}
+
 /// A serialized entry is at least its key and its value length.
 constexpr std::size_t kMinEntryBytes = sizeof(Key) + sizeof(std::uint32_t);
 
@@ -45,6 +69,23 @@ bool read_pod(std::span<const std::uint8_t>& in, T& out) {
   return true;
 }
 
+/// Length of the longest value among the first @p entries serialized
+/// entries of @p in, or nullopt when they run past its end.
+std::optional<std::size_t> widest_value(std::span<const std::uint8_t> in,
+                                        std::uint32_t entries) {
+  std::size_t widest = 0;
+  for (std::uint32_t i = 0; i < entries; ++i) {
+    std::uint32_t len = 0;
+    if (in.size() < kMinEntryBytes) return std::nullopt;
+    std::memcpy(&len, in.data() + sizeof(Key), sizeof(len));
+    in = in.subspan(kMinEntryBytes);
+    if (in.size() < len) return std::nullopt;
+    in = in.subspan(len);
+    widest = std::max<std::size_t>(widest, len);
+  }
+  return widest;
+}
+
 }  // namespace
 
 // --- PartitionTable ---------------------------------------------------------
@@ -54,55 +95,100 @@ PartitionTable::~PartitionTable() {
   ::operator delete(slots_);
 }
 
+BytesView PartitionTable::value_of(Slot& s) noexcept {
+  if (s.heap_capacity == 0) return {area(s), s.size};
+  const std::uint8_t* heap = nullptr;
+  std::memcpy(&heap, area(s), sizeof(heap));
+  return {heap, s.size};
+}
+
+void PartitionTable::store(Slot& s, std::span<const std::uint8_t> value) {
+  std::uint8_t* dst = area(s);
+  if (value.size() > kMaxInline) {
+    if (s.heap_capacity >= value.size()) {
+      std::memcpy(&dst, area(s), sizeof(dst));
+    } else {
+      dst = new std::uint8_t[value.size()];
+      release(s);
+      std::memcpy(area(s), &dst, sizeof(dst));
+      s.heap_capacity = static_cast<std::uint32_t>(value.size());
+    }
+  } else {
+    release(s);
+  }
+  // An empty span may carry a null data(); memcpy's arguments are
+  // declared nonnull even for n == 0 (UBSan flags it).
+  if (!value.empty()) std::memcpy(dst, value.data(), value.size());
+  s.size = static_cast<std::uint32_t>(value.size());
+}
+
+void PartitionTable::release(Slot& s) noexcept {
+  if (s.heap_capacity == 0) return;
+  std::uint8_t* heap = nullptr;
+  std::memcpy(&heap, area(s), sizeof(heap));
+  delete[] heap;
+  s.heap_capacity = 0;
+}
+
 std::size_t PartitionTable::probe(Key key,
                                   std::uint64_t hash) const noexcept {
   const std::uint8_t tag = tag_of(hash);
   const std::size_t mask = capacity_ - 1;
   for (std::size_t i = home(hash);; i = (i + 1) & mask) {
     const std::uint8_t c = ctrl_[i];
-    if (c == kEmptySlot || (c == tag && slots_[i].key == key)) return i;
+    if (c == kEmptySlot || (c == tag && slot(i)->key == key)) return i;
   }
 }
 
-const Bytes* PartitionTable::find(Key key) const noexcept {
-  if (size_ == 0) return nullptr;
+BytesView PartitionTable::find(Key key) const noexcept {
+  if (size_ == 0) return {};
   const std::size_t i = probe(key, rt::splitmix64(key));
-  return ctrl_[i] != kEmptySlot ? &slots_[i].value : nullptr;
+  return ctrl_[i] != kEmptySlot ? value_of(*slot(i)) : BytesView{};
 }
 
-bool PartitionTable::insert_or_assign(Key key, Bytes&& value) {
-  const std::uint64_t hash = rt::splitmix64(key);
+std::size_t PartitionTable::prepare(Key key, std::uint64_t hash,
+                                    std::size_t len) {
+  const std::size_t width = std::max(width_, area_width(len));
+  std::size_t capacity = kMinCapacity;
   if (capacity_ != 0) {
     const std::size_t i = probe(key, hash);
-    if (ctrl_[i] != kEmptySlot) {
-      value_bytes_ += value.size() - slots_[i].value.size();
-      slots_[i].value = std::move(value);
-      return false;
-    }
+    const bool room = ctrl_[i] != kEmptySlot || size_ < max_load(capacity_);
+    if (room && width == width_) return i;
+    capacity = room ? capacity_ : capacity_ * 2;
   }
-  if (size_ + 1 > max_load(capacity_)) {
-    rehash(capacity_ == 0 ? kMinCapacity : capacity_ * 2);
-  }
-  const std::size_t i = probe(key, hash);
-  value_bytes_ += value.size();
-  std::construct_at(&slots_[i], key, std::move(value));
+  rehash(capacity, width);
+  return probe(key, hash);
+}
+
+void PartitionTable::emplace(std::size_t i, Key key, std::uint64_t hash,
+                             std::span<const std::uint8_t> value) {
+  Slot& s = *std::construct_at(slot(i), Slot{key, 0, 0});
+  store(s, value);
   ctrl_[i] = tag_of(hash);
   ++size_;
-  return true;
+  value_bytes_ += value.size();
+}
+
+bool PartitionTable::insert_or_assign(Key key,
+                                      std::span<const std::uint8_t> value) {
+  const std::uint64_t hash = rt::splitmix64(key);
+  const std::size_t i = prepare(key, hash, value.size());
+  if (ctrl_[i] == kEmptySlot) {
+    emplace(i, key, hash, value);
+    return true;
+  }
+  Slot& s = *slot(i);
+  value_bytes_ += value.size() - s.size;
+  store(s, value);
+  return false;
 }
 
 bool PartitionTable::try_emplace(Key key,
                                  std::span<const std::uint8_t> value) {
   const std::uint64_t hash = rt::splitmix64(key);
-  if (size_ + 1 > max_load(capacity_)) {
-    rehash(capacity_ == 0 ? kMinCapacity : capacity_ * 2);
-  }
-  const std::size_t i = probe(key, hash);
+  const std::size_t i = prepare(key, hash, value.size());
   if (ctrl_[i] != kEmptySlot) return false;
-  std::construct_at(&slots_[i], key, Bytes(value));
-  ctrl_[i] = tag_of(hash);
-  ++size_;
-  value_bytes_ += value.size();
+  emplace(i, key, hash, value);
   return true;
 }
 
@@ -110,18 +196,19 @@ bool PartitionTable::erase(Key key) noexcept {
   if (size_ == 0) return false;
   std::size_t hole = probe(key, rt::splitmix64(key));
   if (ctrl_[hole] == kEmptySlot) return false;
-  value_bytes_ -= slots_[hole].value.size();
-  std::destroy_at(&slots_[hole]);
+  value_bytes_ -= slot(hole)->size;
+  release(*slot(hole));
   // Backward shift: walk the rest of the probe run and move back into the
   // hole every entry whose home slot does not lie in (hole, j], so every
-  // entry stays reachable from its home without a tombstone.
+  // entry stays reachable from its home without a tombstone. A slot is
+  // plain bytes (a heap value is owned through the pointer it holds), so
+  // moving one is a copy.
   const std::size_t mask = capacity_ - 1;
   for (std::size_t j = (hole + 1) & mask; ctrl_[j] != kEmptySlot;
        j = (j + 1) & mask) {
-    const std::size_t h = home(rt::splitmix64(slots_[j].key));
+    const std::size_t h = home(rt::splitmix64(slot(j)->key));
     if (((j - h) & mask) < ((j - hole) & mask)) continue;
-    std::construct_at(&slots_[hole], std::move(slots_[j]));
-    std::destroy_at(&slots_[j]);
+    std::memcpy(slot(hole), slot(j), stride());
     ctrl_[hole] = ctrl_[j];
     hole = j;
   }
@@ -130,43 +217,51 @@ bool PartitionTable::erase(Key key) noexcept {
   return true;
 }
 
-void PartitionTable::reserve(std::size_t n) {
+void PartitionTable::reserve(std::size_t n, std::size_t value_len) {
+  const std::size_t width = std::max(width_, area_width(value_len));
   std::size_t capacity = std::max(capacity_, kMinCapacity);
   while (max_load(capacity) < n) capacity *= 2;
-  if (capacity != capacity_) rehash(capacity);
+  if (capacity != capacity_ || width != width_) {
+    rehash(capacity, width, /*populate=*/true);
+  }
 }
 
 void PartitionTable::clear() noexcept {
   if (size_ == 0) return;
   for (std::size_t i = 0; i < capacity_; ++i) {
-    if (ctrl_[i] != kEmptySlot) std::destroy_at(&slots_[i]);
+    if (ctrl_[i] != kEmptySlot) release(*slot(i));
   }
   std::memset(ctrl_, kEmptySlot, capacity_);
   size_ = 0;
   value_bytes_ = 0;
 }
 
-void PartitionTable::rehash(std::size_t capacity) {
+void PartitionTable::rehash(std::size_t capacity, std::size_t width,
+                            bool populate) {
   assert(rt::is_pow2(capacity) && max_load(capacity) >= size_);
+  assert(width >= width_ && width % 8 == 0 && width <= kMaxInline);
   // One allocation: the slots, then the control bytes.
-  auto* slots = static_cast<Slot*>(
-      ::operator new(capacity * (sizeof(Slot) + 1)));
-  auto* ctrl = reinterpret_cast<std::uint8_t*>(slots + capacity);
+  const std::size_t new_stride = sizeof(Slot) + width;
+  const std::size_t bytes = capacity * (new_stride + 1);
+  auto* slots = static_cast<std::uint8_t*>(::operator new(bytes));
+  if (populate && bytes >= kPopulateBytes) populate_pages(slots, bytes);
+  std::uint8_t* ctrl = slots + capacity * new_stride;
   std::memset(ctrl, kEmptySlot, capacity);
   const auto shift = 64u - static_cast<unsigned>(std::countr_zero(capacity));
   for (std::size_t i = 0; i < capacity_; ++i) {
     if (ctrl_[i] == kEmptySlot) continue;
-    const std::uint64_t hash = rt::splitmix64(slots_[i].key);
+    const std::uint64_t hash = rt::splitmix64(slot(i)->key);
     std::size_t j = static_cast<std::size_t>(hash >> shift);
     while (ctrl[j] != kEmptySlot) j = (j + 1) & (capacity - 1);
-    std::construct_at(&slots[j], std::move(slots_[i]));
-    std::destroy_at(&slots_[i]);
+    // The old area fits in the new one (widths only grow).
+    std::memcpy(slots + j * new_stride, slot(i), stride());
     ctrl[j] = ctrl_[i];
   }
   ::operator delete(slots_);
   slots_ = slots;
   ctrl_ = ctrl;
   capacity_ = capacity;
+  width_ = width;
   shift_ = shift;
 }
 
@@ -178,13 +273,13 @@ StateStore::StateStore(std::size_t num_partitions)
   assert(rt::is_pow2(num_partitions));
 }
 
-const Bytes* StateStore::get_locked(Key key) const noexcept {
+BytesView StateStore::get_locked(Key key) const noexcept {
   return partitions_[partition_of(key)].table.find(key);
 }
 
-void StateStore::put_locked(Key key, Bytes value) {
+void StateStore::put_locked(Key key, BytesView value) {
   const auto pidx = partition_of(key);
-  if (partitions_[pidx].table.insert_or_assign(key, std::move(value))) {
+  if (partitions_[pidx].table.insert_or_assign(key, value.span())) {
     note_insert(pidx);
   }
 }
@@ -217,7 +312,7 @@ std::optional<Bytes> StateStore::get(Key key) {
         continue;
       }
       out.reset();
-      if (const Bytes* v = part.table.find(key)) out = *v;
+      if (const BytesView v = part.table.find(key)) out.emplace(v.span());
       std::atomic_thread_fence(std::memory_order_acquire);
       if (occ.version.load(std::memory_order_relaxed) == v1) break;
     }
@@ -227,7 +322,7 @@ std::optional<Bytes> StateStore::get(Key key) {
   TxnSlot& slot = this_thread_slot();
   part.lock.lock_apply(&slot);
   std::optional<Bytes> out;
-  if (const Bytes* v = part.table.find(key)) out = *v;
+  if (const BytesView v = part.table.find(key)) out.emplace(v.span());
   part.lock.unlock();
   return out;
 }
@@ -265,9 +360,9 @@ void StateStore::owner_write_end(std::uint64_t pmask) noexcept {
   }
 }
 
-void StateStore::put_owner(Key key, Bytes value) {
+void StateStore::put_owner(Key key, BytesView value) {
   const auto pidx = partition_of(key);
-  if (partitions_[pidx].table.insert_or_assign(key, std::move(value))) {
+  if (partitions_[pidx].table.insert_or_assign(key, value.span())) {
     note_insert(pidx);
   }
 }
@@ -303,7 +398,7 @@ void StateStore::apply_wire_owner(std::span<const WireUpdate> updates,
     if (u.erase) {
       erase_owner(u.key);
     } else {
-      put_owner(u.key, Bytes(u.value.data(), u.value.size()));
+      put_owner(u.key, {u.value.data(), u.value.size()});
     }
   }
   owner_write_end(pmask);
@@ -343,6 +438,14 @@ std::size_t StateStore::capacity() const noexcept {
   return slots;
 }
 
+std::size_t StateStore::table_bytes() const noexcept {
+  std::size_t bytes = 0;
+  for (std::size_t p = 0; p < num_partitions_; ++p) {
+    bytes += partitions_[p].table.table_bytes();
+  }
+  return bytes;
+}
+
 void StateStore::clear() {
   TxnSlot& slot = this_thread_slot();
   for (std::size_t p = 0; p < num_partitions_; ++p) {
@@ -375,11 +478,11 @@ void StateStore::serialize(std::vector<std::uint8_t>& out) {
     const PartitionTable& table = partitions_[p].table;
     partitions_[p].lock.lock_apply(&slot);
     w = put_pod(w, static_cast<std::uint32_t>(table.size()));
-    table.for_each([&](const PartitionTable::Slot& s) {
-      w = put_pod(w, s.key);
-      w = put_pod(w, static_cast<std::uint32_t>(s.value.size()));
-      if (!s.value.empty()) std::memcpy(w, s.value.data(), s.value.size());
-      w += s.value.size();
+    table.for_each([&](Key key, BytesView value) {
+      w = put_pod(w, key);
+      w = put_pod(w, static_cast<std::uint32_t>(value.size()));
+      if (value.size() != 0) std::memcpy(w, value.data(), value.size());
+      w += value.size();
     });
     partitions_[p].lock.unlock();
   }
@@ -393,15 +496,17 @@ bool StateStore::deserialize(std::span<const std::uint8_t> in) {
   TxnSlot& slot = this_thread_slot();
   for (std::size_t p = 0; p < num_partitions_; ++p) {
     std::uint32_t entries = 0;
-    // The count sizes the table, so one the remaining bytes cannot hold
-    // fails the blob before anything is allocated from it.
-    if (!read_pod(in, entries) || entries > in.size() / kMinEntryBytes) {
+    std::optional<std::size_t> widest;
+    // The count and the widest value size the table, so entries the
+    // remaining bytes cannot hold fail the blob before anything is
+    // allocated from them.
+    if (!read_pod(in, entries) || !(widest = widest_value(in, entries))) {
       clear();
       return false;
     }
     PartitionTable& table = partitions_[p].table;
     partitions_[p].lock.lock_apply(&slot);
-    table.reserve(entries);
+    table.reserve(entries, *widest);
     bool ok = true;
     for (std::uint32_t i = 0; ok && i < entries; ++i) {
       std::uint64_t key = 0;

@@ -9,8 +9,9 @@
 // replica of a middlebox assigns each key to the same partition.
 //
 // Each partition keeps its entries in a PartitionTable: one flat array of
-// {key, value} slots with linear probing, so an entry costs no heap node
-// and a failover serializes and rebuilds a partition by walking one array.
+// {key, value} slots with linear probing, each slot as wide as the values
+// it holds, so an entry costs no heap node and a failover serializes and
+// rebuilds a partition by walking one array.
 //
 // Shard-affine mode (enable_shard_affine) inverts the concurrency model:
 // each partition has a single writer (its owning worker, see ShardMap),
@@ -68,22 +69,25 @@ struct WireUpdate {
 
 /// One partition's entries: an open-addressing hash table.
 ///
-/// Layout: a power-of-two array of {key, value} slots (values inline up
-/// to Bytes::kInlineCapacity) plus one control byte per slot, 0 for an
-/// empty slot, else 0x80 | seven hash bits, so a probe compares keys only
-/// on a tag match. Probing is linear from the slot the top bits of
-/// splitmix64(key) pick (the store's partition_of consumes the low bits,
-/// which every key of one partition shares). The table doubles before it
-/// is more than 7/8 full, and erase shifts the rest of the probe run back
-/// into the hole, so there are no tombstones. Any insert may move every
-/// slot (growth) and any erase may move slots of its run, so a pointer
-/// into the table stays valid only until the next write.
+/// Layout: a power-of-two array of slots plus one control byte per slot,
+/// 0 for an empty slot, else 0x80 | seven hash bits, so a probe compares
+/// keys only on a tag match. A slot is a 16-byte header (key, value size,
+/// heap capacity) and an inline value area as wide as the widest value up
+/// to kMaxInline the table has held, rounded up to 8 bytes: the table
+/// learns the width when it allocates and widens it with a same-capacity
+/// rehash when a wider value arrives (it never narrows), so a table of
+/// 24-byte NAT records has 40-byte slots. A value longer than kMaxInline lives on the heap and its
+/// slot's area holds the pointer. Probing is linear from the slot the top
+/// bits of splitmix64(key) pick (the store's partition_of consumes the low
+/// bits, which every key of one partition shares). The table doubles
+/// before it is more than 7/8 full, and erase shifts the rest of the probe
+/// run back into the hole, so there are no tombstones. Any insert may move
+/// every slot (growth or widening) and any erase may move slots of its
+/// run, so a view into the table stays valid only until the next write.
 class PartitionTable : rt::NonCopyable {
  public:
-  struct Slot {
-    Key key;
-    Bytes value;
-  };
+  /// Widest value kept inside a slot; longer values spill to the heap.
+  static constexpr std::size_t kMaxInline = Bytes::kInlineCapacity;
 
   PartitionTable() = default;
   ~PartitionTable();
@@ -92,41 +96,77 @@ class PartitionTable : rt::NonCopyable {
   std::size_t capacity() const noexcept { return capacity_; }
   /// Sum of the entries' value sizes (sizes a serialized partition).
   std::size_t value_bytes() const noexcept { return value_bytes_; }
+  /// Bytes of the slot array and its control bytes (heap spills excluded).
+  std::size_t table_bytes() const noexcept {
+    return capacity_ * (stride() + 1);
+  }
 
-  const Bytes* find(Key key) const noexcept;
-  /// Inserts or overwrites; true when the key was new.
-  bool insert_or_assign(Key key, Bytes&& value);
+  /// The value stored under @p key, or an absent view.
+  BytesView find(Key key) const noexcept;
+  /// Inserts or overwrites with a copy of @p value, which must not point
+  /// into this table (the write may move it); true when the key was new.
+  bool insert_or_assign(Key key, std::span<const std::uint8_t> value);
   /// Inserts a copy of @p value unless the key is present; true when it
   /// inserted.
   bool try_emplace(Key key, std::span<const std::uint8_t> value);
   bool erase(Key key) noexcept;
 
-  /// Grows so that @p n entries fit without another growth.
-  void reserve(std::size_t n);
+  /// Sizes the table so that @p n entries with values up to @p value_len
+  /// bytes fit without another growth or widening. A fresh allocation of
+  /// kPopulateBytes or more is faulted in with one call (the recovery
+  /// path fills all of it at once); growth on insert does not.
+  void reserve(std::size_t n, std::size_t value_len);
   /// Destroys every entry and keeps the slot array.
   void clear() noexcept;
 
-  /// Calls @p fn(const Slot&) for every entry, in slot order.
+  /// Calls @p fn(Key, BytesView) for every entry, in slot order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (std::size_t i = 0; i < capacity_; ++i) {
-      if (ctrl_[i] != 0) fn(slots_[i]);
+      if (ctrl_[i] != 0) fn(slot(i)->key, value_of(*slot(i)));
     }
   }
 
  private:
+  /// A slot's header; the value area (width_ bytes) follows it.
+  struct Slot {
+    Key key;
+    std::uint32_t size;           ///< value length
+    std::uint32_t heap_capacity;  ///< 0: inline; else the area holds a pointer
+  };
+  static constexpr std::size_t kPopulateBytes = 64 * 1024;
+
+  std::size_t stride() const noexcept { return sizeof(Slot) + width_; }
+  Slot* slot(std::size_t i) const noexcept {
+    return reinterpret_cast<Slot*>(slots_ + i * stride());
+  }
+  static std::uint8_t* area(Slot& s) noexcept {
+    return reinterpret_cast<std::uint8_t*>(&s + 1);
+  }
+  static BytesView value_of(Slot& s) noexcept;
+  /// Copies @p value into @p s, whose previous value (if any) it replaces.
+  static void store(Slot& s, std::span<const std::uint8_t> value);
+  static void release(Slot& s) noexcept;
+
   /// Slot index of @p key, or of the empty slot ending its probe run.
   std::size_t probe(Key key, std::uint64_t hash) const noexcept;
   std::size_t home(std::uint64_t hash) const noexcept {
     return static_cast<std::size_t>(hash >> shift_);
   }
-  void rehash(std::size_t capacity);
+  /// Probes for @p key after making the table wide enough for a value of
+  /// @p len bytes and, when the key is absent, roomy enough for one more
+  /// entry. Returns the slot index; a live slot when the key is present.
+  std::size_t prepare(Key key, std::uint64_t hash, std::size_t len);
+  void emplace(std::size_t i, Key key, std::uint64_t hash,
+               std::span<const std::uint8_t> value);
+  void rehash(std::size_t capacity, std::size_t width, bool populate = false);
 
-  Slot* slots_{nullptr};          ///< capacity_ slots; live where ctrl_ != 0
+  std::uint8_t* slots_{nullptr};  ///< capacity_ slots of stride() bytes
   std::uint8_t* ctrl_{nullptr};   ///< same allocation, after the slots
   std::size_t capacity_{0};
   std::size_t size_{0};
   std::size_t value_bytes_{0};
+  std::size_t width_{0};          ///< inline value area per slot
   unsigned shift_{64};            ///< 64 - log2(capacity_)
 };
 
@@ -156,10 +196,10 @@ class StateStore : rt::NonCopyable {
   /// Which partition lock guards a key is data-dependent (partition_of),
   /// so the requirement is not expressible as a static TSA capability;
   /// the lock-rank detector covers the dynamic discipline instead.
-  /// get_locked's pointer stays valid until the next write to the key's
-  /// partition (see PartitionTable).
-  const Bytes* get_locked(Key key) const noexcept;
-  void put_locked(Key key, Bytes value);
+  /// get_locked's view stays valid until the next write to the key's
+  /// partition (see PartitionTable); put_locked copies @p value.
+  BytesView get_locked(Key key) const noexcept;
+  void put_locked(Key key, BytesView value);
   bool erase_locked(Key key) noexcept;
 
   /// Convenience point read. Locked mode takes the partition lock;
@@ -192,7 +232,7 @@ class StateStore : rt::NonCopyable {
 
   /// Owner-path mutators: no lock, no atomic RMW. Call inside an
   /// owner_write_begin/end section covering the key's partition.
-  void put_owner(Key key, Bytes value);
+  void put_owner(Key key, BytesView value);
   bool erase_owner(Key key) noexcept;
 
   /// Owner-path batch applies. @p pmask filters: updates whose partition
@@ -213,9 +253,11 @@ class StateStore : rt::NonCopyable {
   /// Highest per-partition occupancy high-water mark (registry gauge).
   std::uint64_t keys_high_water() const noexcept;
 
-  /// Slots allocated across partitions; the tables' memory is about
-  /// capacity() * sizeof(PartitionTable::Slot). Exact when quiesced.
+  /// Slots allocated across partitions. Exact when quiesced.
   std::size_t capacity() const noexcept;
+  /// Bytes the partitions' tables hold (PartitionTable::table_bytes).
+  /// Exact when quiesced.
+  std::size_t table_bytes() const noexcept;
 
   /// Drops all entries and keeps the tables' slots (takes all locks).
   void clear();
@@ -231,9 +273,10 @@ class StateStore : rt::NonCopyable {
   std::size_t serialized_size() const noexcept;
 
   /// Replaces the store contents from serialize() output, sizing each
-  /// table once from its entry count. Returns false on malformed input
-  /// (store left cleared): a count the remaining bytes cannot hold, a
-  /// truncated entry, a key outside its partition or a repeated key.
+  /// table once from its entry count and widest value. Returns false on
+  /// malformed input (store left cleared): a count the remaining bytes
+  /// cannot hold, a truncated entry, a key outside its partition or a
+  /// repeated key.
   bool deserialize(std::span<const std::uint8_t> in);
 
  private:

@@ -75,23 +75,23 @@ const StateUpdate* Txn::find_buffered(Key key) const noexcept {
   return nullptr;
 }
 
-const Bytes* Txn::peek(Key key) {
+BytesView Txn::peek(Key key) {
   acquire(key);
   if (const StateUpdate* buffered = find_buffered(key)) {
-    return buffered->erase ? nullptr : &buffered->value;
+    return buffered->erase ? BytesView{} : BytesView(buffered->value);
   }
   return ctx_.store_.get_locked(key);
 }
 
 std::optional<Bytes> Txn::read(Key key) {
-  if (const Bytes* v = peek(key)) return *v;
+  if (const BytesView v = peek(key)) return Bytes(v.span());
   return std::nullopt;
 }
 
 bool Txn::contains(Key key) {
   acquire(key);
   if (const StateUpdate* buffered = find_buffered(key)) return !buffered->erase;
-  return ctx_.store_.get_locked(key) != nullptr;
+  return static_cast<bool>(ctx_.store_.get_locked(key));
 }
 
 void Txn::write(Key key, Bytes value) {
@@ -107,9 +107,7 @@ void Txn::erase(Key key) {
 std::uint64_t Txn::fetch_add(Key key, std::uint64_t delta) {
   // One read and one write, as the access count (and FTMB's PALs) see it;
   // the read does not copy the stored value.
-  const Bytes* current = peek(key);
-  const std::uint64_t next =
-      (current != nullptr ? current->as<std::uint64_t>() : 0) + delta;
+  const std::uint64_t next = peek(key).as<std::uint64_t>() + delta;
   write(key, Bytes::of(next));
   return next;
 }

@@ -174,10 +174,10 @@ class Txn : rt::NonCopyable {
   void check_wounded();
   void release_locks() noexcept;
   const StateUpdate* find_buffered(Key key) const noexcept;
-  /// The current value of @p key, buffered or stored, read in place (null
-  /// when absent or erased). Acquires the partition like read(); the
-  /// pointer is valid until the next write or commit.
-  const Bytes* peek(Key key);
+  /// The current value of @p key, buffered or stored, read in place
+  /// (absent when erased or never written). Acquires the partition like
+  /// read(); the view is valid until the next write or commit.
+  BytesView peek(Key key);
   /// Keeps only the final write per key, in place: each key stays where
   /// it was first written and takes its last value.
   void dedupe_writes() noexcept;

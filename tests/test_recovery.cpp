@@ -907,6 +907,11 @@ TEST(Recovery, TraceAndMetricsCaptureRecoveryPhases) {
             fetched);
   EXPECT_EQ(registry.timer("node.fetch_deserialize_ns").snapshot().count(),
             fetched);
+  // And one page-fault count for each of them.
+  EXPECT_EQ(registry.timer("node.fetch_serialize_faults").snapshot().count(),
+            fetched);
+  EXPECT_EQ(registry.timer("node.fetch_deserialize_faults").snapshot().count(),
+            fetched);
 
   sink.stop();
   chain.stop();

@@ -2,6 +2,7 @@
 // rate limiter, worker loops.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <set>
@@ -59,6 +60,42 @@ TEST(SpscQueue, RespectsCapacity) {
   EXPECT_FALSE(q.try_push(1));
   ASSERT_TRUE(q.try_pop().has_value());
   EXPECT_TRUE(q.try_push(2));
+}
+
+/// Counts its live instances; heavy enough that eager slots would show.
+struct Counted {
+  static inline int constructed = 0;
+  static inline int destroyed = 0;
+  Counted() { ++constructed; }
+  explicit Counted(int v) : value(v) { ++constructed; }
+  Counted(const Counted& o) : value(o.value) { ++constructed; }
+  Counted(Counted&& o) noexcept : value(o.value) { ++constructed; }
+  Counted& operator=(const Counted&) = default;
+  Counted& operator=(Counted&&) noexcept = default;
+  ~Counted() { ++destroyed; }
+  int value{0};
+  std::array<std::uint8_t, 200> payload{};
+};
+
+TEST(SpscQueue, SlotsAreBuiltOnlyByPushes) {
+  Counted::constructed = Counted::destroyed = 0;
+  {
+    SpscQueue<Counted> q(1024);
+    EXPECT_EQ(Counted::constructed, 0);
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.try_push(Counted(i)));
+    const Counted copy(10);
+    ASSERT_TRUE(q.try_push(copy));
+    for (int i = 0; i < 4; ++i) {
+      auto v = q.try_pop();
+      ASSERT_TRUE(v.has_value());
+      EXPECT_EQ(v->value, i);
+    }
+    // Every element built so far is gone except the 7 still queued and
+    // the local copy.
+    EXPECT_EQ(Counted::constructed - Counted::destroyed, 7 + 1);
+  }
+  // The queue destroyed what it still held.
+  EXPECT_EQ(Counted::constructed, Counted::destroyed);
 }
 
 TEST(SpscQueue, CrossThreadTransfersEverything) {

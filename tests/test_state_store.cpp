@@ -1,6 +1,7 @@
 // Unit tests for the state substrate: Bytes, StateStore, serialization.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <random>
 #include <string>
@@ -121,13 +122,17 @@ TEST(StateStore, GetPutEraseLocked) {
   auto& slot = this_thread_slot();
 
   lock.lock_apply(&slot);
-  EXPECT_EQ(s.get_locked(k), nullptr);
+  EXPECT_FALSE(s.get_locked(k));
   s.put_locked(k, Bytes::of<std::uint64_t>(7));
-  ASSERT_NE(s.get_locked(k), nullptr);
-  EXPECT_EQ(s.get_locked(k)->as<std::uint64_t>(), 7u);
+  ASSERT_TRUE(s.get_locked(k));
+  EXPECT_EQ(s.get_locked(k).as<std::uint64_t>(), 7u);
+  // A present empty value is not an absent one.
+  s.put_locked(k, Bytes{});
+  ASSERT_TRUE(s.get_locked(k));
+  EXPECT_EQ(s.get_locked(k).size(), 0u);
   EXPECT_TRUE(s.erase_locked(k));
   EXPECT_FALSE(s.erase_locked(k));
-  EXPECT_EQ(s.get_locked(k), nullptr);
+  EXPECT_FALSE(s.get_locked(k));
   lock.unlock();
 }
 
@@ -276,6 +281,105 @@ TEST(StateStore, MatchesUnorderedMapOracleUnderChurn) {
     StateStore restored(parts);
     ASSERT_TRUE(restored.deserialize(blob));
     expect_matches(restored);
+  }
+}
+
+TEST(StateStore, SlotsAreAsWideAsTheirValues) {
+  // 24-byte values (a NAT record's size). A slot with a fixed 64-byte
+  // inline area (a Bytes beside the key, plus its control byte) takes 89
+  // bytes; a value-sized slot takes 16 + 24 + 1.
+  constexpr std::size_t kFatSlot = 89;
+  StateStore s(16);
+  std::vector<StateUpdate> updates;
+  for (Key k = 0; k < 20'000; ++k) {
+    std::array<std::uint8_t, 24> value{};
+    value.fill(static_cast<std::uint8_t>(k));
+    updates.push_back({k, Bytes(value.data(), value.size()), false});
+  }
+  apply_locked(s, updates);
+  ASSERT_EQ(s.total_entries(), updates.size());
+  const auto entries = static_cast<double>(s.total_entries());
+  const double per_entry = static_cast<double>(s.table_bytes()) / entries;
+  const double fat_per_entry =
+      static_cast<double>(kFatSlot * s.capacity()) / entries;
+  EXPECT_LE(per_entry, fat_per_entry / 2);
+
+  // A fetched copy is sized from the blob alone and is as lean.
+  std::vector<std::uint8_t> blob;
+  s.serialize(blob);
+  StateStore restored(16);
+  ASSERT_TRUE(restored.deserialize(blob));
+  EXPECT_EQ(restored.table_bytes(), s.table_bytes());
+}
+
+TEST(StateStore, SlotWidthWidensAndSpillsAgainstOracle) {
+  // One partition, so every write lands in one table: 8-byte values set
+  // its width, 24 and 64 widen it in place, 200 spills to the heap; each
+  // width is then overwritten with the others and erased.
+  StateStore s(1);
+  std::unordered_map<Key, Bytes> oracle;
+  const auto value_of = [](Key key, std::size_t len) {
+    std::vector<std::uint8_t> v(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      v[i] = static_cast<std::uint8_t>(key * 31 + i);
+    }
+    return Bytes(v.data(), v.size());
+  };
+  const auto put = [&](Key key, std::size_t len) {
+    Bytes value = value_of(key, len);
+    apply_locked(s, std::vector<StateUpdate>{{key, value, false}});
+    oracle.insert_or_assign(key, std::move(value));
+  };
+  const auto erase = [&](Key key) {
+    apply_locked(s, std::vector<StateUpdate>{{key, Bytes{}, true}});
+    oracle.erase(key);
+  };
+  const auto expect_matches = [&] {
+    ASSERT_EQ(s.total_entries(), oracle.size());
+    for (const auto& [key, value] : oracle) {
+      const auto got = s.get(key);
+      ASSERT_TRUE(got.has_value()) << "key " << key;
+      ASSERT_EQ(*got, value) << "key " << key;
+    }
+  };
+
+  // Bytes per slot: a 16-byte header, the inline area and a control byte.
+  const auto slot_bytes = [&] { return s.table_bytes() / s.capacity(); };
+  const std::size_t lens[] = {8, 24, 64, 200};
+  const std::size_t slot_for[] = {25, 41, 81, 81};
+  for (std::size_t w = 0; w < 4; ++w) {
+    SCOPED_TRACE(lens[w]);
+    // The first value of each width overwrites an existing key, so the
+    // table widens without a new key, then new keys join at that width.
+    for (std::size_t prev = 0; prev < w; ++prev) {
+      for (Key k = 0; k < 100; k += 5) put(prev * 1000 + k, lens[w]);
+    }
+    for (Key k = 0; k < 100; ++k) put(w * 1000 + k, lens[w]);
+    expect_matches();
+    EXPECT_EQ(slot_bytes(), slot_for[w]);
+  }
+  // Overwrite every key with each of the other widths, inline to heap and
+  // back, then erase every other key.
+  for (std::size_t w = 0; w < 4; ++w) {
+    for (std::size_t to = 0; to < 4; ++to) {
+      for (Key k = 0; k < 100; k += 3) put(w * 1000 + k, lens[to]);
+      expect_matches();
+    }
+  }
+  EXPECT_EQ(slot_bytes(), 81u);
+  for (std::size_t w = 0; w < 4; ++w) {
+    for (Key k = 0; k < 100; k += 2) erase(w * 1000 + k);
+    expect_matches();
+  }
+
+  std::vector<std::uint8_t> blob;
+  s.serialize(blob);
+  StateStore restored(1);
+  ASSERT_TRUE(restored.deserialize(blob));
+  for (const auto& [key, value] : oracle) {
+    const auto got = restored.get(key);
+    ASSERT_TRUE(got.has_value()) << "key " << key;
+    ASSERT_EQ(*got, value) << "key " << key;
   }
 }
 
