@@ -100,7 +100,9 @@ void usage() {
       "  --stats-interval S  seconds between live snapshots (default 1)\n"
       "  --stats-json FILE   periodically dump the registry to FILE as JSON\n"
       "  trace | --trace     sample packets through the chain and write a\n"
-      "                      Chrome trace-event JSON (load in Perfetto)\n"
+      "                      Chrome trace-event JSON (load in Perfetto);\n"
+      "                      prints the recovery timeline and the NACK\n"
+      "                      round-trip p50/p99\n"
       "  --trace-sample N    trace every ~Nth packet (default 64, 1 = all)\n"
       "  --trace-out FILE    trace output path (default trace.json)\n"
       "  budget | --budget   enable the hot-path budget profiler and print\n"
@@ -521,6 +523,12 @@ int main(int argc, char** argv) {
                     tl.position, tl.time_to_detect_ns() / 1e6,
                     tl.time_to_fetch_ns() / 1e6, tl.time_to_reroute_ns() / 1e6,
                     tl.complete() ? "" : " (incomplete)");
+      }
+      if (const auto nacks = obs::nack_round_trips(records);
+          nacks.count() != 0) {
+        std::printf("nack:      %llu round trips, p50 %.1f us, p99 %.1f us\n",
+                    static_cast<unsigned long long>(nacks.count()),
+                    nacks.p50() / 1000.0, nacks.p99() / 1000.0);
       }
     }
   }

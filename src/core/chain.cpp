@@ -121,8 +121,8 @@ void ChainRuntime::build_ftc() {
     params.mbox_factory = factory_for(i);
     auto node = std::make_unique<FtcNode>(params);
     node->attach_data_path(links_[i].get(),
-                           i + 1 < ring_size_ ? links_[i + 1].get() : nullptr);
-    if (i == 0) node->set_forwarder(forwarder_.get());
+                           i + 1 < ring_size_ ? links_[i + 1].get() : nullptr,
+                           i == 0 ? forwarder_.get() : nullptr);
     ftc_at_[i].store(node.get(), std::memory_order_release);
     ftc_nodes_.push_back(std::move(node));
   }
@@ -222,6 +222,8 @@ std::string QuiescenceReport::to_string() const {
       return "node pos " + pos + ": " + n + " parked";
     case Blocker::kHandoff:
       return "node pos " + pos + ": handoff pending";
+    case Blocker::kTxHeld:
+      return "node pos " + pos + ": " + n + " held for a full port";
     case Blocker::kInFlight:
       return "node pos " + pos + ": " + n + " passes in flight";
     case Blocker::kProgress:
@@ -279,6 +281,9 @@ QuiescenceReport ChainRuntime::quiescent() {
     // as applied at classification, but its writes reach the store only at
     // the owner's drain.
     if (node->handoff_pending()) return {Blocker::kHandoff, pos, 1};
+    if (const std::size_t held = node->tx_held(); held != 0) {
+      return {Blocker::kTxHeld, pos, held};
+    }
     // A burst a worker has popped but not finished is in no link queue yet
     // still carries unapplied logs; likewise parked packets or handoff
     // portions a drain has taken out. Every worker pass holds a token from
@@ -332,7 +337,9 @@ FtcNode* ChainRuntime::spawn_replacement(std::uint32_t position) {
       it != position_region_.end()) {
     ctrl_.set_region(raw->id(), it->second);
   }
-  node->start_control();
+  // Its workers start now; off the data path, worker 0 serves only the
+  // control step (the fetch) until wire_replacement attaches it.
+  node->start();
   ftc_nodes_.push_back(std::move(node));
   return raw;
 }
@@ -410,10 +417,6 @@ void ChainRuntime::wire_replacement(std::uint32_t position, FtcNode* node) {
   if (FtcNode* old_node = ftc_at_[position].load(std::memory_order_acquire)) {
     if (!old_node->has_failed()) old_node->fail();
   }
-  node->attach_data_path(links_[position].get(),
-                         position + 1 < ring_size_ ? links_[position + 1].get()
-                                                   : nullptr);
-  if (position == 0) node->set_forwarder(forwarder_.get());
   node->set_ring_pred(ftc_at_[(position + ring_size_ - 1) % ring_size_]
                           .load(std::memory_order_acquire)
                           ->id());
@@ -421,7 +424,11 @@ void ChainRuntime::wire_replacement(std::uint32_t position, FtcNode* node) {
   // Refresh the successor's notion of its ring predecessor (NACK target).
   const std::uint32_t succ = (position + 1) % ring_size_;
   ftc_at_[succ].load(std::memory_order_acquire)->set_ring_pred(node->id());
-  node->start();
+  // Last: publishes the links and the forwarder to the running worker.
+  node->attach_data_path(links_[position].get(),
+                         position + 1 < ring_size_ ? links_[position + 1].get()
+                                                   : nullptr,
+                         position == 0 ? forwarder_.get() : nullptr);
 }
 
 void ChainRuntime::set_position_region(std::uint32_t position,

@@ -46,6 +46,8 @@ struct QuiescenceReport {
                  ///< releases or feedback staged for its burst end.
     kParked,     ///< The node at `position` has parked packets.
     kHandoff,    ///< The node at `position` has undrained handoff portions.
+    kTxHeld,     ///< The node at `position` holds packets its successor's
+                 ///< full port has not taken.
     kInFlight,   ///< A worker pass at `position` kept work in its hands.
     kProgress,   ///< Passes finished while the check ran (`count` of them).
   };
@@ -140,8 +142,9 @@ class ChainRuntime : rt::NonCopyable {
   /// Crash-stops the node at @p position (fail-stop, paper §2).
   void fail_position(std::uint32_t position);
 
-  /// Creates a fresh replica for @p position (control endpoint running,
-  /// data path detached) — the orchestrator's "spawn" step.
+  /// Creates a fresh replica for @p position and starts its workers (data
+  /// path detached: worker 0 serves only the control endpoint) — the
+  /// orchestrator's "spawn" step.
   FtcNode* spawn_replacement(std::uint32_t position);
 
   /// The per-replication-group fetch sources for a new replica at
@@ -162,8 +165,8 @@ class ChainRuntime : rt::NonCopyable {
   /// recovered head will reuse.
   bool successor_caught_up(std::uint32_t position);
 
-  /// Attaches the recovered replica to the chain links and starts its data
-  /// path — the orchestrator's "steer traffic" step.
+  /// Attaches the recovered replica to the chain links, which its running
+  /// workers then poll — the orchestrator's "steer traffic" step.
   void wire_replacement(std::uint32_t position, FtcNode* node);
 
   /// Places a ring position in a named cloud region: the current node and

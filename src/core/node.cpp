@@ -15,6 +15,16 @@ namespace sfc::ftc {
 
 namespace {
 
+/// Cadence of the control step's periodic duties (park timeouts, commit
+/// notices), and the longest a saturated worker 0 goes between inbox checks.
+constexpr std::uint64_t kControlPeriodNs = 200'000;
+
+/// Longest a pass waits on its successor's full port before it holds the
+/// rest of its packets for the next pass: well under a control period, so
+/// a successor that stopped consuming (a failed node behind a reliable
+/// channel) cannot keep worker 0 from its control step.
+constexpr std::uint64_t kTxWaitNs = kControlPeriodNs / 4;
+
 /// Cold path of the tracing branch: call only after trace_id != 0 (or,
 /// for protocol-rate spans on recovery and protocol trace ids,
 /// unconditionally — the sink check is the gate).
@@ -100,6 +110,7 @@ FtcNode::FtcNode(Params params)
       cfg_(*params.cfg),
       pool_(*params.pool),
       ctrl_(*params.ctrl),
+      inbox_(params.ctrl->register_node(params.id)),
       buffer_(params.buffer) {
   if (params.registry != nullptr) {
     registry_ = params.registry;
@@ -130,7 +141,6 @@ FtcNode::FtcNode(Params params)
   registry_->gauge_fn("node.mbox_packets", labels, [this] {
     return static_cast<double>(meter_.packets());
   });
-  ctrl_.register_node(id_);
   // Each store's history reports its size and its capacity evictions,
   // labelled by the middlebox whose logs it holds.
   const auto store_labels = [&labels](MboxId m) {
@@ -151,9 +161,8 @@ FtcNode::FtcNode(Params params)
   }
   // Appliers for the f preceding ring positions that carry middleboxes,
   // sharing one partition ownership map and handoff mesh. The map spans
-  // every worker; the mesh has one producer row per data worker plus one
-  // for the control thread (NACK replay offers from there and owns no
-  // shard).
+  // every worker; the mesh has one producer row per data worker (NACK
+  // replay offers from worker 0's control step, as shard 0).
   const auto workers = static_cast<std::uint32_t>(cfg_.threads_per_node);
   for (std::uint32_t k = 1; k <= cfg_.f && k < ring_size_; ++k) {
     const std::uint32_t m = (position_ + ring_size_ - k) % ring_size_;
@@ -162,7 +171,7 @@ FtcNode::FtcNode(Params params)
       shard_map_ =
           std::make_unique<state::ShardMap>(cfg_.num_partitions, workers);
       handoff_mesh_ = std::make_unique<StateHandoffMesh>(
-          workers + 1, workers, cfg_.handoff_capacity);
+          workers, workers, cfg_.handoff_capacity);
     }
     appliers_.emplace(m, std::make_unique<InOrderApplier>(
                              m, cfg_, *shard_map_, *handoff_mesh_, evicted(m)));
@@ -177,6 +186,7 @@ FtcNode::FtcNode(Params params)
   tail_mbox_ = tail_of();
   tail_applier_ = tail_mbox_ != ring_size_ ? applier(tail_mbox_) : nullptr;
   burst_size_ = std::clamp<std::size_t>(cfg_.burst_size, 1, kMaxBurst);
+  tx_held_ = std::make_unique<TxHeld[]>(cfg_.threads_per_node);
 
   // The head's transaction fast path engages only when exactly one thread
   // transacts (multi-threaded heads keep wound-wait 2PL — that IS their
@@ -212,9 +222,19 @@ FtcNode::~FtcNode() {
   registry_->remove_matching("node", std::to_string(id_));
 }
 
-void FtcNode::attach_data_path(net::Port* in, net::Port* out) {
-  in_link_.store(in);
-  out_link_.store(out);
+void FtcNode::attach_data_path(net::Port* in, net::Port* out,
+                               Forwarder* fwd) {
+  if (fwd != nullptr) {
+    const obs::Labels labels{{"node", std::to_string(id_)},
+                             {"pos", std::to_string(position_)}};
+    registry_->histogram_fn("piggyback.bytes_per_packet", labels,
+                            [this] { return pb_bytes_hist_.snapshot(); });
+    registry_->histogram_fn("piggyback.logs_per_packet", labels,
+                            [this] { return pb_logs_hist_.snapshot(); });
+  }
+  forwarder_ = fwd;
+  out_link_.store(out, std::memory_order_release);
+  in_link_.store(in, std::memory_order_release);
 }
 
 void FtcNode::set_ring_pred(net::NodeId pred) {
@@ -225,18 +245,6 @@ void FtcNode::set_ring_pred(net::NodeId pred) {
   // silently swallow the first NACK the replacement needs to serve.
   LockGuard lock(park_mutex_);
   last_nack_ns_.clear();
-}
-
-void FtcNode::set_forwarder(Forwarder* fwd) {
-  forwarder_ = fwd;
-  if (fwd == nullptr || pb_hists_registered_) return;
-  pb_hists_registered_ = true;
-  const obs::Labels labels{{"node", std::to_string(id_)},
-                           {"pos", std::to_string(position_)}};
-  registry_->histogram_fn("piggyback.bytes_per_packet", labels,
-                          [this] { return pb_bytes_hist_.snapshot(); });
-  registry_->histogram_fn("piggyback.logs_per_packet", labels,
-                          [this] { return pb_logs_hist_.snapshot(); });
 }
 
 InOrderApplier* FtcNode::applier(MboxId mbox) noexcept {
@@ -255,7 +263,6 @@ std::uint32_t FtcNode::tail_of() const noexcept {
 }
 
 void FtcNode::start() {
-  start_control();
   // A restart binds the head's transaction fast path to the new worker
   // thread (the previous owner thread is gone).
   if (head_ != nullptr) head_->txn_ctx().reset_owner();
@@ -271,24 +278,15 @@ void FtcNode::start() {
   }
 }
 
-void FtcNode::start_control() {
-  if (control_worker_) return;
-  control_worker_ = std::make_unique<rt::Worker>();
-  control_worker_->start("ftc-ctrl-" + std::to_string(position_), [this] {
-    if (failed_.load(std::memory_order_acquire)) return false;
-    handle_control();
-    check_parked_timeouts();
-    send_commit_notice();
-    // Control work is low-rate (heartbeats in ms, NACK timers in ms):
-    // sleep rather than spin so data-plane threads keep the CPU.
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    return true;  // The sleep above is the backoff.
-  });
-}
-
 void FtcNode::stop() {
   workers_.clear();
-  control_worker_.reset();
+  // The joined workers' held packets go back to the pool.
+  for (std::size_t w = 0; w < cfg_.threads_per_node; ++w) {
+    TxHeld& held = tx_held_[w];
+    for (std::size_t i = 0; i < held.n; ++i) pool_.free_raw(held.p[i]);
+    held.n = 0;
+  }
+  tx_held_count_.store(0, std::memory_order_release);
 }
 
 void FtcNode::fail() {
@@ -297,7 +295,8 @@ void FtcNode::fail() {
              obs::recovery_trace_id(position_), obs::SpanKind::kFail,
              position_);
   stop();
-  // Crash-stop: parked packets are lost with the node.
+  // Crash-stop: parked packets are lost with the node (stop() returned
+  // the held ones).
   LockGuard lock(park_mutex_);
   for (auto& parked : parked_) pool_.free_raw(parked.packet);
   parked_.clear();
@@ -306,14 +305,50 @@ void FtcNode::fail() {
 
 bool FtcNode::worker_body(std::uint32_t thread_id) {
   if (failed_.load(std::memory_order_acquire)) return false;
+  // Until attach_data_path publishes the in-link (a replacement fetching
+  // its state), worker 0 runs only the control step.
+  net::Port* const in = in_link_.load(std::memory_order_acquire);
+  bool idle = true;
+  bool did_work = in != nullptr && pass(thread_id, *in, idle);
+  // Worker 0 serves the control endpoint outside its passes, so a fetch's
+  // quiesce_and waits only for the other workers. It looks at the inbox
+  // after every empty poll, and a saturated worker still takes a step once
+  // per control period: pongs, NACK replies and commit notices never wait
+  // behind a backlog of data.
+  if (thread_id == 0) {
+    const std::uint64_t now = rt::now_ns();
+    if (idle || now - last_control_ns_ >= kControlPeriodNs) {
+      did_work = control_step(now) || did_work;
+    }
+  }
+  return did_work;
+}
 
+bool FtcNode::control_step(std::uint64_t now) {
+  bool handled = false;
+  // The lock-free check keeps idle polls off the control plane's lock.
+  if (inbox_.due(now)) {
+    while (auto msg = ctrl_.poll(id_)) {
+      dispatch_control(*msg);
+      handled = true;
+    }
+  }
+  if (now - last_control_ns_ >= kControlPeriodNs) {
+    last_control_ns_ = now;
+    check_parked_timeouts(now);
+    send_commit_notice();
+  }
+  return handled;
+}
+
+bool FtcNode::pass(std::uint32_t thread_id, net::Port& in, bool& idle) {
   // One token per pass, raised FIRST, then the quiesce flag checked (both
   // seq_cst): Dekker with quiesce_and, so a worker never slips past a
-  // quiesce that already saw no pass in flight (the control thread drains
-  // the single-consumer handoff rings under quiesce). Quiescence checks
-  // (ChainRuntime::quiescent) read the same token: packets polled off the
-  // link, and parked packets or handoff portions a drain took out, sit in
-  // no queue until the pass ends.
+  // quiesce that already saw no pass in flight (worker 0's control step
+  // drains every single-consumer handoff ring under quiesce). Quiescence
+  // checks (ChainRuntime::quiescent) read the same token: packets polled
+  // off the link, and parked packets or handoff portions a drain took out,
+  // sit in no queue until the pass ends.
   passes_in_flight_.fetch_add(1, std::memory_order_seq_cst);
   if (quiesced_.load(std::memory_order_seq_cst)) {
     passes_in_flight_.fetch_sub(1, std::memory_order_release);
@@ -321,6 +356,20 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
   }
   BurstScope& b = t_burst;
   b.out = out_link_.load(std::memory_order_acquire);
+  // Packets an earlier pass could not send leave before this pass polls:
+  // a successor that still takes none holds the node's input back.
+  if (TxHeld& held = tx_held_[thread_id]; held.n != 0) {
+    const std::size_t sent = b.out->send_burst({held.p, held.n});
+    std::copy(held.p + sent, held.p + held.n, held.p);
+    held.n -= sent;
+    tx_held_count_.fetch_sub(sent, std::memory_order_acq_rel);
+    if (held.n != 0) {
+      idle = true;
+      if (sent != 0) bursts_done_.fetch_add(1);
+      passes_in_flight_.fetch_sub(1, std::memory_order_release);
+      return sent != 0;
+    }
+  }
   if (buffer_ != nullptr) {
     // The batch this pass's packets reach the egress buffer in: made on
     // the thread's first pass, and its storage kept.
@@ -347,10 +396,8 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
   };
   if (ingress && forwarder_->left_behind()) propagate();
   b.prof.open();
-  if (net::Port* in = in_link_.load(std::memory_order_acquire);
-      in != nullptr && got < burst_size_) {
-    got += in->poll_burst(rx + got, burst_size_ - got);
-  }
+  if (got < burst_size_) got += in.poll_burst(rx + got, burst_size_ - got);
+  idle = got == 0;
   if (got == 0 && ingress && forwarder_->propagation_due()) propagate();
   bool took = got != 0;
   bool did_work = took;
@@ -436,8 +483,8 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
     // just missed its log).
     if (parked_size_.load(std::memory_order_acquire) != 0) drain_parked();
     b.prof.mark(obs::ProfStage::kParkDrain);
-    // Burst boundary: apply cross-shard portions other workers (or the
-    // control thread) queued for this worker's partitions. Timed as its
+    // Burst boundary: apply cross-shard portions other workers (or worker
+    // 0's NACK replay) queued for this worker's partitions. Timed as its
     // own primary stage inside the burst window.
     if (handoff_mesh_ != nullptr) {
       drain_handoff(thread_id);
@@ -447,15 +494,15 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
     // bills to kEgressFlush: it opens at the chained mark (the last
     // per-packet mark) and its closing mark ends the burst wall, so no
     // per-burst glue goes missing.
-    ship_pass();
+    ship_pass(thread_id);
     b.prof.mark(obs::ProfStage::kEgressFlush);
   }
   b.prof.finish(got);
 
   // Idle duties in shard mode: portions queued for this shard by other
-  // workers or the control thread (NACK replay) must not wait for the
-  // next ingress burst, and parked packets the control replay unblocked
-  // are drained here — the control thread never transacts in shard mode.
+  // workers or by a NACK replay must not wait for the next ingress burst,
+  // and parked packets a replay unblocked are drained here, inside a pass
+  // (the control step runs outside one).
   if (got == 0 && handoff_mesh_ != nullptr) {
     took = handoff_mesh_->pending(thread_id);
     if (drain_handoff(thread_id) != 0) did_work = true;
@@ -464,7 +511,7 @@ bool FtcNode::worker_body(std::uint32_t thread_id) {
       // Only packets that went on count as work: one still waiting on a
       // NACK keeps the worker backing off.
       if (drain_parked()) did_work = true;
-      ship_pass();
+      ship_pass(thread_id);
     }
   }
 
@@ -782,31 +829,44 @@ void FtcNode::forward(pkt::Packet* p) {
   }
   // Staged in emit order (detoured propagating packets included); the
   // pass ships them with one send_burst.
-  if (b.n_tx == kMaxBurst) flush_tx();
+  if (b.n_tx == kMaxBurst) flush_tx(nullptr);
   b.tx[b.n_tx++] = p;
 }
 
-void FtcNode::flush_tx() {
-  // One bulk send; stragglers block with backpressure accounting, exactly
+void FtcNode::flush_tx(TxHeld* hold) {
+  // One bulk send; stragglers wait with backpressure accounting, exactly
   // like a per-packet send would.
   BurstScope& b = t_burst;
   if (b.n_tx == 0) return;
-  const std::size_t sent = b.out->send_burst({b.tx, b.n_tx});
+  std::size_t sent = b.out->send_burst({b.tx, b.n_tx});
   if (sent < b.n_tx) {
     // Backpressure waits stay out of the burst's cost sample: a full
     // downstream queue is the next stage's problem, not this stage's work.
     const std::uint64_t w0 = b.prof.stamp();
-    for (std::size_t i = sent; i < b.n_tx; ++i) {
-      if (!b.out->send_blocking(b.tx[i])) pool_.free_raw(b.tx[i]);
+    if (hold == nullptr) {
+      for (std::size_t i = sent; i < b.n_tx; ++i) {
+        if (!b.out->send_blocking(b.tx[i])) pool_.free_raw(b.tx[i]);
+      }
+    } else {
+      const std::uint64_t give_up = rt::now_ns() + kTxWaitNs;
+      for (std::uint64_t now = rt::now_ns();
+           sent < b.n_tx && now < give_up &&
+           b.out->send_blocking(b.tx[sent], give_up - now);
+           now = rt::now_ns()) {
+        ++sent;
+      }
+      std::copy(b.tx + sent, b.tx + b.n_tx, hold->p);
+      hold->n = b.n_tx - sent;
+      tx_held_count_.fetch_add(hold->n, std::memory_order_acq_rel);
     }
     b.prof.blocked(w0);
   }
   b.n_tx = 0;
 }
 
-void FtcNode::ship_pass() {
+void FtcNode::ship_pass(std::uint32_t thread_id) {
   BurstScope& b = t_burst;
-  flush_tx();
+  flush_tx(&tx_held_[thread_id]);
   if (buffer_ != nullptr) buffer_->end_burst(*b.egress);
   // One meter/counter update per pass instead of per packet.
   if (b.data_packets != 0) {
@@ -879,8 +939,7 @@ bool FtcNode::drain_parked() {
   return went_on;
 }
 
-void FtcNode::check_parked_timeouts() {
-  const std::uint64_t now = rt::now_ns();
+void FtcNode::check_parked_timeouts(std::uint64_t now) {
   // Adaptive parked-work timeout: when the ingress transport measures an
   // RTO, track it (a NACK round trip rides the same path as the data), but
   // clamp between the configured floor and the fixed legacy timeout as
@@ -939,13 +998,12 @@ void FtcNode::send_commit_notice() {
   notice.type = kCommitNotice;
   notice.from = id_;
   notice.to = pred;
+  notice.payload = std::move(notice_payload_);
+  notice.payload.clear();
+  notice.payload.reserve(4 + sizeof(max.seq));
   put_u32(notice.payload, tail_mbox_);
   put_max(notice.payload, max);
   ctrl_.send(std::move(notice));
-}
-
-void FtcNode::handle_control() {
-  while (auto msg = ctrl_.poll(id_)) dispatch_control(*msg);
 }
 
 void FtcNode::dispatch_control(net::Message& msg) {
@@ -995,6 +1053,7 @@ void FtcNode::handle_commit_notice(net::Message& notice) {
   // applied these logs before the tail did: no NACK can ask for them.
   if (head_ != nullptr && mbox == position_) {
     head_->prune(commit);
+    notice_payload_ = std::move(notice.payload);
     return;
   }
   InOrderApplier* a = applier(mbox);
@@ -1007,8 +1066,9 @@ void FtcNode::handle_commit_notice(net::Message& notice) {
 
 void FtcNode::handle_init(const net::Message& req) {
   // Orchestrator-initiated recovery (paper §5.2). Payload: list of
-  // (mbox id, source node id). The control worker is the only consumer of
-  // this node's inbox, so recover_from() can poll for responses inline.
+  // (mbox id, source node id). Worker 0's control step is the only
+  // consumer of this node's inbox, so recover_from() can poll for
+  // responses inline (the node is not on the data path yet).
   std::span<const std::uint8_t> in(req.payload);
   std::uint32_t count = 0;
   if (!take_u32(in, count)) return;
@@ -1091,9 +1151,9 @@ void FtcNode::handle_nack_resp(const net::Message& resp) {
   span_event(registry_, obs::span_site_node(id_),
              obs::protocol_trace_id(position_), obs::SpanKind::kNackApplied,
              mbox);
-  // The replayed logs were routed into the owners' handoff rings above;
-  // the unblocked parked packets must also re-run on a data worker (their
-  // transactions are shard-owned), so the workers' idle path drains them.
+  // The replayed logs applied above (worker 0's own partitions) or went
+  // into their owners' handoff rings. The packets they unblocked re-run in
+  // a pass: the next idle pass drains them.
 }
 
 void FtcNode::quiesce_and(const std::function<void()>& fn) {
@@ -1186,7 +1246,8 @@ bool FtcNode::recover_from(
   std::vector<net::Message> deferred;
   const std::uint64_t deadline = rt::now_ns() + timeout_ns;
   std::size_t outstanding = fetches.size();
-  while (outstanding > 0 && rt::now_ns() < deadline) {
+  while (outstanding > 0 && rt::now_ns() < deadline &&
+         !rt::stop_requested()) {
     auto msg = ctrl_.poll(id_);
     if (!msg) {
       std::this_thread::yield();

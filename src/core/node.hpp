@@ -10,7 +10,9 @@
 //     tail duty (strip; a wrap-around tail attaches its commit vector),
 //     run the packet transaction, append the new log, and forward,
 //   * a control endpoint (heartbeats, retransmissions, state fetch, and
-//     the commit notices that prune the group's log histories).
+//     the commit notices that prune the group's log histories), served by
+//     data worker 0 between its passes (control_step): a node runs
+//     threads_per_node threads and no other.
 //
 // Ring position 0 additionally runs the Forwarder, the last position the
 // EgressBuffer.
@@ -120,20 +122,22 @@ class FtcNode : rt::NonCopyable {
   ~FtcNode();
 
   // --- Wiring (done by the chain runtime / orchestrator). ---
-  void attach_data_path(net::Port* in, net::Port* out);
-  /// Makes this node the chain ingress. Also registers the head-ingress
-  /// piggyback size histograms (the paper's Fig. 5 state-size axis).
-  void set_forwarder(Forwarder* fwd);
+  /// Puts the node on the data path: it polls @p in and forwards to @p out;
+  /// a non-null @p fwd makes it the chain ingress (and registers the
+  /// head-ingress piggyback size histograms, the paper's Fig. 5 state-size
+  /// axis). Runs once, before or after start(): the release store of @p in
+  /// publishes all three to a running worker, which until then runs only
+  /// the control step (a replacement fetching its state).
+  void attach_data_path(net::Port* in, net::Port* out,
+                        Forwarder* fwd = nullptr);
   /// Updates the ring predecessor (NACK target). A change clears the
   /// per-store NACK throttle state: the gap gate must not carry over to a
   /// freshly rerouted predecessor, or it would suppress the first
   /// legitimate NACK to a replacement node.
   void set_ring_pred(net::NodeId pred);
 
-  /// Starts data workers and the control endpoint.
+  /// Starts the data workers; worker 0 also serves the control endpoint.
   void start();
-  /// Starts only the control endpoint (a new replica before recovery).
-  void start_control();
   /// Graceful stop (drains nothing; used at experiment teardown).
   void stop();
   /// Crash-stop failure (paper's fail-stop model): threads halt, state is
@@ -191,6 +195,12 @@ class FtcNode : rt::NonCopyable {
            (!handoff_mesh_->empty() ||
             handoff_deferred_count_.load(std::memory_order_acquire) != 0);
   }
+  /// Packets the workers staged for the ring successor but its full port
+  /// has not taken yet. They are in no queue, so quiescence checks must
+  /// consult this too.
+  std::size_t tx_held() const noexcept {
+    return tx_held_count_.load(std::memory_order_acquire);
+  }
   const rt::Meter& meter() const noexcept { return meter_; }
   mbox::Middlebox* middlebox() noexcept { return mbox_.get(); }
 
@@ -218,7 +228,12 @@ class FtcNode : rt::NonCopyable {
     std::uint64_t parked_at_ns{0};
   };
 
+  /// One turn of data worker @p thread_id: a pass once the node is on the
+  /// data path, and on worker 0 the control step.
   bool worker_body(std::uint32_t thread_id);
+  /// Polls @p in and runs one burst through the pipeline, or the idle
+  /// duties when nothing came (@p idle set). True when work went on.
+  bool pass(std::uint32_t thread_id, net::Port& in, bool& idle);
   /// What attach_feedback() put on a packet: the message's wire bytes and
   /// its log count (the head-ingress piggyback distributions).
   struct Attached {
@@ -255,24 +270,36 @@ class FtcNode : rt::NonCopyable {
   void emit(pkt::Packet* p, PiggybackView& v);
   /// Stages @p p for the ring successor in this thread's pass.
   void forward(pkt::Packet* p);
+  /// Packets a pass staged for the ring successor and could not send.
+  struct TxHeld {
+    std::size_t n{0};
+    pkt::Packet* p[kMaxBurst];
+  };
   /// Sends the packets staged for the ring successor (retries bill to the
-  /// profiler's kSendBlocked stage).
-  void flush_tx();
-  /// Ships everything this thread's pass staged: the successor's packets,
-  /// the egress-buffer batch and the meter/counter totals.
-  void ship_pass();
+  /// profiler's kSendBlocked stage). Without @p hold it waits until the
+  /// port takes each (or a stop); with it, it waits at most kTxWaitNs and
+  /// leaves the rest in @p hold, which must be empty.
+  void flush_tx(TxHeld* hold);
+  /// Ships everything worker @p thread_id's pass staged: the successor's
+  /// packets (holding those its port would not take), the egress-buffer
+  /// batch and the meter/counter totals.
+  void ship_pass(std::uint32_t thread_id);
+  /// One control step, run by data worker 0 outside a pass: handles the
+  /// inbox when a message is due, and once a control period has passed
+  /// since the last step, the periodic duties (park timeouts, commit
+  /// notice). True when it handled a message.
+  bool control_step(std::uint64_t now);
   /// Re-offers parked packets' held logs and sends on those now complete,
   /// until a round makes no progress. True when any packet went on.
   bool drain_parked();
   /// Applies every handoff entry queued for worker @p thread_id's shard.
   /// Returns entries consumed. Owner-only (or control under quiesce).
   std::size_t drain_handoff(std::uint32_t thread_id);
-  void check_parked_timeouts();
-  /// Tail duty on the control plane: once the tail applier's applied count
+  void check_parked_timeouts(std::uint64_t now);
+  /// Tail duty on the control step: once the tail applier's applied count
   /// has advanced, prunes its history with its MAX and sends the MAX to the
   /// ring predecessor as a kCommitNotice, which prunes every upstream member.
   void send_commit_notice();
-  void handle_control();
   void dispatch_control(net::Message& msg);
   void reply_pong(const net::Message& ping);
   /// Prunes this node's copy of the notice's store (the last position's
@@ -292,13 +319,15 @@ class FtcNode : rt::NonCopyable {
   const ChainConfig& cfg_;
   pkt::PacketPool& pool_;
   net::ControlPlane& ctrl_;
+  net::ControlPlane::Inbox& inbox_;
   std::atomic<net::NodeId> ring_pred_id_{0};
 
-  // Data path.
+  // Data path. in_link_ is stored last, with release: a worker that loads
+  // it non-null also sees out_link_ and forwarder_.
   std::atomic<net::Port*> in_link_{nullptr};
   std::atomic<net::Port*> out_link_{nullptr};
   Forwarder* forwarder_{nullptr};
-  EgressBuffer* const buffer_;  ///< Fixed before the control thread starts.
+  EgressBuffer* const buffer_;  ///< Fixed before any worker starts.
 
   // State.
   std::unique_ptr<mbox::Middlebox> mbox_;
@@ -317,6 +346,13 @@ class FtcNode : rt::NonCopyable {
   std::array<std::vector<StateHandoff>, state::ShardMap::kMaxWorkers>
       handoff_deferred_;
   std::atomic<std::size_t> handoff_deferred_count_{0};
+  /// Per-worker packets the successor's full port left behind: the next
+  /// pass sends them before it polls, so a successor that stopped
+  /// consuming holds back the node's input, not its worker. Each row is
+  /// touched only by its worker, and by stop() after the join; the atomic
+  /// count feeds quiescence.
+  std::unique_ptr<TxHeld[]> tx_held_;
+  std::atomic<std::size_t> tx_held_count_{0};
 
   // Hot-path caches, resolved once in the constructor (appliers_ is
   // immutable after construction): applier() walks this flat array (at
@@ -328,9 +364,16 @@ class FtcNode : rt::NonCopyable {
   std::size_t burst_size_{1};                ///< cfg clamp to [1, kMaxBurst].
 
   // Tail duty: applied-count at the last commit-vector attach (wrap-around
-  // tails only), and at the last commit notice (control thread only).
+  // tails only), and at the last commit notice (control step only).
   std::atomic<std::uint64_t> last_commit_attach_{~0ULL};
   std::uint64_t last_commit_notice_{0};
+  /// Payload of the last commit notice this node ended, reused by its next
+  /// notice (control step only). In a ring every node ends about as many
+  /// notices as it sends, so the control step, which runs on a data
+  /// worker, sends them without allocating.
+  std::vector<std::uint8_t> notice_payload_;
+  /// When the control step last ran its periodic duties (worker 0 only).
+  std::uint64_t last_control_ns_{0};
 
   // Parked packets awaiting missing piggyback logs. Node rank: held only
   // for container manipulation, but the registry's snapshot callbacks take
@@ -339,14 +382,13 @@ class FtcNode : rt::NonCopyable {
   std::vector<Parked> parked_ SFC_GUARDED_BY(park_mutex_);
   std::map<MboxId, std::uint64_t> last_nack_ns_ SFC_GUARDED_BY(park_mutex_);
   /// Mirror of parked_.size(), updated under park_mutex_, read lock-free
-  /// by data workers: the control thread must not run drain_parked (its
-  /// transactions would dodge shard ownership), so idle workers poll this
-  /// to pick up control-replayed unblocks.
+  /// by data workers: drain_parked runs inside a pass (its pass token keeps
+  /// the packets it takes out visible), so idle passes poll this to pick up
+  /// the unblocks a NACK reply's replay made in the control step.
   std::atomic<std::size_t> parked_size_{0};
 
   // Threads.
   std::vector<std::unique_ptr<rt::Worker>> workers_;
-  std::unique_ptr<rt::Worker> control_worker_;
   std::atomic<bool> failed_{false};
   std::atomic<bool> quiesced_{false};
   std::atomic<std::uint32_t> passes_in_flight_{0};
@@ -357,9 +399,8 @@ class FtcNode : rt::NonCopyable {
   std::unique_ptr<obs::Registry> own_registry_;
   obs::Registry* registry_{nullptr};
   NodeCounters stats_;
-  // Head-ingress piggyback size distributions (registered lazily by
-  // set_forwarder; only the chain ingress records them, lock-free).
-  bool pb_hists_registered_{false};
+  // Head-ingress piggyback size distributions (registered by
+  // attach_data_path; only the chain ingress records them, lock-free).
   rt::AtomicHistogram pb_bytes_hist_;
   rt::AtomicHistogram pb_logs_hist_;
 };

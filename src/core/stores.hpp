@@ -186,8 +186,10 @@ class HeadStore : rt::NonCopyable {
 /// so classification never blocks, and each partition has one writer: its
 /// owning worker in @p map. Threading contract: offer() is called by the
 /// node's data workers, each identified by its shard id
-/// (rt::current_shard), and by the node's one control thread (NACK
-/// replay, identified by rt::kNoShard, owning no shard). An offering
+/// (rt::current_shard); NACK replay offers from worker 0's control step,
+/// as shard 0. A thread with no shard (rt::kNoShard, a test driving an
+/// applier directly) produces into the mesh's last row, which such a mesh
+/// must reserve for it; a node's mesh has no such row. An offering
 /// worker applies the portion of a log it owns straight from the wire,
 /// lock-free; every other portion travels through @p mesh to its owner,
 /// whose drain calls apply_handoff. max() and applied_count() are safe
@@ -223,8 +225,8 @@ class InOrderApplier : rt::NonCopyable {
   /// fully resolved; false leaves the future bits in h.portion — the
   /// predecessor seq is in another ring of the same owner, so the caller
   /// defers the entry and retries once the rest drains. Called only by
-  /// the owning worker's drain loop (or under quiesce, when the control
-  /// thread temporarily inherits write exclusivity).
+  /// the owning worker's drain loop (or under quiesce, when worker 0's
+  /// control step temporarily inherits write exclusivity).
   bool apply_handoff(StateHandoff& h);
 
   /// Current MAX vector (the tail's commit vector when this replica is the

@@ -18,9 +18,16 @@ ControlPlane::ControlPlane(obs::Registry* registry) {
   wait_timeouts_ = &registry->counter("ctrl.wait_for_timeouts");
 }
 
-void ControlPlane::register_node(NodeId node) {
+ControlPlane::Inbox& ControlPlane::register_node(NodeId node) {
   LockGuard lock(mutex_);
-  inboxes_.try_emplace(node);
+  // Map nodes never move, so the reference outlives later inserts.
+  return inboxes_.try_emplace(node).first->second;
+}
+
+void ControlPlane::publish_due(Inbox& inbox) noexcept {
+  inbox.next_due_ns_.store(
+      inbox.queue.empty() ? Inbox::kNone : inbox.queue.front().deliver_at_ns,
+      std::memory_order_release);
 }
 
 void ControlPlane::set_delay(NodeId a, NodeId b, std::uint64_t one_way_ns) {
@@ -96,6 +103,7 @@ void ControlPlane::send(Message msg) {
       q.begin(), q.end(), deliver_at,
       [](std::uint64_t t, const Timed& m) { return t < m.deliver_at_ns; });
   q.insert(pos, Timed{std::move(msg), deliver_at});
+  publish_due(it->second);
 }
 
 std::optional<Message> ControlPlane::poll(NodeId node) {
@@ -106,6 +114,7 @@ std::optional<Message> ControlPlane::poll(NodeId node) {
   if (head.deliver_at_ns > rt::now_ns()) return std::nullopt;
   Message out = std::move(head.msg);
   it->second.queue.pop_front();
+  publish_due(it->second);
   msgs_delivered_->inc();
   return out;
 }
@@ -132,6 +141,7 @@ std::optional<Message> ControlPlane::wait_for(NodeId node, std::uint32_t type,
           if (mit->msg.type == type && (tag == 0 || mit->msg.tag == tag)) {
             Message out = std::move(mit->msg);
             q.erase(mit);
+            publish_due(it->second);
             msgs_delivered_->inc();
             return out;
           }

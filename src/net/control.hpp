@@ -7,6 +7,7 @@
 // multi-region SAVI cloud of the paper's Figure 13.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -33,12 +34,36 @@ struct Message {
 };
 
 class ControlPlane : rt::NonCopyable {
+  struct Timed {
+    Message msg;
+    std::uint64_t deliver_at_ns;
+  };
+
  public:
+  /// One node's inbox. Its address is stable for the plane's lifetime, so
+  /// a consumer that polls millions of times per second can hold it and
+  /// ask due() without taking the plane's lock, which every node and the
+  /// orchestrator share.
+  class Inbox {
+   public:
+    /// True when a message is deliverable at @p now_ns. Reads the
+    /// earliest delivery time, which every send and poll republishes.
+    bool due(std::uint64_t now_ns) const noexcept {
+      return next_due_ns_.load(std::memory_order_acquire) <= now_ns;
+    }
+
+   private:
+    friend class ControlPlane;
+    static constexpr std::uint64_t kNone = ~0ULL;
+    std::deque<Timed> queue;  ///< Sorted by delivery time; under mutex_.
+    std::atomic<std::uint64_t> next_due_ns_{kNone};
+  };
+
   /// Metrics go to @p registry when given, else to a private one.
   explicit ControlPlane(obs::Registry* registry = nullptr);
 
-  /// Ensures @p node has an inbox (idempotent).
-  void register_node(NodeId node);
+  /// Ensures @p node has an inbox (idempotent) and returns it.
+  Inbox& register_node(NodeId node);
 
   /// Sets the one-way delay between two nodes (symmetric). Models WAN
   /// latency between cloud regions; defaults to zero.
@@ -76,15 +101,6 @@ class ControlPlane : rt::NonCopyable {
   void set_bandwidth_gbps(double gbps);
 
  private:
-  struct Timed {
-    Message msg;
-    std::uint64_t deliver_at_ns;
-  };
-
-  struct Inbox {
-    std::deque<Timed> queue;
-  };
-
   static std::uint64_t pair_key(NodeId a, NodeId b) noexcept {
     if (a > b) std::swap(a, b);
     return (static_cast<std::uint64_t>(a) << 32) | b;
@@ -93,6 +109,9 @@ class ControlPlane : rt::NonCopyable {
   /// delay_between() body; caller holds mutex_.
   std::uint64_t delay_between_locked(NodeId a, NodeId b) const
       SFC_REQUIRES(mutex_);
+  /// Republishes @p inbox's earliest delivery time after a change to its
+  /// queue; caller holds mutex_.
+  static void publish_due(Inbox& inbox) noexcept;
 
   mutable Mutex mutex_{ranks::kControl, "net.control"};
   std::unordered_map<NodeId, Inbox> inboxes_ SFC_GUARDED_BY(mutex_);

@@ -351,7 +351,7 @@ void ReliableChannel::emit_ack_locked(std::uint64_t now,
   acks_sent_->inc();
 }
 
-void ReliableChannel::drain_wire_locked(std::uint64_t now) {
+void ReliableChannel::drain_wire_locked() {
   pkt::Packet* rx[kChunk];
   bool any = false;
   // Timestamp echo for this batch's ack: the sender's own tx slot for a
@@ -404,8 +404,10 @@ void ReliableChannel::drain_wire_locked(std::uint64_t now) {
     if (n < kChunk) break;
   }
   // One cumulative+selective ack per drained batch (also for pure
-  // duplicates: the dup ack is what arms fast retransmit).
-  if (any) emit_ack_locked(now, echo_seq, echo_tx_ns);
+  // duplicates: the dup ack is what arms fast retransmit). It leaves on a
+  // clock read after the wire delivered the batch: an ack stamped before
+  // its data arrived would measure an RTT shorter than the path's.
+  if (any) emit_ack_locked(rt::now_ns(), echo_seq, echo_tx_ns);
 }
 
 void ReliableChannel::pump_locked(std::uint64_t now) {
@@ -522,7 +524,7 @@ std::size_t ReliableChannel::poll_burst(pkt::Packet** out, std::size_t max) {
   {
     LockGuard lock(mutex_);
     pump_locked(now);
-    drain_wire_locked(now);
+    drain_wire_locked();
     while (n < max && !rx_ready_.empty()) {
       out[n++] = rx_ready_.front();
       rx_ready_.pop_front();

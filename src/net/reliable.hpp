@@ -171,7 +171,7 @@ class ReliableChannel : public Port {
   void rtt_sample_locked(std::uint64_t sample_ns) SFC_REQUIRES(mutex_);
   void check_rto_locked(std::uint64_t now) SFC_REQUIRES(mutex_);
   void retransmit_head_locked(std::uint64_t now) SFC_REQUIRES(mutex_);
-  void drain_wire_locked(std::uint64_t now) SFC_REQUIRES(mutex_);
+  void drain_wire_locked() SFC_REQUIRES(mutex_);
   void emit_ack_locked(std::uint64_t now, std::uint32_t echo_seq,
                        std::uint64_t echo_tx_ns) SFC_REQUIRES(mutex_);
   std::size_t effective_window_locked() const noexcept

@@ -335,4 +335,31 @@ std::vector<RecoveryTimeline> recovery_timelines(
   return out;
 }
 
+rt::Histogram nack_round_trips(const std::vector<SpanRecord>& records) {
+  std::vector<SpanRecord> rs;
+  for (const SpanRecord& r : records) {
+    if (r.kind == SpanKind::kNackSent || r.kind == SpanKind::kNackApplied) {
+      rs.push_back(r);
+    }
+  }
+  std::stable_sort(rs.begin(), rs.end(),
+                   [](const SpanRecord& a, const SpanRecord& b) {
+                     return a.ts_ns < b.ts_ns;
+                   });
+  // Send times still waiting for a reply, per (node site, mbox).
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::vector<std::uint64_t>>
+      waiting;
+  rt::Histogram out;
+  for (const SpanRecord& r : rs) {
+    auto& sent = waiting[{r.site, r.a}];
+    if (r.kind == SpanKind::kNackSent) {
+      sent.push_back(r.ts_ns);
+      continue;
+    }
+    for (const std::uint64_t t : sent) out.record(r.ts_ns - t);
+    sent.clear();
+  }
+  return out;
+}
+
 }  // namespace sfc::obs

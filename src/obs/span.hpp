@@ -286,4 +286,10 @@ struct RecoveryTimeline {
 std::vector<RecoveryTimeline> recovery_timelines(
     const std::vector<SpanRecord>& records);
 
+/// NACK round trips in ns: each kNackSent paired with the next
+/// kNackApplied at the same node for the same middlebox. A NACK sent
+/// again before its reply lands pairs with that reply too; one no reply
+/// follows is left out.
+rt::Histogram nack_round_trips(const std::vector<SpanRecord>& records);
+
 }  // namespace sfc::obs

@@ -15,6 +15,15 @@ namespace {
 
 /// Upper bound on the pre-fetch wait for a failed head's in-flight logs.
 constexpr std::uint64_t kDrainTimeoutNs = 1'000'000'000;
+/// How long recover() sleeps between looks at what it waits for. It
+/// sleeps rather than yields: beside spinning data workers a yielding
+/// thread can wait for the next scheduler tick (milliseconds) to get a
+/// core back, where a sleeping one is woken on time.
+constexpr auto kRecoveryPoll = std::chrono::microseconds(10);
+/// How long recover() spins for the next reply before it sleeps between
+/// looks: a replacement acknowledges kInit within about a thread start,
+/// and a sleep wakes only after the timer slack (50 us by default).
+constexpr std::uint64_t kReplySpinNs = 200'000;
 
 /// Recovery-phase span on the orchestrator track. Protocol-rate: the sink
 /// check is the gate (no per-packet cost involved).
@@ -100,6 +109,7 @@ std::vector<RecoveryReport> Orchestrator::recover(
   // fetches, and registry timers while holding it.
   static Mutex recovery_mutex{ranks::kOrch, "orch.recovery"};
   LockGuard recovery_lock(recovery_mutex);
+  const std::uint64_t entry_ns = rt::now_ns();
 
   struct Pending {
     RecoveryReport report;
@@ -118,9 +128,25 @@ std::vector<RecoveryReport> Orchestrator::recover(
     span_event(chain_.registry(), pos, obs::SpanKind::kDetect);
   }
 
+  // Before any fetch, the logs each failed head already sent must reach
+  // the successor its store is fetched from (ChainRuntime::
+  // successor_caught_up). The wait needs no replacement, so it runs inside
+  // the simulated spawn delay; once the failed head is stopped it sends
+  // nothing more, so a caught-up successor stays caught up. Bounded: a
+  // stalled successor delays recovery by at most the deadline, then the
+  // fetch proceeds as before.
+  const std::uint64_t drain_deadline = entry_ns + kDrainTimeoutNs;
+  for (std::uint32_t pos : positions) {
+    while (!chain_.successor_caught_up(pos) && rt::now_ns() < drain_deadline) {
+      std::this_thread::sleep_for(kRecoveryPoll);
+    }
+  }
+
   // Step 1: spawn all replacements and hand each its fetch plan. Spawns
-  // overlap; the simulated instantiation cost is paid once up front.
-  std::this_thread::sleep_for(std::chrono::nanoseconds(cfg_.spawn_delay_ns));
+  // overlap; the simulated instantiation cost is paid once, counted from
+  // entry.
+  std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
+      std::chrono::nanoseconds(entry_ns + cfg_.spawn_delay_ns)));
   for (std::uint32_t pos : positions) {
     Pending p;
     p.start_ns = rt::now_ns();
@@ -133,18 +159,6 @@ std::vector<RecoveryReport> Orchestrator::recover(
     span_event(chain_.registry(), pos, obs::SpanKind::kSpawn, p.node->id());
     p.tag = 0xFEC0000000000000ull | p.node->id();
     pending.push_back(p);
-  }
-
-  // Before any fetch, the logs each failed head already sent must reach
-  // the successor its store is fetched from (ChainRuntime::
-  // successor_caught_up). Bounded: a stalled successor delays recovery by
-  // at most the deadline, then the fetch proceeds as before.
-  const std::uint64_t drain_deadline = rt::now_ns() + kDrainTimeoutNs;
-  for (const auto& p : pending) {
-    while (!chain_.successor_caught_up(p.report.position) &&
-           rt::now_ns() < drain_deadline) {
-      std::this_thread::yield();
-    }
   }
 
   // The fetch plan references the surviving replicas (paper §5.2).
@@ -171,12 +185,18 @@ std::vector<RecoveryReport> Orchestrator::recover(
   // routing until EVERY simultaneous failure has recovered (paper §5.2).
   const std::uint64_t deadline = rt::now_ns() + 30'000'000'000ull;
   std::size_t outstanding = pending.size();
+  std::uint64_t last_reply_ns = rt::now_ns();
   while (outstanding > 0 && rt::now_ns() < deadline) {
     auto msg = ctrl_.poll(net::kOrchestratorNode);
     if (!msg) {
-      std::this_thread::yield();
+      if (rt::now_ns() - last_reply_ns < kReplySpinNs) {
+        for (int i = 0; i < 64; ++i) rt::cpu_relax();
+      } else {
+        std::this_thread::sleep_for(kRecoveryPoll);
+      }
       continue;
     }
+    last_reply_ns = rt::now_ns();
     if (msg->type == CtrlMsg::kPong) {
       last_seen_ns_[msg->from] = rt::now_ns();
       continue;

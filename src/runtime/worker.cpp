@@ -1,10 +1,21 @@
 #include "runtime/worker.hpp"
 
+#include <chrono>
+#include <thread>
 #include <utility>
+
+#include "runtime/clock.hpp"
 
 namespace sfc::rt {
 
 namespace {
+/// How long a worker stays idle before its backoff naps instead of
+/// yielding: far longer than the gaps of any traffic it serves, so only
+/// a worker with nothing to do naps.
+constexpr std::uint64_t kNapAfterNs = 1'000'000;
+/// One nap (the timer slack, 50 us by default, comes on top).
+constexpr auto kNap = std::chrono::microseconds(20);
+
 thread_local std::string t_worker_name;
 thread_local std::uint32_t t_shard = kNoShard;
 thread_local const std::atomic<bool>* t_stop_flag = nullptr;
@@ -22,19 +33,30 @@ bool stop_requested() noexcept {
 
 void poll_loop(const std::atomic<bool>& stop, const std::function<bool()>& body) {
   unsigned idle_spins = 0;
+  std::uint64_t idle_since_ns = 0;
   while (!stop.load(std::memory_order_acquire)) {
     if (body()) {
       idle_spins = 0;
       continue;
     }
     // Idle backoff: spin briefly to stay hot for bursty traffic, then
-    // yield so an oversubscribed simulation still makes progress.
+    // yield so an oversubscribed simulation still makes progress, and
+    // once idle for kNapAfterNs, nap. A thread that only yields gets back
+    // a core it shares with one that never yields at the next scheduler
+    // tick (4 ms at 250 Hz); one that sleeps is woken on time, preempting
+    // the other, or is placed on an idle core.
     if (++idle_spins < 64) {
       cpu_relax();
-    } else {
-      std::this_thread::yield();
-      if (idle_spins > 4096) idle_spins = 64;  // Avoid counter overflow.
+      continue;
     }
+    const std::uint64_t now = now_ns();
+    if (idle_spins == 64) idle_since_ns = now;
+    if (now - idle_since_ns < kNapAfterNs) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(kNap);
+    }
+    if (idle_spins > 4096) idle_spins = 65;  // Avoid counter overflow.
   }
 }
 

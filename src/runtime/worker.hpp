@@ -3,7 +3,8 @@
 // Every simulated server component (middlebox thread, link pump, failure
 // detector) is a Worker: a named thread running a poll loop until asked to
 // stop. The loop body returns whether it made progress so the worker can
-// back off (cpu_relax -> yield) when idle instead of burning a core.
+// back off (cpu_relax -> yield -> after 1 ms idle, 20 us naps) when idle
+// instead of burning a core.
 #pragma once
 
 #include <atomic>

@@ -2,18 +2,18 @@
 //
 // In shard-affine mode a partition's map is mutated only by its owning
 // worker (see ShardMap). Writes that land on someone else's shard — a
-// dep-mask spanning partitions of two owners, or control-plane mutations
-// (NACK replay, recovery) that must never touch the store from the control
-// thread — are handed to the owner through these rings and drained at
-// burst boundaries in the owner's worker loop.
+// dep-mask spanning partitions of two owners, or a NACK replay's portions
+// of another worker's partitions — are handed to the owner through these
+// rings and drained at burst boundaries in the owner's worker loop.
 //
 // Layout: a full (producers × owners) mesh of SPSC rings, so every cell
 // has exactly one producer and one consumer and stays lock-free with plain
-// acquire/release. Producer index = the worker's thread index; the last
-// producer row is reserved for the control thread. Each SpscQueue already
-// cache-line-pads its head/tail indices and builds its elements only when
-// they are pushed, so an idle ring touches none of its slots; the deque
-// keeps cell addresses stable.
+// acquire/release. Producer index = the worker's thread index (a node's
+// NACK replay runs on worker 0 and produces as it); a standalone applier
+// driven from a thread with no shard uses an extra last row. Each
+// SpscQueue already cache-line-pads its head/tail indices and builds its
+// elements only when they are pushed, so an idle ring touches none of its
+// slots; the deque keeps cell addresses stable.
 //
 // Occupancy telemetry (pushes, full-ring rejects, depth high-water) is
 // tracked with relaxed atomics and exported as registry gauges so bench
@@ -34,7 +34,7 @@ namespace sfc::state {
 template <typename T>
 class HandoffMesh : rt::NonCopyable {
  public:
-  /// @param producers Number of producer rows (workers + 1 control row).
+  /// @param producers Number of producer rows (one per producing thread).
   /// @param owners    Number of consumer columns (data-path workers).
   /// @param capacity  Per-ring entry capacity.
   HandoffMesh(std::size_t producers, std::size_t owners, std::size_t capacity)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -132,6 +133,32 @@ TEST(FtcChain, DeliversAllPacketsAndReplicates) {
   }
   EXPECT_EQ(chain.buffer()->held_count(), 0u);
   chain.stop();
+}
+
+/// Threads of this process, counted from /proc/self/task.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(FtcChain, RunsOneThreadPerDataWorkerAndNoOther) {
+  // Worker 0 serves each node's control endpoint between its passes: a
+  // node runs threads_per_node threads, with no control thread beside them.
+  // A sanitizer starts a helper thread with the process's first thread:
+  // start one here so the helper is already in each count below.
+  std::thread([] {}).join();
+  for (const std::size_t threads : {1, 2}) {
+    ChainRuntime chain(spec_for(ChainMode::kFtc, 3, 1, threads));
+    const std::size_t before = process_threads();
+    chain.start();
+    EXPECT_EQ(process_threads() - before, 3 * threads) << threads;
+    chain.stop();
+    EXPECT_EQ(process_threads(), before);
+  }
 }
 
 // The head records its piggyback distributions once per run of equal

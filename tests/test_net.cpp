@@ -399,6 +399,33 @@ TEST(ControlPlane, DeliversInOrderPerSender) {
   EXPECT_FALSE(cp.poll(1).has_value());
 }
 
+TEST(ControlPlane, InboxDueTracksTheEarliestDeliverableMessage) {
+  ControlPlane cp;
+  ControlPlane::Inbox& inbox = cp.register_node(1);
+  EXPECT_EQ(&cp.register_node(1), &inbox);
+  EXPECT_FALSE(inbox.due(rt::now_ns()));
+  // A message on a delayed pair is not due before its delivery time.
+  cp.set_delay(1, 2, 50'000'000);
+  Message late;
+  late.from = 2;
+  late.to = 1;
+  late.type = 7;
+  cp.send(std::move(late));
+  EXPECT_FALSE(inbox.due(rt::now_ns()));
+  EXPECT_TRUE(inbox.due(rt::now_ns() + 60'000'000));
+  // One from an undelayed sender moves the earliest time to now.
+  Message now;
+  now.from = 3;
+  now.to = 1;
+  cp.send(std::move(now));
+  EXPECT_TRUE(inbox.due(rt::now_ns()));
+  ASSERT_TRUE(cp.poll(1).has_value());
+  EXPECT_FALSE(inbox.due(rt::now_ns()));
+  // wait_for() takes the delayed one out of the queue: nothing is left.
+  ASSERT_TRUE(cp.wait_for(1, 7, 200'000'000).has_value());
+  EXPECT_FALSE(inbox.due(~0ULL - 1));
+}
+
 TEST(ControlPlane, UnknownDestinationDropped) {
   ControlPlane cp;
   Message m;

@@ -5,6 +5,7 @@
 // (FTC over reliable segments loses nothing end to end).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -178,31 +179,48 @@ TEST(ReliableChannel, SrttConvergesAfterDelayStepWithoutSpuriousRetransmits) {
   rcfg.rto_min_ns = 50'000'000;
   ReliableChannel ch(pool, wire, rcfg);
 
+  // The receiver polls from a thread of its own, so a packet is acked
+  // soon after it is deliverable, not after the sender's pacing. Both
+  // threads sleep briefly when idle rather than spin: on a loaded host a
+  // thread waking from a sleep gets a core at once, while a spinning one
+  // gives way for a whole scheduler slice, and either delay lands in the
+  // RTT samples. The sender keeps at most kInFlight packets outstanding,
+  // so few of an exchange's packets cross the wire before a delay step.
+  constexpr std::uint64_t kInFlight = 8;
+  constexpr auto kIdle = std::chrono::microseconds(20);
+  std::uint64_t sent = 0;
+  std::atomic<std::uint64_t> received{0};
   const auto exchange = [&](std::uint64_t packets) {
-    std::uint64_t done = 0;
-    std::uint64_t id = 0;
-    pkt::Packet* rx[64];
+    const std::uint64_t target = received.load() + packets;
     const std::uint64_t deadline = rt::now_ns() + 30'000'000'000ull;
-    while (done < packets && rt::now_ns() < deadline) {
-      if (pkt::Packet* p = make_packet(pool, id)) {
-        if (ch.send(p)) {
-          ++id;
-        } else {
+    std::thread receiver([&] {
+      pkt::Packet* rx[64];
+      while (received.load() < target && rt::now_ns() < deadline) {
+        const std::size_t n = ch.poll_burst(rx, 64);
+        for (std::size_t i = 0; i < n; ++i) pool.free_raw(rx[i]);
+        received.fetch_add(n);
+        if (n == 0) std::this_thread::sleep_for(kIdle);
+      }
+    });
+    while (received.load() < target && rt::now_ns() < deadline) {
+      if (sent - received.load() < kInFlight) {
+        if (pkt::Packet* p = make_packet(pool, sent)) {
+          if (ch.send(p)) {
+            ++sent;
+            continue;
+          }
           pool.free_raw(p);
         }
       }
-      const std::size_t n = ch.poll_burst(rx, 64);
-      for (std::size_t i = 0; i < n; ++i) pool.free_raw(rx[i]);
-      done += n;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::this_thread::sleep_for(kIdle);
     }
-    return done;
+    receiver.join();
+    return received.load() - (target - packets);
   };
 
   ASSERT_GE(exchange(200), 200u);
   const std::uint64_t srtt_before = ch.srtt_ns();
-  // SRTT tracks ~RTT = 2 * delay (+ polling slop bounded by the 50 us
-  // pacing above plus scheduler noise).
+  // SRTT tracks ~RTT = 2 * delay (+ idle sleeps and scheduler noise).
   EXPECT_GE(srtt_before, 1'000'000u);
   EXPECT_LE(srtt_before, 3'000'000u);
 

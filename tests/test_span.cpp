@@ -467,6 +467,33 @@ TEST(SpanRecovery, TimelineCompleteAndMonotonicAfterFailStop) {
   EXPECT_GE(tl.time_to_detect_ns(), ocfg.failure_timeout_ns / 4);
 }
 
+TEST(SpanNack, RoundTripsPairEachSendWithTheNextReply) {
+  const std::uint64_t id = protocol_trace_id(1);
+  const auto rec = [id](std::uint64_t ts, std::uint32_t node, SpanKind kind,
+                        std::uint64_t mbox) {
+    return SpanRecord{id, ts, mbox, span_site_node(node), kind};
+  };
+  // Out of time order, as rings hand them over.
+  const std::vector<SpanRecord> records{
+      rec(1'150, 2, SpanKind::kNackApplied, 0),  // node 2, mbox 0: 150
+      rec(1'000, 2, SpanKind::kNackSent, 0),
+      rec(2'000, 2, SpanKind::kNackSent, 1),     // mbox 1: 500 and 300
+      rec(2'200, 2, SpanKind::kNackSent, 1),
+      rec(2'500, 2, SpanKind::kNackApplied, 1),
+      rec(2'600, 2, SpanKind::kNackApplied, 1),  // nothing waiting
+      rec(1'100, 3, SpanKind::kNackSent, 0),     // node 3: 4000
+      rec(5'100, 3, SpanKind::kNackApplied, 0),
+      rec(1'200, 3, SpanKind::kNackServed, 0),   // not part of a round trip
+      rec(9'000, 3, SpanKind::kNackSent, 0),     // never answered
+  };
+  const rt::Histogram rtt = nack_round_trips(records);
+  ASSERT_EQ(rtt.count(), 4u);
+  EXPECT_EQ(rtt.min(), 150u);
+  EXPECT_EQ(rtt.max(), 4'000u);
+  EXPECT_DOUBLE_EQ(rtt.mean(), (150.0 + 500.0 + 300.0 + 4'000.0) / 4);
+  EXPECT_EQ(nack_round_trips({}).count(), 0u);
+}
+
 // --- Chrome trace JSON. -------------------------------------------------
 
 TEST(ChromeTrace, EmitsValidJsonWithSlicesAndMetadata) {
